@@ -32,7 +32,6 @@ from .garside import (
     nf_power,
     nf_product,
     normal_form,
-    shorten,
     words_equal,
 )
 from .factorization import (

@@ -29,7 +29,7 @@ import dataclasses
 from fractions import Fraction
 from typing import Iterable
 
-from .braid import BraidError, BraidWord, HalfTwist
+from .braid import BraidError, BraidWord, HalfTwist, delta_word
 from .factorization import BlockFactor, Factor, Factorization, StructuredFactor
 
 
@@ -157,14 +157,6 @@ def to_wiring_diagram(arr: LineArrangement) -> WiringDiagram:
     )
 
 
-def _block_half_twist_letters(low: int, high: int) -> tuple[int, ...]:
-    """Letters of the half-twist reversing the block [low, high]."""
-    letters: list[int] = []
-    for j in range(low, high):
-        letters.extend(range(j, low - 1, -1))
-    return tuple(letters)
-
-
 def expand_block_factor(factor: BlockFactor) -> list[StructuredFactor]:
     """Rewrite a full block twist as its k(k-1)/2 node factors.
 
@@ -206,13 +198,15 @@ def braid_monodromy(arr: LineArrangement, expand_blocks: bool = False) -> Factor
     if m < 2:
         raise ArrangementError("need at least 2 lines")
     wd = to_wiring_diagram(arr)
-    n = len(wd.events)
+    # conj(idx) = conj(idx + 1) H_{idx+1}: each conjugator extends the one
+    # of the next point by that point's block half-twist.
+    conj_letters: list[tuple[int, ...]] = [()]
+    for low, high in reversed(wd.events[1:]):
+        conj_letters.append(conj_letters[-1] + delta_word(m, low, high).letters)
+    conj_letters.reverse()
     factors: list[Factor] = []
-    for idx, (low, high) in enumerate(wd.events):
-        conj_letters: list[int] = []
-        for q in range(n - 1, idx, -1):
-            conj_letters.extend(_block_half_twist_letters(*wd.events[q]))
-        conj = BraidWord(m, tuple(conj_letters))
+    for (low, high), letters in zip(wd.events, conj_letters):
+        conj = BraidWord(m, letters)
         if high == low + 1:
             factors.append(StructuredFactor(conj, HalfTwist(m, low, high), exponent=2))
         else:

@@ -22,7 +22,6 @@ Output is deterministic: identical inputs and flags give identical bytes.
 from __future__ import annotations
 
 import argparse
-import random
 import sys
 
 from . import factorization as fz
@@ -183,12 +182,6 @@ def build_parser() -> argparse.ArgumentParser:
         prog="braidmono",
         description="braid monodromy factorizations: compute, rewrite, verify",
     )
-    parser.add_argument(
-        "--seed",
-        type=int,
-        default=None,
-        help="seed the global random generator (for randomized workflows)",
-    )
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("normal-form", help="left-greedy canonical form of a braid word")
@@ -245,8 +238,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.seed is not None:
-        random.seed(args.seed)
     try:
         return args.func(args)
     except (textio.ParseError, ArrangementError, rg.RegenerationError, BraidError, OSError) as exc:

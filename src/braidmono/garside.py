@@ -25,6 +25,15 @@ Delta-conjugation twist, factor complements and minimal positive words are
 all memoized per id.  Canonical forms travel through the kernel as
 `(delta_power, factor_id_tuple)` pairs; the public `NormalForm` with its
 `Permutation` factors is materialized only at API boundaries.
+
+Costs, for m strands:
+
+* letters -> normal form appends one factor per letter and combs it leftward
+  through the list; trailing identities are dropped as they appear, so a
+  word whose canonical length stays bounded (a sweep conjugator is a single
+  permutation braid) is combed in time linear in its letters;
+* a `slide` cache hit is one dict lookup; a miss costs O(m + crossings
+  moved), since each moved crossing patches the two descent masks locally.
 """
 
 from __future__ import annotations
@@ -126,28 +135,36 @@ def _slide_ids(fa: int, fb: int) -> tuple[int, int]:
 
     While some sigma_i can start b but cannot end a, transfer that crossing:
     a <- a sigma_i, b <- sigma_i^-1 b.  At the fixpoint every starting
-    letter of b already finishes a.
+    letter of b already finishes a.  A transfer swaps entries i-1, i of a
+    and of b^-1, so only the descent bits at i-1, i, i+1 can change; the
+    two masks are patched there instead of being recomputed.
     """
     hit = _slide_cache.get((fa, fb))
     if hit is not None:
         return hit
-    a = _PERM_TUPLES[fa]
-    b = _PERM_TUPLES[fb]
-    d = _descent_mask(_inverse_tuple(b)) & ~_descent_mask(a)
+    al = list(_PERM_TUPLES[fa])
+    binv = list(_inverse_tuple(_PERM_TUPLES[fb]))
+    ma = _descent_mask(al)
+    mb = _descent_mask(binv)
+    d = mb & ~ma
     if not d:
         out = (fa, fb)
     else:
-        al = list(a)
-        bl = list(b)
-        binv = list(_inverse_tuple(b))
+        n = len(al)
         while d:
             i = (d & -d).bit_length() - 1
             al[i - 1], al[i] = al[i], al[i - 1]
-            pi, qi = binv[i - 1], binv[i]
-            bl[pi - 1], bl[qi - 1] = i + 1, i
-            binv[i - 1], binv[i] = qi, pi
-            d = _descent_mask(binv) & ~_descent_mask(al)
-        out = (_pid(tuple(al)), _pid(tuple(bl)))
+            binv[i - 1], binv[i] = binv[i], binv[i - 1]
+            # Bit i was a descent of b^-1 and not of a; the swap flips both.
+            ma |= 1 << i
+            mb &= ~(1 << i)
+            for k in (i - 1, i + 1):
+                if 0 < k < n:
+                    bit = 1 << k
+                    ma = ma | bit if al[k - 1] > al[k] else ma & ~bit
+                    mb = mb | bit if binv[k - 1] > binv[k] else mb & ~bit
+            d = mb & ~ma
+        out = (_pid(tuple(al)), _pid(_inverse_tuple(binv)))
     _slide_cache[(fa, fb)] = out
     return out
 
@@ -329,6 +346,10 @@ def _raw_from_letters(m: int, letters: tuple[int, ...]):
             continue
         out.append(f)
         _comb_back(out, len(out) - 2)
+        # A left-weighted list can hold identities only at its tail; left
+        # there, every later letter would be combed through them again.
+        while out[-1] == ident:
+            out.pop()
     shift, fids = _strip_ids(out, m)
     return (acc + shift, fids)
 
@@ -355,6 +376,16 @@ def raw_to_letters(m: int, raw: tuple[int, tuple[int, ...]]) -> tuple[int, ...]:
     for f in fids:
         letters.extend(_lift_letters(f))
     return tuple(letters)
+
+
+def raw_permutation(m: int, raw: tuple[int, tuple[int, ...]]) -> Permutation:
+    """Symmetric-group image of a raw form, read off its factors: the
+    reversal raised to the delta power, then each factor's permutation."""
+    p, fids = raw
+    images = list(range(m, 0, -1)) if p % 2 else list(range(1, m + 1))
+    for f in fids:
+        images = [images[j - 1] for j in _PERM_TUPLES[f]]
+    return Permutation(tuple(images))
 
 
 # --- public API ------------------------------------------------------------
@@ -415,20 +446,6 @@ def words_equal(w1: BraidWord, w2: BraidWord) -> bool:
     return raw_of_word(w1.strands, free_reduce(w1.letters)) == raw_of_word(
         w2.strands, free_reduce(w2.letters)
     )
-
-
-def shorten(w: BraidWord) -> BraidWord:
-    """A bounded-length representative of the same braid.
-
-    Free reduction always applies; the canonical-form rewrite replaces the
-    word only when it is strictly shorter, so very short inputs are never
-    inflated by an explicit Delta^-1 expansion.
-    """
-    reduced = w.reduced()
-    rewritten = normal_form(reduced).to_word()
-    if len(rewritten) < len(reduced):
-        return rewritten
-    return reduced
 
 
 # --- canonical-form arithmetic ---------------------------------------------

@@ -36,7 +36,7 @@ import dataclasses
 import enum
 from typing import Mapping, Sequence
 
-from .braid import BraidWord, HalfTwist, free_reduce, permutation_of
+from .braid import BraidWord, HalfTwist, free_reduce
 from .factorization import (
     BlockFactor,
     Factor,
@@ -266,7 +266,7 @@ def complete_deficit(fact: Factorization, budget: int = 10_000) -> CompletionRes
     """
     from .braid import full_twist
     from .factorization import _product_raw
-    from .garside import RAW_IDENTITY, raw_inverse, raw_multiply, raw_of_word, raw_to_letters
+    from .garside import RAW_IDENTITY, raw_inverse, raw_multiply, raw_of_word, raw_permutation
 
     report = degree_audit(fact)
     m = fact.strands
@@ -286,8 +286,7 @@ def complete_deficit(fact: Factorization, budget: int = 10_000) -> CompletionRes
     }
 
     def transpositions_needed(raw) -> int:
-        perm = permutation_of(BraidWord(m, raw_to_letters(m, raw)))
-        return m - len(perm.cycle_type())
+        return m - len(raw_permutation(m, raw).cycle_type())
 
     tried = 0
     exhausted = True

@@ -40,6 +40,13 @@ class ParseError(ValueError):
         super().__init__(f"{message}{where}")
 
 
+def _int(token: str, no: int, what: str) -> int:
+    try:
+        return int(token)
+    except ValueError as exc:
+        raise ParseError(f"bad integer {token!r} in {what}", no) from exc
+
+
 def _content_lines(text: str) -> list[tuple[int, str]]:
     out = []
     for no, raw in enumerate(text.splitlines(), start=1):
@@ -56,7 +63,7 @@ def _header(lines: list[tuple[int, str]], keyword: str) -> int:
     parts = line.split()
     if len(parts) != 2 or parts[0] != keyword or not parts[1].lstrip("-").isdigit():
         raise ParseError(f"expected `{keyword} <n>` header, got {line!r}", no)
-    return int(parts[1])
+    return _int(parts[1], no, f"`{keyword}` header")
 
 
 # --- braid words -----------------------------------------------------------
@@ -88,23 +95,31 @@ def _parse_factor(m: int, no: int, line: str) -> Factor:
     base: tuple[int, int] | None = None
     block: tuple[int, int] | None = None
     exp: int | None = None
+    seen: set[str] = set()
     for field in fields:
-        if field.startswith("conj="):
-            conj_tokens = field[len("conj=") :].split()
-        elif field.startswith("base="):
-            parts = field[len("base=") :].split()
-            if len(parts) != 2:
-                raise ParseError("base= needs two strand indices", no)
-            base = (int(parts[0]), int(parts[1]))
-        elif field.startswith("block="):
-            parts = field[len("block=") :].split()
-            if len(parts) != 2:
-                raise ParseError("block= needs two strand indices", no)
-            block = (int(parts[0]), int(parts[1]))
-        elif field.startswith("exp="):
-            exp = int(field[len("exp=") :])
-        elif field:
+        if not field:
+            continue
+        name, eq, value = field.partition("=")
+        if not eq or name not in ("conj", "base", "block", "exp"):
             raise ParseError(f"unknown factor field {field!r}", no)
+        if name in seen:
+            raise ParseError(f"repeated field {name}=", no)
+        seen.add(name)
+        parts = value.split()
+        if name == "conj":
+            conj_tokens = parts
+        elif name == "exp":
+            if len(parts) != 1:
+                raise ParseError("exp= needs one integer", no)
+            exp = _int(parts[0], no, "exp=")
+        else:
+            if len(parts) != 2:
+                raise ParseError(f"{name}= needs two strand indices", no)
+            pair = (_int(parts[0], no, f"{name}="), _int(parts[1], no, f"{name}="))
+            if name == "base":
+                base = pair
+            else:
+                block = pair
     if conj_tokens is None or exp is None or (base is None) == (block is None):
         raise ParseError(
             "factor needs conj=, exp= and exactly one of base=/block=", no
@@ -127,7 +142,7 @@ def parse_factorization(text: str) -> Factorization:
     parts = count_line.split()
     if len(parts) != 2 or parts[0] != "factors" or not parts[1].isdigit():
         raise ParseError(f"expected `factors <n>`, got {count_line!r}", count_no)
-    n = int(parts[1])
+    n = _int(parts[1], count_no, "`factors` line")
     body = lines[2:]
     if len(body) != n:
         raise ParseError(
@@ -205,7 +220,7 @@ def parse_presentation(text: str) -> Presentation:
         for tok in line.split():
             if len(tok) < 2 or tok[0] not in "xX" or not tok[1:].isdigit():
                 raise ParseError(f"bad generator token {tok!r}", no)
-            k = int(tok[1:])
+            k = _int(tok[1:], no, f"generator token {tok!r}")
             letters.append(k if tok[0] == "x" else -k)
         relators.append(FreeWord.reduce(letters))
     try:
@@ -234,7 +249,7 @@ def parse_rules(text: str) -> dict[int, Rule]:
             rule = Rule(parts[1])
         except ValueError as exc:
             raise ParseError(f"unknown rule {parts[1]!r}", no) from exc
-        out[int(parts[0])] = rule
+        out[_int(parts[0], no, "rule index")] = rule
     return out
 
 

@@ -11,6 +11,7 @@ from braidmono import (
     braid_monodromy,
     canonical_key,
     degree_check,
+    delta_word,
     exponent_sum,
     expand,
     is_delta2_factorization,
@@ -19,6 +20,7 @@ from braidmono import (
     singular_points,
     to_wiring_diagram,
 )
+from braidmono.garside import raw_of_word
 from conftest import random_generic_arrangement
 
 
@@ -205,3 +207,25 @@ class TestSameXPoints:
         assert len(same_x) == 2
         assert {p.block for p in same_x} == {(1, 2), (3, 4)}
         assert is_delta2_factorization(braid_monodromy(arr))
+
+
+class TestSweepConjugators:
+    def test_conjugators_are_simple_and_spelled_by_blocks(self, rng):
+        arrangements = [
+            random_generic_arrangement(rng, m) for m in range(2, 12) for _ in range(2)
+        ]
+        pencil = [(Fraction(s), Fraction(0)) for s in range(1, 5)]
+        pencil += [(Fraction(-1), Fraction(7)), (Fraction(-2), Fraction(-5, 2))]
+        arrangements.append(LineArrangement.from_pairs(pencil))
+        for arr in arrangements:
+            m = arr.m
+            events = to_wiring_diagram(arr).events
+            fact = braid_monodromy(arr)
+            assert len(fact.factors) == len(events)
+            for idx, factor in enumerate(fact.factors):
+                want = ()
+                for q in range(len(events) - 1, idx, -1):
+                    want += delta_word(m, *events[q]).letters
+                assert factor.conjugator.letters == want
+                delta_power, fids = raw_of_word(m, want)
+                assert delta_power == 0 and len(fids) <= 1

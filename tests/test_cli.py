@@ -1,4 +1,8 @@
 import io
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -182,3 +186,36 @@ class TestErrors:
         code = main(["monodromy", bad])
         err = capsys.readouterr().err
         assert code == 3 and "line 2" in err
+
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
+
+
+def run_module(*argv):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
+    return subprocess.run(
+        [sys.executable, "-m", "braidmono", *argv],
+        capture_output=True,
+        text=True,
+        env=env,
+    )
+
+
+class TestModuleEntry:
+    def test_monodromy_runs(self, files):
+        arr = files("three.arr", THREE_GENERIC)
+        proc = run_module("monodromy", arr)
+        assert proc.returncode == 0
+        assert "factors 3" in proc.stdout
+
+    @pytest.mark.parametrize(
+        "line",
+        ["conj= ; base= x 2 ; exp= 2", "conj= s1 ; conj= s2 ; base= 1 2 ; exp= 2"],
+    )
+    def test_bad_factor_line_exit_3(self, files, line):
+        bad = files("bad.fac", f"strands 3\nfactors 1\n{line}\n")
+        proc = run_module("check-delta2", bad)
+        assert proc.returncode == 3
+        assert "Traceback" not in proc.stderr
+        assert "line 3" in proc.stderr

@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 
 from braidmono import (
@@ -11,6 +13,7 @@ from braidmono import (
     nf_multiply,
     nf_power,
     normal_form,
+    permutation_of,
     power,
     words_equal,
 )
@@ -181,3 +184,68 @@ class TestMirrorNote:
         # comparison with tables using the opposite sign convention must
         # apply the global mirror first.
         assert not words_equal(BraidWord(2, (1,)), BraidWord(2, (-1,)))
+
+
+def slide_reference(fa, fb):
+    """The slide loop as first written: both descent masks are recomputed
+    from scratch after every moved crossing, and b is updated in place."""
+    a = garside._PERM_TUPLES[fa]
+    b = garside._PERM_TUPLES[fb]
+    d = garside._descent_mask(garside._inverse_tuple(b)) & ~garside._descent_mask(a)
+    if not d:
+        return (fa, fb)
+    al = list(a)
+    bl = list(b)
+    binv = list(garside._inverse_tuple(b))
+    while d:
+        i = (d & -d).bit_length() - 1
+        al[i - 1], al[i] = al[i], al[i - 1]
+        pi, qi = binv[i - 1], binv[i]
+        bl[pi - 1], bl[qi - 1] = i + 1, i
+        binv[i - 1], binv[i] = qi, pi
+        d = garside._descent_mask(binv) & ~garside._descent_mask(al)
+    return (garside._pid(tuple(al)), garside._pid(tuple(bl)))
+
+
+def uncached_slide(fa, fb):
+    garside._slide_cache.pop((fa, fb), None)
+    return garside._slide_ids(fa, fb)
+
+
+def single_letter_raw(m, letter):
+    if letter > 0:
+        return (0, (garside._gen_pid(m, letter),))
+    return (-1, (garside._neg_pid(m, -letter),))
+
+
+class TestKernelPaths:
+    def test_slide_matches_reference_s4(self):
+        perms = [garside._pid(p) for p in itertools.permutations(range(1, 5))]
+        for fa in perms:
+            for fb in perms:
+                assert uncached_slide(fa, fb) == slide_reference(fa, fb)
+
+    def test_slide_matches_reference_s8(self, rng):
+        for _ in range(500):
+            fa = garside._pid(tuple(rng.sample(range(1, 9), 8)))
+            fb = garside._pid(tuple(rng.sample(range(1, 9), 8)))
+            assert uncached_slide(fa, fb) == slide_reference(fa, fb)
+
+    @pytest.mark.parametrize("m", [3, 8, 16])
+    def test_letters_match_multiply_fold(self, rng, m):
+        for _ in range(30):
+            w = random_word(rng, m, 120)
+            want = garside.RAW_IDENTITY
+            for letter in w.letters:
+                want = garside.raw_multiply(m, want, single_letter_raw(m, letter))
+            got = garside.raw_of_word(m, w.letters)
+            assert got == want
+            assert garside._id_pid(m) not in got[1]
+            assert garside._w0_pid(m) not in got[1]
+
+    def test_raw_permutation_matches_words(self, rng):
+        for _ in range(300):
+            m = rng.randint(2, 8)
+            w = random_word(rng, m)
+            raw = garside.raw_of_word(m, w.letters)
+            assert garside.raw_permutation(m, raw) == permutation_of(w)

@@ -110,6 +110,29 @@ class TestFactorizationFormat:
             parse_factorization("strands 2\nfactors 1\nconj= ; spin= 1 ; exp= 1\n")
         assert exc.value.line == 3
 
+    @pytest.mark.parametrize(
+        "line",
+        [
+            "conj= ; base= x 2 ; exp= 2",
+            "conj= ; block= 1 y ; exp= 2",
+            "conj= ; base= 1 2 ; exp= two",
+            "conj= ; base= 1 2 ; exp=",
+            "conj= s1 ; conj= s2 ; base= 1 2 ; exp= 2",
+            "conj= ; base= 1 2 ; exp= 2 ; exp= 2",
+        ],
+    )
+    def test_bad_factor_fields(self, line):
+        with pytest.raises(ParseError) as exc:
+            parse_factorization(f"strands 3\nfactors 1\n{line}\n")
+        assert exc.value.line == 3
+
+    def test_non_ascii_digit_counts(self):
+        with pytest.raises(ParseError) as exc:
+            parse_factorization("strands 3\nfactors \u00b2\n")
+        assert exc.value.line == 2
+        with pytest.raises(ParseError):
+            parse_braid_word("strands \u00b2\n")
+
 
 class TestArrangementFormat:
     def test_roundtrip(self):
@@ -147,6 +170,11 @@ class TestPresentationFormat:
         with pytest.raises(ParseError):
             parse_presentation("gens 2\ny1\n")
 
+    def test_non_ascii_digit_token(self):
+        with pytest.raises(ParseError) as exc:
+            parse_presentation("gens 2\nx1 x\u00b2\n")
+        assert exc.value.line == 2
+
 
 class TestRulesFormat:
     def test_roundtrip(self):
@@ -164,3 +192,8 @@ class TestRulesFormat:
     def test_bad_index(self):
         with pytest.raises(ParseError):
             parse_rules("x II\n")
+
+    def test_non_ascii_digit_index(self):
+        with pytest.raises(ParseError) as exc:
+            parse_rules("0 II\n\u00b2 I\n")
+        assert exc.value.line == 2
