@@ -126,6 +126,12 @@ def _cmd_regenerate(args) -> int:
         if res.completed is not None:
             comments.append(f"deficit completed after trying {res.tried} placements")
             out = res.completed
+        elif res.ruled_out:
+            comments.append(
+                "deficit completion impossible: the defect's Garside infimum is "
+                f"below -{report.deficit}, so no {report.deficit} half-twists "
+                "multiply to it; emitting uncompleted factors"
+            )
         else:
             comments.append(
                 "deficit completion "

@@ -19,6 +19,17 @@ preserve the product and the multiset of factor conjugacy data, which gives
 the computable obstructions in `hm_invariants`.  Deciding Hurwitz
 equivalence in general is open, so `hurwitz_equivalent` is an explicitly
 budgeted bidirectional search whose INCONCLUSIVE verdict is first-class.
+
+The searches (`hurwitz_equivalent`, `orbit_enumerate`) run the classical
+Hurwitz action on tuples of group elements, not on factor records: each
+call interns the factors' canonical forms as small integer ids and
+memoizes the pair move (a, b) -> a b a^-1 or b^-1 a b in a table that
+lives for that call only.  A search state is a tuple of ids, an orbit is
+a set of such tuples, and a certificate is a list of move positions, so
+no conjugator word is spelled inside a search.  Words appear only where
+a caller asks for factor records: `hurwitz_move`, `hurwitz_move_inverse`
+and `apply_moves` rebuild each moved factor with its conjugator written
+out as a word.
 """
 
 from __future__ import annotations
@@ -39,7 +50,6 @@ from .braid import (
     full_twist,
     half_twist_word,
     invert,
-    permutation_of,
     power,
 )
 from .garside import (
@@ -155,13 +165,14 @@ def expand(factor: Factor) -> BraidWord:
     return _expand_cached(factor)
 
 
-# Move engines construct conjugators as canonical forms and write down their
-# canonical words; priming these tables lets later lookups skip renormalizing
-# those words from their letters.  Inverse forms are carried along so that a
-# move never has to invert anything long from scratch: every inverse in the
-# hot path is a product of already inverted cached pieces.  Raw forms are
-# garside's (delta_power, factor_ids) pairs.  Plain dicts with a size cap:
-# entries are repopulated on demand, so clearing is always safe.
+# The single moves `hurwitz_move` / `hurwitz_move_inverse` compute each moved
+# conjugator as a canonical form and write down its canonical word; priming
+# these tables lets later lookups skip renormalizing those words from their
+# letters.  Inverse forms are carried along so that a move never has to
+# invert anything long from scratch.  The searches read these tables only
+# for their start tuples; their moves go through a per-call `_MoveTable`.
+# Raw forms are garside's (delta_power, factor_ids) pairs.  Plain dicts with
+# a size cap: entries are repopulated on demand, so clearing is always safe.
 _Raw = tuple[int, tuple[int, ...]]
 _NF_TABLE_CAP = 400_000
 _word_nf: dict[BraidWord, tuple[_Raw, _Raw]] = {}
@@ -204,14 +215,16 @@ def _core_key(factor: Factor) -> tuple:
     return ("block", factor.strands, factor.low, factor.high, factor.exponent)
 
 
-@lru_cache(maxsize=4096)
 def _core_cycle_type(factor_core: tuple) -> tuple[int, ...]:
+    """Cycle type of the core's permutation: the transposition (low high)
+    of a half-twist, or the reversal of low..high of a block, raised to the
+    exponent.  Both are involutions, so an odd exponent gives one 2-cycle
+    per swapped pair and an even one the identity."""
     kind, strands, low, high, exponent = factor_core
-    if kind == "halftwist":
-        core = half_twist_word(HalfTwist(strands, low, high))
-    else:
-        core = delta_word(strands, low, high)
-    return permutation_of(power(core, exponent)).cycle_type()
+    pairs = 0
+    if exponent % 2:
+        pairs = 1 if kind == "halftwist" else (high - low + 1) // 2
+    return (2,) * pairs + (1,) * (strands - 2 * pairs)
 
 
 def _factor_raws(factor: Factor) -> tuple[_Raw, _Raw]:
@@ -277,9 +290,12 @@ def _full_twist_raw(m: int) -> _Raw:
 def is_delta2_factorization(fact: Factorization) -> bool:
     """Does the product equal the full twist?  Necessary for the
     factorization to arise as a braid monodromy factorization."""
-    if fact.strands < 2:
+    m = fact.strands
+    # The exponent sum is a homomorphism to Z, so a degree other than
+    # deg Delta^2 = m(m-1) settles the question without multiplying.
+    if m < 2 or fact.degree() != m * (m - 1):
         return False
-    return _product_raw(fact) == _full_twist_raw(fact.strands)
+    return _product_raw(fact) == _full_twist_raw(m)
 
 
 def canonical_key(fact: Factorization) -> tuple:
@@ -360,10 +376,66 @@ def apply_moves(fact: Factorization, moves: Iterable[tuple[int, int]]) -> Factor
     return fact
 
 
-def _neighbors(fact: Factorization) -> Iterable[tuple[tuple[int, int], Factorization]]:
-    for k in range(1, len(fact.factors)):
-        yield (k, 1), hurwitz_move(fact, k)
-        yield (k, -1), hurwitz_move_inverse(fact, k)
+class _MoveTable:
+    """The group elements met by one search, interned as small integer ids
+    in first-seen order, with their inverses and the memoized pair moves.
+
+    `move(a, b, +1)` is the id of a b a^-1 and `move(a, b, -1)` the id of
+    b^-1 a b, the new factor of a forward and of an inverse Hurwitz move; a
+    table miss costs two `raw_multiply` calls, and one `raw_inverse` when
+    the result is an element not seen before.  The table belongs to one
+    call and grows with the states that call stores.
+    """
+
+    __slots__ = ("m", "_ids", "_raws", "_inverses", "_moves")
+
+    def __init__(self, m: int) -> None:
+        self.m = m
+        self._ids: dict[_Raw, int] = {}
+        self._raws: list[_Raw] = []
+        self._inverses: list[_Raw] = []
+        self._moves: dict[tuple[int, int, int], int] = {}
+
+    def _intern(self, raw: _Raw, inverse: _Raw | None = None) -> int:
+        i = self._ids.get(raw)
+        if i is None:
+            i = self._ids[raw] = len(self._raws)
+            self._raws.append(raw)
+            self._inverses.append(
+                raw_inverse(self.m, raw) if inverse is None else inverse
+            )
+        return i
+
+    def state(self, fact: Factorization) -> tuple[int, ...]:
+        return tuple(self._intern(*_factor_raws(f)) for f in fact.factors)
+
+    def move(self, a: int, b: int, direction: int) -> int:
+        key = (a, b, direction)
+        out = self._moves.get(key)
+        if out is None:
+            m, raws, invs = self.m, self._raws, self._inverses
+            if direction > 0:
+                raw = raw_multiply(m, raw_multiply(m, raws[a], raws[b]), invs[a])
+            else:
+                raw = raw_multiply(m, raw_multiply(m, invs[b], raws[a]), raws[b])
+            out = self._moves[key] = self._intern(raw)
+        return out
+
+    def neighbors(
+        self, state: tuple[int, ...]
+    ) -> Iterable[tuple[tuple[int, int], tuple[int, ...]]]:
+        """(move, next state) in expansion order: lower positions first,
+        forward before inverse."""
+        for k in range(1, len(state)):
+            a, b = state[k - 1], state[k]
+            head, tail = state[: k - 1], state[k + 1 :]
+            yield (k, 1), head + (self.move(a, b, 1), a) + tail
+            yield (k, -1), head + (b, self.move(a, b, -1)) + tail
+
+    def keys(self, states: Iterable[tuple[int, ...]]) -> frozenset:
+        """The states as `canonical_key` tuples."""
+        raws = self._raws
+        return frozenset(tuple(raws[i] for i in st) for st in states)
 
 
 def hurwitz_equivalent(
@@ -397,15 +469,16 @@ def hurwitz_equivalent(
             witness="factor class multisets differ",
         )
 
-    k1, k2 = canonical_key(f1), canonical_key(f2)
+    table = _MoveTable(f1.strands)
+    k1, k2 = table.state(f1), table.state(f2)
     if k1 == k2:
         return EquivalenceResult(Verdict.EQUIVALENT, moves=(), explored=0)
 
-    # parent maps: key -> (parent_key, move) with move the step applied at
-    # the parent, in that side's own forward orientation.
+    # parent maps: state -> (parent_state, move) with move the step applied
+    # at the parent, in that side's own forward orientation.
     sides = (
-        {"seen": {k1: (None, None)}, "frontier": deque([(k1, f1)])},
-        {"seen": {k2: (None, None)}, "frontier": deque([(k2, f2)])},
+        {"seen": {k1: (None, None)}, "frontier": deque([k1])},
+        {"seen": {k2: (None, None)}, "frontier": deque([k2])},
     )
     stored = 2
 
@@ -428,9 +501,8 @@ def hurwitz_equivalent(
         other = 1 - side
         frontier = sides[side]["frontier"]
         for _ in range(len(frontier)):
-            key, fact = frontier.popleft()
-            for move, nxt in _neighbors(fact):
-                nkey = canonical_key(nxt)
+            key = frontier.popleft()
+            for move, nkey in table.neighbors(key):
                 if nkey in sides[side]["seen"]:
                     continue
                 sides[side]["seen"][nkey] = (key, move)
@@ -441,7 +513,7 @@ def hurwitz_equivalent(
                         moves=certificate(nkey),
                         explored=stored,
                     )
-                frontier.append((nkey, nxt))
+                frontier.append(nkey)
                 if stored >= budget:
                     return EquivalenceResult(
                         Verdict.INCONCLUSIVE, explored=stored
@@ -464,17 +536,17 @@ class OrbitResult:
 def orbit_enumerate(fact: Factorization, budget: int = 1_000_000) -> OrbitResult:
     """All canonical keys reachable by Hurwitz moves within the budget;
     `exhausted` is True when the orbit is closed under both move directions."""
-    start = canonical_key(fact)
+    table = _MoveTable(fact.strands)
+    start = table.state(fact)
     seen = {start}
-    frontier = deque([fact])
+    frontier = deque([start])
     while frontier:
         cur = frontier.popleft()
-        for _move, nxt in _neighbors(cur):
-            nkey = canonical_key(nxt)
-            if nkey in seen:
+        for _move, nxt in table.neighbors(cur):
+            if nxt in seen:
                 continue
             if len(seen) >= budget:
-                return OrbitResult(frozenset(seen), False, len(seen))
-            seen.add(nkey)
+                return OrbitResult(table.keys(seen), False, len(seen))
+            seen.add(nxt)
             frontier.append(nxt)
-    return OrbitResult(frozenset(seen), True, len(seen))
+    return OrbitResult(table.keys(seen), True, len(seen))

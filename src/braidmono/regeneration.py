@@ -252,6 +252,8 @@ class CompletionResult:
     completed: Factorization | None
     tried: int
     exhausted: bool
+    # True when the defect's infimum rules every completion out unsearched
+    ruled_out: bool = False
 
 
 def complete_deficit(fact: Factorization, budget: int = 10_000) -> CompletionResult:
@@ -263,6 +265,11 @@ def complete_deficit(fact: Factorization, budget: int = 10_000) -> CompletionRes
     (enough transpositions, matching parity).  `budget` caps the number of
     complete placements tested; the search is deliberately not a
     completeness claim, conjugated candidates are out of its range.
+
+    Each candidate is a positive word times an inverted simple element, so
+    its Garside infimum is at least -1, and a product of deficit-many
+    candidates has infimum at least -deficit.  A defect below that bound
+    cannot be filled: the result is then `ruled_out`, with no search.
     """
     from .braid import full_twist
     from .factorization import _product_raw
@@ -277,6 +284,8 @@ def complete_deficit(fact: Factorization, budget: int = 10_000) -> CompletionRes
     # The appended factors must multiply to defect = product^-1 Delta^2.
     twist_raw = raw_of_word(m, full_twist(m).letters)
     defect = raw_multiply(m, raw_inverse(m, _product_raw(fact)), twist_raw)
+    if defect[0] < -report.deficit:
+        return CompletionResult(None, 0, True, ruled_out=True)
 
     candidates = [
         HalfTwist(m, a, b) for a in range(1, m) for b in range(a + 1, m + 1)

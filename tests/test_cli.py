@@ -144,6 +144,14 @@ class TestRegeneration:
         assert code == 0
         assert "completed" in out or "completion" in out
 
+    def test_complete_deficit_ruled_out(self, files, capsys):
+        arr = files("three.arr", THREE_GENERIC)
+        _, fac_text = run(capsys, "monodromy", arr, "--expand-blocks")
+        fac = files("three.fac", fac_text)
+        code, out = run(capsys, "regenerate", fac, "--complete-deficit")
+        assert code == 0
+        assert "# deficit completion impossible: the defect's Garside infimum is below -6" in out
+
 
 class TestVanKampen:
     def test_arrangement_presentation(self, files, capsys):
@@ -191,7 +199,7 @@ class TestErrors:
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 
-def run_module(*argv):
+def run_module(*argv, timeout=None):
     env = dict(os.environ)
     env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
     return subprocess.run(
@@ -199,6 +207,7 @@ def run_module(*argv):
         capture_output=True,
         text=True,
         env=env,
+        timeout=timeout,
     )
 
 
@@ -219,3 +228,9 @@ class TestModuleEntry:
         assert proc.returncode == 3
         assert "Traceback" not in proc.stderr
         assert "line 3" in proc.stderr
+
+    def test_huge_exponent_answers_at_once(self, files):
+        fac = files("huge.fac", "strands 2\nfactors 1\nconj= ; base= 1 2 ; exp= 999999999\n")
+        proc = run_module("check-delta2", fac, timeout=20)
+        assert proc.returncode == 1 and proc.stdout == "false\n"
+        assert "Traceback" not in proc.stderr

@@ -76,6 +76,11 @@ class TestProduct:
     def test_single_node_not_delta2(self):
         assert not is_delta2_factorization(Factorization(2, (sf(2, 1, 2),)))
 
+    def test_wrong_degree_answers_without_multiplying(self):
+        # expanding this core letter by letter would take ~10^9 steps
+        huge = Factorization(2, (sf(2, 1, 2, exp=999_999_999),))
+        assert not is_delta2_factorization(huge)
+
     def test_product_nf_matches_product(self, rng, b3_factorization):
         from braidmono import normal_form
 
@@ -153,6 +158,23 @@ class TestInvariants:
             hm_invariants(node).class_multiset
             != hm_invariants(b3_factorization).class_multiset
         )
+
+
+class TestCoreCycleType:
+    def test_closed_form_matches_words(self):
+        from braidmono.braid import delta_word, half_twist_word, permutation_of, power
+        from braidmono.factorization import _core_cycle_type
+
+        for m in range(2, 7):
+            for low in range(1, m):
+                for high in range(low + 1, m + 1):
+                    for exponent in range(1, 6):
+                        half = half_twist_word(HalfTwist(m, low, high))
+                        block = delta_word(m, low, high)
+                        for kind, core in (("halftwist", half), ("block", block)):
+                            want = permutation_of(power(core, exponent)).cycle_type()
+                            key = (kind, m, low, high, exponent)
+                            assert _core_cycle_type(key) == want, key
 
 
 class TestCanonicalKey:

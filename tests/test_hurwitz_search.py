@@ -1,0 +1,189 @@
+"""The element-id search engine against a reference copy of the
+factorization-record search it replaced: identical verdicts, certificates,
+`explored` counts and orbit key sets."""
+
+from collections import deque
+
+import pytest
+
+import braidmono.factorization as fz
+from braidmono import (
+    BlockFactor,
+    BraidWord,
+    Factorization,
+    Verdict,
+    apply_moves,
+    braid_monodromy,
+    canonical_key,
+    hurwitz_equivalent,
+    hurwitz_move,
+    hurwitz_move_inverse,
+    orbit_enumerate,
+)
+from braidmono.garside import nf_from_raw
+from conftest import random_generic_arrangement, standard_b3_factorization
+
+# --- reference engine: every state a Factorization, every move spelled ----
+
+
+def _ref_neighbors(fact):
+    for k in range(1, len(fact.factors)):
+        yield (k, 1), hurwitz_move(fact, k)
+        yield (k, -1), hurwitz_move_inverse(fact, k)
+
+
+def ref_hurwitz_equivalent(f1, f2, budget=1_000_000):
+    if f1.strands != f2.strands:
+        return fz.EquivalenceResult(Verdict.NOT_EQUIVALENT, witness="strand counts differ")
+    if len(f1.factors) != len(f2.factors):
+        return fz.EquivalenceResult(
+            Verdict.NOT_EQUIVALENT,
+            witness="factor counts differ (length is a Hurwitz invariant)",
+        )
+    inv1, inv2 = fz.hm_invariants(f1), fz.hm_invariants(f2)
+    if inv1.product_nf != inv2.product_nf:
+        return fz.EquivalenceResult(Verdict.NOT_EQUIVALENT, witness="products differ as braids")
+    if inv1.class_multiset != inv2.class_multiset:
+        return fz.EquivalenceResult(
+            Verdict.NOT_EQUIVALENT, witness="factor class multisets differ"
+        )
+    k1, k2 = canonical_key(f1), canonical_key(f2)
+    if k1 == k2:
+        return fz.EquivalenceResult(Verdict.EQUIVALENT, moves=(), explored=0)
+    sides = (
+        {"seen": {k1: (None, None)}, "frontier": deque([(k1, f1)])},
+        {"seen": {k2: (None, None)}, "frontier": deque([(k2, f2)])},
+    )
+    stored = 2
+
+    def path_to_root(side, key):
+        moves = []
+        while True:
+            parent, move = sides[side]["seen"][key]
+            if parent is None:
+                return moves
+            moves.append(move)
+            key = parent
+
+    def certificate(meet):
+        fwd = list(reversed(path_to_root(0, meet)))
+        back = [(k, -d) for (k, d) in path_to_root(1, meet)]
+        return tuple(fwd + back)
+
+    while sides[0]["frontier"] and sides[1]["frontier"]:
+        side = 0 if len(sides[0]["frontier"]) <= len(sides[1]["frontier"]) else 1
+        other = 1 - side
+        frontier = sides[side]["frontier"]
+        for _ in range(len(frontier)):
+            key, fact = frontier.popleft()
+            for move, nxt in _ref_neighbors(fact):
+                nkey = canonical_key(nxt)
+                if nkey in sides[side]["seen"]:
+                    continue
+                sides[side]["seen"][nkey] = (key, move)
+                stored += 1
+                if nkey in sides[other]["seen"]:
+                    return fz.EquivalenceResult(
+                        Verdict.EQUIVALENT, moves=certificate(nkey), explored=stored
+                    )
+                frontier.append((nkey, nxt))
+                if stored >= budget:
+                    return fz.EquivalenceResult(Verdict.INCONCLUSIVE, explored=stored)
+    return fz.EquivalenceResult(
+        Verdict.NOT_EQUIVALENT,
+        witness="orbit enumerated without reaching the other factorization",
+        explored=stored,
+    )
+
+
+def ref_orbit_enumerate(fact, budget=1_000_000):
+    start = canonical_key(fact)
+    seen = {start}
+    frontier = deque([fact])
+    while frontier:
+        cur = frontier.popleft()
+        for _move, nxt in _ref_neighbors(cur):
+            nkey = canonical_key(nxt)
+            if nkey in seen:
+                continue
+            if len(seen) >= budget:
+                return fz.OrbitResult(frozenset(seen), False, len(seen))
+            seen.add(nkey)
+            frontier.append(nxt)
+    return fz.OrbitResult(frozenset(seen), True, len(seen))
+
+
+# --- comparisons ----------------------------------------------------------
+
+
+def nf_keys(m, keys):
+    """Orbit keys with every raw form spelled as a NormalForm key, so the
+    comparison does not rest on the process's permutation-id numbering."""
+    return {tuple(nf_from_raw(m, raw).key() for raw in key) for key in keys}
+
+
+def scramble(rng, fact, length):
+    moves = [(rng.randint(1, len(fact.factors) - 1), rng.choice((1, -1))) for _ in range(length)]
+    return apply_moves(fact, moves)
+
+
+def assert_same_search(f1, f2, budget=1_000_000):
+    new = hurwitz_equivalent(f1, f2, budget=budget)
+    ref = ref_hurwitz_equivalent(f1, f2, budget=budget)
+    assert new == ref
+    if new.verdict is Verdict.EQUIVALENT:
+        assert canonical_key(apply_moves(f1, new.moves)) == canonical_key(f2)
+    return new
+
+
+@pytest.mark.parametrize("budget", [1, 2, 7, 50, 500])
+def test_b3_orbit_matches_reference(budget):
+    fact = standard_b3_factorization()
+    new = orbit_enumerate(fact, budget=budget)
+    ref = ref_orbit_enumerate(fact, budget=budget)
+    assert (new.exhausted, new.explored) == (ref.exhausted, ref.explored)
+    assert nf_keys(3, new.keys) == nf_keys(3, ref.keys)
+    assert canonical_key(fact) in new.keys
+
+
+def test_sweep_scrambles_match_reference(rng):
+    for _ in range(10):
+        f1 = braid_monodromy(random_generic_arrangement(rng, 4))
+        f2 = scramble(rng, f1, 6)
+        assert assert_same_search(f1, f2).verdict is Verdict.EQUIVALENT
+
+
+def test_inconclusive_matches_reference(rng):
+    f1 = braid_monodromy(random_generic_arrangement(rng, 4))
+    f2 = scramble(rng, f1, 12)
+    res = assert_same_search(f1, f2, budget=30)
+    assert res.verdict is Verdict.INCONCLUSIVE and res.explored == 30
+
+
+def test_exhaustion_matches_reference():
+    # A tuple of equal factors is fixed by every move, so (D, D) and its
+    # conjugate by s2 are one-element orbits with the same product Delta^2
+    # and the same class multiset.  No such pair exists in B_2: it is
+    # abelian, so equal class multisets there mean equal factor multisets.
+    e = BraidWord.identity(3)
+    delta = BlockFactor(e, 1, 3, exponent=1)
+    twisted = BlockFactor(BraidWord(3, (-2,)), 1, 3, exponent=1)
+    f1 = Factorization(3, (delta, delta))
+    f2 = Factorization(3, (twisted, twisted))
+    res = assert_same_search(f1, f2)
+    assert res.verdict is Verdict.NOT_EQUIVALENT
+    assert "orbit enumerated" in res.witness and res.explored == 2
+
+
+def test_search_spells_no_words(monkeypatch, rng):
+    f1 = braid_monodromy(random_generic_arrangement(rng, 4))
+    f2 = scramble(rng, f1, 6)
+    want = hurwitz_equivalent(f1, f2)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a search built a word")
+
+    for name in ("raw_to_letters", "BraidWord", "hurwitz_move", "hurwitz_move_inverse"):
+        monkeypatch.setattr(fz, name, forbidden)
+    assert fz.hurwitz_equivalent(f1, f2) == want
+    assert fz.orbit_enumerate(f1, budget=300).explored == 300

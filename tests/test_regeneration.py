@@ -209,9 +209,37 @@ class TestCompletion:
         assert is_delta2_factorization(res.completed)
         assert len(res.completed.factors) == 6
 
+    def test_node_regeneration_answers_without_search(self, rng):
+        # a half-twist has infimum >= -1, so deficit-many of them multiply to
+        # infimum >= -deficit; a node regeneration's defect lies far below
+        for n in (3, 4):
+            arr = random_generic_arrangement(rng, n)
+            R = regenerate(braid_monodromy(arr, expand_blocks=True))
+            res = complete_deficit(R, budget=1000)
+            assert res.completed is None and res.ruled_out
+            assert res.tried == 0 and res.exhausted
+
+    def test_defect_with_negative_infimum_still_completes(self):
+        # the product is s2 Delta^2 s2^-1 (s2 s1 s2^-1)^-1: deficit 1, and the
+        # defect is the half-twist (1 3), whose infimum is -1
+        F = Factorization(3, tuple(
+            sf(3, a, b, 1) for a, b in ((2, 3), (2, 3), (1, 2), (2, 3), (1, 2))
+        ))
+        res = complete_deficit(F, budget=1000)
+        assert not res.ruled_out
+        assert res.completed is not None
+        assert is_delta2_factorization(res.completed)
+        assert res.completed.factors[-1].base == HalfTwist(3, 1, 3)
+
     def test_already_complete(self, b3_factorization):
         res = complete_deficit(b3_factorization)
         assert res.completed is b3_factorization
+
+    def test_zero_deficit_not_delta2_is_not_ruled_out(self):
+        F = Factorization(3, tuple(sf(3, 1, 2, 2) for _ in range(3)))
+        res = complete_deficit(F)
+        assert res.completed is None and res.tried == 0 and res.exhausted
+        assert not res.ruled_out
 
     def test_budget_exhaustion_reported(self):
         full = standard_b3_factorization()
