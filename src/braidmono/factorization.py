@@ -148,31 +148,33 @@ class BlockFactor:
         return BlockFactor(conjugator, self.low, self.high, self.exponent)
 
     def class_label(self) -> tuple:
+        """A width-2 block is the band half-twist (low, low+1), so it takes
+        the half-twist label; Hurwitz-equivalent tuples share labels."""
         cyc = _core_cycle_type(_core_key(self))
+        if self.width == 2:
+            return ("halftwist", self.exponent, cyc)
         return ("blocktwist", self.width, self.exponent, cyc)
 
 
 Factor = Union[StructuredFactor, BlockFactor]
 
 
-@lru_cache(maxsize=200_000)
-def _expand_cached(factor: Factor) -> BraidWord:
+def expand(factor: Factor) -> BraidWord:
+    """The braid word a factor denotes, freely reduced."""
     return compose(factor.conjugator, factor.core_word(), invert(factor.conjugator))
 
 
-def expand(factor: Factor) -> BraidWord:
-    """The braid word a factor denotes, freely reduced."""
-    return _expand_cached(factor)
-
-
-# The single moves `hurwitz_move` / `hurwitz_move_inverse` compute each moved
-# conjugator as a canonical form and write down its canonical word; priming
-# these tables lets later lookups skip renormalizing those words from their
-# letters.  Inverse forms are carried along so that a move never has to
-# invert anything long from scratch.  The searches read these tables only
+# Memo tables of raw forms, keyed by the records callers hold: `_word_nf`
+# maps a conjugator word, `_factor_nf_table` a whole factor, to its raw form
+# and the inverse.  `hurwitz_move` / `hurwitz_move_inverse` prime `_word_nf`
+# with each moved conjugator's canonical word, so a later lookup skips
+# renormalizing it from letters, and carry the inverse along so a move never
+# inverts anything long from scratch.  The searches read these tables only
 # for their start tuples; their moves go through a per-call `_MoveTable`.
 # Raw forms are garside's (delta_power, factor_ids) pairs.  Plain dicts with
 # a size cap: entries are repopulated on demand, so clearing is always safe.
+# Cores and full twists sit in small LRU caches (`_core_raws`,
+# `_full_twist_raw`); `expand` keeps no memo.
 _Raw = tuple[int, tuple[int, ...]]
 _NF_TABLE_CAP = 400_000
 _word_nf: dict[BraidWord, tuple[_Raw, _Raw]] = {}

@@ -26,12 +26,16 @@ all memoized per id.  Canonical forms travel through the kernel as
 `(delta_power, factor_id_tuple)` pairs; the public `NormalForm` with its
 `Permutation` factors is materialized only at API boundaries.
 
-Costs, for m strands:
+Every product is formed by one step, `_push`, which multiplies a
+left-weighted factor list by one simple element in a single leftward pass
+of slides (Epstein et al., *Word Processing in Groups*, ch. 9).  Letters push
+sigma_i, or the positive part Delta sigma_i^-1 of sigma_i^-1; `raw_multiply`
+pushes the right operand's factors onto the left operand's.  Costs, for m
+strands:
 
-* letters -> normal form appends one factor per letter and combs it leftward
-  through the list; trailing identities are dropped as they appear, so a
-  word whose canonical length stays bounded (a sweep conjugator is a single
-  permutation braid) is combed in time linear in its letters;
+* a push costs one slide per pair it changes and drops trailing identities,
+  so a word whose canonical length stays bounded (a sweep conjugator is a
+  single permutation braid) normalizes in time linear in its letters;
 * a `slide` cache hit is one dict lookup; a miss costs O(m + crossings
   moved), since each moved crossing patches the two descent masks locally.
 """
@@ -201,16 +205,6 @@ def _lift_letters(f: int) -> tuple[int, ...]:
 RAW_IDENTITY = (0, ())
 
 
-def _comb_back(factors: list[int], i: int) -> None:
-    """Fix pair i, then comb leftward while slides keep happening."""
-    for j in range(i, -1, -1):
-        a, b = factors[j], factors[j + 1]
-        a2, b2 = _slide_ids(a, b)
-        if a2 == a:
-            return
-        factors[j], factors[j + 1] = a2, b2
-
-
 def _strip_ids(factors: list[int], m: int) -> tuple[int, tuple[int, ...]]:
     """Strip leading Deltas into a power carry, drop trailing identities."""
     w0 = _w0_pid(m)
@@ -223,90 +217,65 @@ def _strip_ids(factors: list[int], m: int) -> tuple[int, tuple[int, ...]]:
     return lo, tuple(factors[lo:hi])
 
 
-def _merge_ids(m: int, left: list[int], right: list[int]) -> tuple[int, list[int]]:
-    """Push the right factor list onto the left one, re-weighting around the
-    junction; both inputs must be internally left-weighted.
+def _push(m: int, out: list[int], f: int, twisted: int) -> tuple[int, bool]:
+    """Multiply the left-weighted list `out`, which stands for
+    Delta^twisted tau^twisted(out), by the simple factor f, in place.
 
-    Returns (delta_carry, factors).  Cancellation inside a product
-    materializes as Delta factors near the junction; carrying each one to
-    the front would twist the whole prefix, so instead the Delta is cut out
-    on the spot, the carry counter bumped, and the (short) suffix right of
-    the cut twisted.  The stored list is then uniformly one tau-twist per
-    carry away from the semantic one -- legal because tau respects the
-    slide rewriting -- and is untwisted in a single sweep at the end.
-    Identity factors appearing when a right factor drains completely are
-    deleted on the spot.  A push whose junction pair is already
-    left-weighted ends the walk: the rest of the right list cannot interact
-    and is appended wholesale.
+    A slide that forms Delta ends the pass: carried on, the Delta would
+    reach the front and twist every factor it passes, so instead it is cut
+    out, the suffix right of the cut is twisted and `twisted` goes up by
+    one.  Trailing identities are popped; `out` may end empty.  Returns the
+    new twist count and whether any slide changed the list.
     """
-    if not left:
-        return 0, right
-    if not right:
-        return 0, left
+    if twisted & 1:
+        f = _tau_id(f)
+    out.append(f)
+    touched = False
     w0 = _w0_pid(m)
-    ident = _id_pid(m)
-    out = list(left)
-    pend = 0
-    for idx, r in enumerate(right):
-        rf = _tau_id(r) if pend & 1 else r
-        out.append(rf)
-        # Local fixpoint around the junction.  A plain slide only needs a
-        # leftward chase, but cuts and deletions disturb both sides, so
-        # suspect pair indices are kept on an explicit stack (leftward
-        # first) and clamped/renumbered as the list shrinks.
-        suspects = [len(out) - 2]
-        touched = False
-        while suspects:
-            j = suspects.pop()
-            if j < 0 or j + 1 >= len(out):
-                continue
-            a, b = out[j], out[j + 1]
-            a2, b2 = _slide_ids(a, b)
-            if a2 == a:
-                continue
-            touched = True
-            if a2 == w0:
-                pend += 1
-                out[j] = b2
-                del out[j + 1]
-                suspects = [s - 1 if s > j else s for s in suspects]
-                for t in range(j, len(out)):
-                    out[t] = _tau_id(out[t])
-                suspects.append(j)
-                suspects.append(j - 1)
-                continue
-            if b2 == ident:
-                out[j] = a2
-                del out[j + 1]
-                suspects = [s - 1 if s > j else s for s in suspects]
-                suspects.append(j)
-                suspects.append(j - 1)
-                continue
-            out[j], out[j + 1] = a2, b2
-            suspects.append(j + 1)
-            suspects.append(j - 1)
-        if not touched:
-            tail = right[idx + 1 :]
-            if pend & 1:
-                out.extend(_tau_id(f) for f in tail)
-            else:
-                out.extend(tail)
+    for j in range(len(out) - 2, -1, -1):
+        a = out[j]
+        a2, b2 = _slide_ids(a, out[j + 1])
+        if a2 == a:
             break
-    if pend & 1:
+        touched = True
+        if a2 == w0:
+            out[j:] = [_tau_id(g) for g in [b2, *out[j + 2 :]]]
+            twisted += 1
+            break
+        out[j], out[j + 1] = a2, b2
+    ident = _id_pid(m)
+    while out and out[-1] == ident:
+        out.pop()
+    return twisted, touched
+
+
+def _finish(m: int, out: list[int], twisted: int) -> tuple[int, tuple[int, ...]]:
+    """The raw form of Delta^twisted tau^twisted(out)."""
+    if twisted & 1:
         out = [_tau_id(f) for f in out]
-    return pend, out
+    shift, fids = _strip_ids(out, m)
+    return (twisted + shift, fids)
 
 
 def raw_multiply(m: int, a: tuple[int, tuple[int, ...]], b: tuple[int, tuple[int, ...]]):
+    """Raw form of the product a b (a first) of two raw forms in B_m.
+
+    Delta^p L Delta^q R = Delta^(p+q) tau^q(L) R, so R's factors are pushed
+    onto tau^q(L).  After a push that changes nothing, the rest of R is
+    already left-weighted against the list and is appended as it is.
+    """
     p, left = a
     q, right = b
-    if q % 2:
-        left_list = [_tau_id(f) for f in left]
-    else:
-        left_list = list(left)
-    carry, merged = _merge_ids(m, left_list, list(right))
-    shift, fids = _strip_ids(merged, m)
-    return (p + q + carry + shift, fids)
+    out = [_tau_id(f) for f in left] if q & 1 else list(left)
+    twisted = 0
+    for idx, f in enumerate(right):
+        twisted, touched = _push(m, out, f, twisted)
+        if not touched:
+            rest = right[idx + 1 :]
+            out.extend([_tau_id(g) for g in rest] if twisted & 1 else rest)
+            break
+    power, fids = _finish(m, out, twisted)
+    return (p + q + power, fids)
 
 
 def raw_inverse(m: int, a: tuple[int, tuple[int, ...]]):
@@ -324,34 +293,15 @@ def raw_inverse(m: int, a: tuple[int, tuple[int, ...]]):
 
 
 def _raw_from_letters(m: int, letters: tuple[int, ...]):
-    factors: list[int] = []
-    delta_pows: list[int] = []
+    # sigma_i^-1 = Delta^-1 (Delta sigma_i^-1): the Delta^-1 joins the count.
+    out: list[int] = []
+    twisted = 0
     for letter in letters:
         if letter > 0:
-            factors.append(_gen_pid(m, letter))
-            delta_pows.append(0)
+            twisted, _ = _push(m, out, _gen_pid(m, letter), twisted)
         else:
-            factors.append(_neg_pid(m, -letter))
-            delta_pows.append(-1)
-    # Commute the Delta^-1 carries to the front, twisting factors they pass.
-    acc = 0
-    for idx in range(len(factors) - 1, -1, -1):
-        if acc % 2:
-            factors[idx] = _tau_id(factors[idx])
-        acc += delta_pows[idx]
-    ident = _id_pid(m)
-    out: list[int] = []
-    for f in factors:
-        if f == ident:
-            continue
-        out.append(f)
-        _comb_back(out, len(out) - 2)
-        # A left-weighted list can hold identities only at its tail; left
-        # there, every later letter would be combed through them again.
-        while out[-1] == ident:
-            out.pop()
-    shift, fids = _strip_ids(out, m)
-    return (acc + shift, fids)
+            twisted, _ = _push(m, out, _neg_pid(m, -letter), twisted - 1)
+    return _finish(m, out, twisted)
 
 
 @lru_cache(maxsize=200_000)

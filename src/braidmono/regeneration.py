@@ -42,8 +42,11 @@ from .factorization import (
     Factor,
     Factorization,
     StructuredFactor,
+    _full_twist_raw,
+    _product_raw,
     is_delta2_factorization,
 )
+from .garside import RAW_IDENTITY, raw_inverse, raw_multiply, raw_of_word, raw_permutation
 
 
 class RegenerationError(ValueError):
@@ -271,10 +274,6 @@ def complete_deficit(fact: Factorization, budget: int = 10_000) -> CompletionRes
     candidates has infimum at least -deficit.  A defect below that bound
     cannot be filled: the result is then `ruled_out`, with no search.
     """
-    from .braid import full_twist
-    from .factorization import _product_raw
-    from .garside import RAW_IDENTITY, raw_inverse, raw_multiply, raw_of_word, raw_permutation
-
     report = degree_audit(fact)
     m = fact.strands
     if report.deficit == 0:
@@ -282,8 +281,7 @@ def complete_deficit(fact: Factorization, budget: int = 10_000) -> CompletionRes
         return CompletionResult(fact if done else None, 0, True)
 
     # The appended factors must multiply to defect = product^-1 Delta^2.
-    twist_raw = raw_of_word(m, full_twist(m).letters)
-    defect = raw_multiply(m, raw_inverse(m, _product_raw(fact)), twist_raw)
+    defect = raw_multiply(m, raw_inverse(m, _product_raw(fact)), _full_twist_raw(m))
     if defect[0] < -report.deficit:
         return CompletionResult(None, 0, True, ruled_out=True)
 

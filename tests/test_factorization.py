@@ -159,6 +159,17 @@ class TestInvariants:
             != hm_invariants(b3_factorization).class_multiset
         )
 
+    @pytest.mark.parametrize("m, low", [(2, 1), (4, 2)])
+    def test_width_two_block_is_a_half_twist(self, m, low):
+        e = BraidWord.identity(m)
+        block = Factorization(m, (BlockFactor(e, low, low + 1, 2),))
+        half = Factorization(m, (sf(m, low, low + 1, exp=2),))
+        assert canonical_key(block) == canonical_key(half)
+        assert hm_invariants(block) == hm_invariants(half)
+        res = hurwitz_equivalent(block, half)
+        assert res.verdict is Verdict.EQUIVALENT
+        assert res.moves == ()
+
 
 class TestCoreCycleType:
     def test_closed_form_matches_words(self):

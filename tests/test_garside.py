@@ -140,6 +140,18 @@ class TestSoundness:
                 got = garside.raw_multiply(m, got, single_factor_raw(m, f))
             assert got == naive_normalize(soup, m)
 
+        # Multi-factor right operands: Delta^p L Delta^q R is
+        # Delta^(p+q) tau^q(L) R, for odd and even q.
+        for _ in range(300):
+            m = rng.randint(2, 6)
+            p, q = rng.randint(-3, 3), rng.randint(-3, 3)
+            left = garside.raw_of_word(m, random_word(rng, m, 30).letters)[1]
+            right = garside.raw_of_word(m, random_word(rng, m, 30).letters)[1]
+            twisted = [garside._tau_id(f) if q % 2 else f for f in left]
+            shift, fids = naive_normalize(twisted + list(right), m)
+            got = garside.raw_multiply(m, (p, left), (q, right))
+            assert got == (p + q + shift, fids)
+
 
 class TestNormalFormAlgebra:
     def test_multiply_matches_words(self, rng):
