@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+import warnings
 
 from . import factorization as fz
 from . import regeneration as rg
@@ -152,8 +153,6 @@ def _cmd_audit(args) -> int:
 
 
 def _cmd_vankampen(args) -> int:
-    import warnings
-
     fact = textio.parse_factorization(_read(args.factorization))
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")

@@ -14,6 +14,13 @@ orientation conventions: the action fixes the product x_1 x_2 ... x_m for
 every braid word, and abelianizing the image of x_i yields x at position
 pi^-1(i) for pi the word's permutation image.
 
+The images of all m generators come from one pass over the word, read right
+to left: the automorphism so far is composed with each letter's, which
+rewrites only the images of x_k and x_{k+1} as freely reduced products.  A
+letter costs time linear in those two images, and the pass holds the m
+images and nothing else; `presentation` makes one pass per factor and keeps
+nothing from one factor to the next.
+
 Abelianization of a presentation is computed exactly: the relators' exponent
 matrix over the integers is put in Smith normal form by elementary row and
 column operations (arbitrary-precision arithmetic, no pivots lost), giving
@@ -24,6 +31,7 @@ from __future__ import annotations
 
 import dataclasses
 import warnings
+from itertools import chain
 
 from .braid import BraidError, BraidWord
 from .factorization import Factorization, expand, is_delta2_factorization
@@ -63,41 +71,29 @@ class FreeWord:
         return vec
 
 
-def _substitute(word: FreeWord, images: dict[int, FreeWord]) -> FreeWord:
-    out: list[int] = []
-    for letter in word.letters:
-        image = images.get(abs(letter))
-        if image is None:
-            seq = (letter,)
+def _images(w: BraidWord) -> list[tuple[int, ...]]:
+    """Letters of the images of x_1..x_m under the right action of w, from
+    one right-to-left pass (see the module docstring).  The products are
+    reduced straight from iterators, so a letter leaves no temporary tuples
+    behind."""
+    images = [(i,) for i in range(1, w.strands + 1)]
+    for letter in reversed(w.letters):
+        k = abs(letter) - 1
+        a, b = images[k], images[k + 1]
+        if letter > 0:
+            inv = (-l for l in reversed(a))
+            images[k], images[k + 1] = FreeWord.reduce(chain(a, b, inv)).letters, a
         else:
-            seq = image.letters if letter > 0 else image.inverse().letters
-        for l in seq:
-            if out and out[-1] == -l:
-                out.pop()
-            else:
-                out.append(l)
-    return FreeWord(tuple(out))
+            inv = (-l for l in reversed(b))
+            images[k], images[k + 1] = b, FreeWord.reduce(chain(inv, a, b)).letters
+    return images
 
 
 def artin_action(w: BraidWord, i: int) -> FreeWord:
     """Image of x_i under the right action of the braid word w."""
     if not (1 <= i <= w.strands):
         raise BraidError(f"generator index {i} out of range 1..{w.strands}")
-    current = FreeWord.generator(i)
-    for letter in w.letters:
-        k = abs(letter)
-        if letter > 0:
-            images = {
-                k: FreeWord((k, k + 1, -k)),
-                k + 1: FreeWord((k,)),
-            }
-        else:
-            images = {
-                k: FreeWord((k + 1,)),
-                k + 1: FreeWord((-(k + 1), k, k + 1)),
-            }
-        current = _substitute(current, images)
-    return current
+    return FreeWord(_images(w)[i - 1])
 
 
 @dataclasses.dataclass(frozen=True)
@@ -142,12 +138,10 @@ def presentation(fact: Factorization) -> Presentation:
     relators: list[FreeWord] = []
     seen = set()
     for factor in fact.factors:
-        word = expand(factor)
-        for i in range(1, m + 1):
-            image = artin_action(word, i)
-            if image.letters == (i,):
+        for i, image in enumerate(_images(expand(factor)), 1):
+            if image == (i,):
                 continue
-            relator = image * FreeWord((-i,))
+            relator = FreeWord.reduce(image + (-i,))
             if relator.letters and relator.letters not in seen:
                 seen.add(relator.letters)
                 relators.append(relator)

@@ -1,0 +1,152 @@
+"""The one-pass braid action against the letter-by-letter substitution it
+replaced, and presentations against the loop that called it m times per
+factor.  Freely reduced words are unique, so the images and the relators
+must agree letter for letter."""
+
+import warnings
+from fractions import Fraction
+
+from braidmono import (
+    BraidWord,
+    Factorization,
+    FreeWord,
+    HalfTwist,
+    LineArrangement,
+    StructuredFactor,
+    artin_action,
+    braid_monodromy,
+    delta_word,
+    full_twist,
+    invert,
+    presentation,
+    regenerate,
+)
+from braidmono.factorization import expand
+from conftest import random_generic_arrangement, random_word
+
+
+def _substitute_reference(word, images):
+    out = []
+    for letter in word.letters:
+        image = images.get(abs(letter))
+        if image is None:
+            seq = (letter,)
+        else:
+            seq = image.letters if letter > 0 else image.inverse().letters
+        for l in seq:
+            if out and out[-1] == -l:
+                out.pop()
+            else:
+                out.append(l)
+    return FreeWord(tuple(out))
+
+
+def artin_action_reference(w, i):
+    current = FreeWord.generator(i)
+    for letter in w.letters:
+        k = abs(letter)
+        if letter > 0:
+            images = {k: FreeWord((k, k + 1, -k)), k + 1: FreeWord((k,))}
+        else:
+            images = {k: FreeWord((k + 1,)), k + 1: FreeWord((-(k + 1), k, k + 1))}
+        current = _substitute_reference(current, images)
+    return current
+
+
+def presentation_reference(fact):
+    m = fact.strands
+    relators = []
+    seen = set()
+    for factor in fact.factors:
+        word = expand(factor)
+        for i in range(1, m + 1):
+            image = artin_action_reference(word, i)
+            if image.letters == (i,):
+                continue
+            relator = image * FreeWord((-i,))
+            if relator.letters and relator.letters not in seen:
+                seen.add(relator.letters)
+                relators.append(relator)
+    return tuple(relators)
+
+
+def assert_same_action(w):
+    for i in range(1, w.strands + 1):
+        assert artin_action(w, i) == artin_action_reference(w, i), (w, i)
+
+
+def assert_same_relators(fact):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        pres = presentation(fact)
+    assert pres.generator_count == fact.strands
+    assert pres.relators == presentation_reference(fact)
+
+
+class TestActionAgainstReference:
+    def test_random_words(self, rng):
+        for m in range(2, 9):
+            for _ in range(8):
+                assert_same_action(random_word(rng, m, 60))
+
+    def test_unreduced_words(self, rng):
+        # letters drawn freely, so the word itself may cancel, plus w w^-1
+        # spelled without reduction
+        for m in range(2, 9):
+            for length in (0, 1, 2, 15, 30, 60):
+                gens = [i for i in range(-(m - 1), m) if i != 0]
+                w = BraidWord(m, tuple(rng.choice(gens) for _ in range(length)))
+                assert_same_action(w)
+                assert_same_action(BraidWord(m, w.letters + invert(w).letters))
+
+    def test_half_and_full_twists(self):
+        for m in range(2, 9):
+            assert_same_action(delta_word(m))
+            assert_same_action(full_twist(m))
+            for low in range(1, m):
+                for high in range(low + 1, m + 1):
+                    assert_same_action(delta_word(m, low, high))
+
+
+def _pencil_arrangement():
+    pencil = [(Fraction(s), Fraction(0)) for s in range(1, 5)]
+    pencil += [(Fraction(-1), Fraction(7)), (Fraction(-2), Fraction(-5, 2))]
+    return LineArrangement.from_pairs(pencil)
+
+
+class TestPresentationAgainstReference:
+    def test_random_arrangements(self, rng):
+        for k in range(25):
+            arr = random_generic_arrangement(rng, 3 + k % 5)
+            assert_same_relators(braid_monodromy(arr))
+            assert_same_relators(braid_monodromy(arr, expand_blocks=True))
+
+    def test_pencil_blocks(self):
+        arr = _pencil_arrangement()
+        fact = braid_monodromy(arr)
+        assert any(not isinstance(f, StructuredFactor) for f in fact.factors)
+        assert_same_relators(fact)
+        assert_same_relators(braid_monodromy(arr, expand_blocks=True))
+
+    def test_node_regenerations(self, rng):
+        for n in (3, 4, 5):
+            arr = random_generic_arrangement(rng, n)
+            assert_same_relators(regenerate(braid_monodromy(arr, expand_blocks=True)))
+
+    def test_cuspidal_exponents(self):
+        e = BraidWord.identity(3)
+        c = BraidWord(3, (1, -2))
+        fact = Factorization(
+            3,
+            (
+                StructuredFactor(e, HalfTwist(3, 1, 2), 3),
+                StructuredFactor(c, HalfTwist(3, 2, 3), 4),
+                StructuredFactor(e, HalfTwist(3, 1, 3), 1),
+            ),
+        )
+        with warnings.catch_warnings(record=True) as record:
+            warnings.simplefilter("always")
+            pres = presentation(fact)
+        assert any("cuspidal" in str(w.message) for w in record)
+        assert pres.relators == presentation_reference(fact)
+        assert pres.relators
