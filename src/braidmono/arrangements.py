@@ -31,6 +31,8 @@ from typing import Iterable
 
 from .braid import BraidError, BraidWord, HalfTwist, delta_word
 from .factorization import BlockFactor, Factor, Factorization, StructuredFactor
+from .factorization import _carrying, _conjugator_raws
+from .garside import RAW_IDENTITY, _pid, _strip_ids, raw_inverse
 
 
 class ArrangementError(ValueError):
@@ -164,20 +166,19 @@ def expand_block_factor(factor: BlockFactor) -> list[StructuredFactor]:
     of the squared band half-twists Z_{s,t}^2 over pairs a <= s < t <= b,
     taken with t ascending and s ascending within t.  The identity is exact
     in the subgroup, so the expansion leaves any surrounding product
-    unchanged; each node factor inherits the block factor's conjugator.
+    unchanged; each node factor inherits the block factor's conjugator,
+    with its raw forms.
     """
     if factor.exponent != 2:
         raise BraidError("only full twists (exponent 2) expand into nodes")
+    conj = _conjugator_raws(factor)
     out = []
     for t in range(factor.low + 1, factor.high + 1):
         for s in range(factor.low, t):
-            out.append(
-                StructuredFactor(
-                    factor.conjugator,
-                    HalfTwist(factor.strands, s, t),
-                    exponent=2,
-                )
+            node = StructuredFactor(
+                factor.conjugator, HalfTwist(factor.strands, s, t), exponent=2
             )
+            out.append(_carrying(node, conj))
     return out
 
 
@@ -187,7 +188,7 @@ def braid_monodromy(arr: LineArrangement, expand_blocks: bool = False) -> Factor
     One factor per singular point, leftmost point first.  A point with
     block [a, b] contributes the full twist of its block, conjugated by the
     block half-twists of every point strictly between it and the base fiber
-    (which sits right of all crossings), nearest point leftmost in the
+    (which sits right of all crossings), nearest point rightmost in the
     conjugator word.  For an arrangement without parallel lines the product
     is Delta^2; parallels leave a degree deficit (see `degree_check`).
 
@@ -199,22 +200,28 @@ def braid_monodromy(arr: LineArrangement, expand_blocks: bool = False) -> Factor
         raise ArrangementError("need at least 2 lines")
     wd = to_wiring_diagram(arr)
     # conj(idx) = conj(idx + 1) H_{idx+1}: each conjugator extends the one
-    # of the next point by that point's block half-twist.
-    conj_letters: list[tuple[int, ...]] = [()]
+    # of the next point by that point's block half-twist.  Two lines cross
+    # at most once, so every conjugator is one permutation braid: its raw
+    # form is the running order with each block reversed, as one factor.
+    conjs: list[tuple[tuple[int, ...], tuple]] = [((), RAW_IDENTITY)]
+    images = list(range(1, m + 1))
     for low, high in reversed(wd.events[1:]):
-        conj_letters.append(conj_letters[-1] + delta_word(m, low, high).letters)
-    conj_letters.reverse()
+        images[low - 1 : high] = reversed(images[low - 1 : high])
+        letters = conjs[-1][0] + delta_word(m, low, high).letters
+        conjs.append((letters, _strip_ids([_pid(tuple(images))], m)))
+    conjs.reverse()
     factors: list[Factor] = []
-    for (low, high), letters in zip(wd.events, conj_letters):
+    for (low, high), (letters, raw) in zip(wd.events, conjs):
         conj = BraidWord(m, letters)
         if high == low + 1:
-            factors.append(StructuredFactor(conj, HalfTwist(m, low, high), exponent=2))
+            factor = StructuredFactor(conj, HalfTwist(m, low, high), exponent=2)
         else:
-            block = BlockFactor(conj, low, high, exponent=2)
-            if expand_blocks:
-                factors.extend(expand_block_factor(block))
-            else:
-                factors.append(block)
+            factor = BlockFactor(conj, low, high, exponent=2)
+        _carrying(factor, (raw, raw_inverse(m, raw)))
+        if expand_blocks and high > low + 1:
+            factors.extend(expand_block_factor(factor))
+        else:
+            factors.append(factor)
     return Factorization(m, tuple(factors))
 
 

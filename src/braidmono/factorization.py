@@ -30,6 +30,12 @@ no conjugator word is spelled inside a search.  Words appear only where
 a caller asks for factor records: `hurwitz_move`, `hurwitz_move_inverse`
 and `apply_moves` rebuild each moved factor with its conjugator written
 out as a word.
+
+Raw forms live on the factor records: each carries its conjugator's and
+its element's `(delta_power, factor_ids)` with the inverses, filled on
+first use or handed over by whoever built it (a Hurwitz move, the sweep),
+and they die with the record.  The searches use their per-call
+`_MoveTable`; no module-level table remains but the small `_core_raws` LRU.
 """
 
 from __future__ import annotations
@@ -47,7 +53,6 @@ from .braid import (
     compose,
     delta_word,
     free_reduce,
-    full_twist,
     half_twist_word,
     invert,
     power,
@@ -65,8 +70,19 @@ from .garside import (
 SINGULARITY_NAMES = {1: "branch", 2: "node", 3: "cusp", 4: "tangency"}
 
 
+_Raw = tuple[int, tuple[int, ...]]
+
+
+class _CarriedRaws:
+    """A factor record's raw forms as (form, inverse) pairs, filled on first
+    use.  Not dataclass fields: eq, hash, repr and `replace` ignore them."""
+
+    _conj_raws: tuple[_Raw, _Raw] | None = None
+    _element_raws: tuple[_Raw, _Raw] | None = None
+
+
 @dataclasses.dataclass(frozen=True)
-class StructuredFactor:
+class StructuredFactor(_CarriedRaws):
     """conjugator * (band half-twist)^exponent * conjugator^-1."""
 
     conjugator: BraidWord
@@ -104,7 +120,7 @@ class StructuredFactor:
 
 
 @dataclasses.dataclass(frozen=True)
-class BlockFactor:
+class BlockFactor(_CarriedRaws):
     """conjugator * Delta<low..high>^exponent * conjugator^-1.
 
     exponent 2 is the full twist of the block, the local monodromy of a
@@ -164,36 +180,20 @@ def expand(factor: Factor) -> BraidWord:
     return compose(factor.conjugator, factor.core_word(), invert(factor.conjugator))
 
 
-# Memo tables of raw forms, keyed by the records callers hold: `_word_nf`
-# maps a conjugator word, `_factor_nf_table` a whole factor, to its raw form
-# and the inverse.  `hurwitz_move` / `hurwitz_move_inverse` prime `_word_nf`
-# with each moved conjugator's canonical word, so a later lookup skips
-# renormalizing it from letters, and carry the inverse along so a move never
-# inverts anything long from scratch.  The searches read these tables only
-# for their start tuples; their moves go through a per-call `_MoveTable`.
-# Raw forms are garside's (delta_power, factor_ids) pairs.  Plain dicts with
-# a size cap: entries are repopulated on demand, so clearing is always safe.
-# Cores and full twists sit in small LRU caches (`_core_raws`,
-# `_full_twist_raw`); `expand` keeps no memo.
-_Raw = tuple[int, tuple[int, ...]]
-_NF_TABLE_CAP = 400_000
-_word_nf: dict[BraidWord, tuple[_Raw, _Raw]] = {}
-_factor_nf_table: dict[Factor, tuple[_Raw, _Raw]] = {}
+def _carrying(factor: Factor, conj: tuple[_Raw, _Raw]) -> Factor:
+    """`factor`, now carrying `conj` as its conjugator's (form, inverse)."""
+    object.__setattr__(factor, "_conj_raws", conj)
+    return factor
 
 
-def _remember(table: dict, key, value) -> None:
-    if len(table) >= _NF_TABLE_CAP:
-        table.clear()
-    table[key] = value
-
-
-def _conjugator_raws(word: BraidWord) -> tuple[_Raw, _Raw]:
-    """(canonical form, inverse canonical form) of a conjugator word."""
-    pair = _word_nf.get(word)
+def _conjugator_raws(factor: Factor) -> tuple[_Raw, _Raw]:
+    """(canonical form, inverse canonical form) of a factor's conjugator."""
+    pair = factor._conj_raws
     if pair is None:
-        raw = raw_of_word(word.strands, free_reduce(word.letters))
-        pair = (raw, raw_inverse(word.strands, raw))
-        _remember(_word_nf, word, pair)
+        m = factor.strands
+        raw = raw_of_word(m, free_reduce(factor.conjugator.letters))
+        pair = (raw, raw_inverse(m, raw))
+        _carrying(factor, pair)
     return pair
 
 
@@ -230,19 +230,16 @@ def _core_cycle_type(factor_core: tuple) -> tuple[int, ...]:
 
 
 def _factor_raws(factor: Factor) -> tuple[_Raw, _Raw]:
-    pair = _factor_nf_table.get(factor)
+    """(canonical form, inverse canonical form) of the factor's element."""
+    pair = factor._element_raws
     if pair is None:
         m = factor.strands
-        conj, conj_inv = _conjugator_raws(factor.conjugator)
+        conj, conj_inv = _conjugator_raws(factor)
         core, _ = _core_raws(_core_key(factor))
         element = raw_multiply(m, raw_multiply(m, conj, core), conj_inv)
         pair = (element, raw_inverse(m, element))
-        _remember(_factor_nf_table, factor, pair)
+        object.__setattr__(factor, "_element_raws", pair)
     return pair
-
-
-def _factor_nf(factor: Factor) -> NormalForm:
-    return nf_from_raw(factor.strands, _factor_raws(factor)[0])
 
 
 @dataclasses.dataclass(frozen=True)
@@ -284,9 +281,9 @@ def product_nf(fact: Factorization) -> NormalForm:
     return nf_from_raw(fact.strands, _product_raw(fact))
 
 
-@lru_cache(maxsize=64)
-def _full_twist_raw(m: int) -> _Raw:
-    return raw_of_word(m, full_twist(m).letters)
+# The full twist is Delta^2 with no simple factors after it, so its left
+# normal form is (2, ()) for every m >= 2; nothing needs normalizing.
+_FULL_TWIST_RAW: _Raw = (2, ())
 
 
 def is_delta2_factorization(fact: Factorization) -> bool:
@@ -297,7 +294,7 @@ def is_delta2_factorization(fact: Factorization) -> bool:
     # deg Delta^2 = m(m-1) settles the question without multiplying.
     if m < 2 or fact.degree() != m * (m - 1):
         return False
-    return _product_raw(fact) == _full_twist_raw(m)
+    return _product_raw(fact) == _FULL_TWIST_RAW
 
 
 def canonical_key(fact: Factorization) -> tuple:
@@ -306,41 +303,31 @@ def canonical_key(fact: Factorization) -> tuple:
     return tuple(_factor_raws(f)[0] for f in fact.factors)
 
 
-def _reconjugated(factor: Factor, conj: _Raw, conj_inv: _Raw) -> Factor:
-    """Rebuild `factor` with the given conjugator (as its canonical word),
-    memoizing the canonical forms along the way."""
-    m = factor.strands
-    word = BraidWord(m, raw_to_letters(m, conj))
-    _remember(_word_nf, word, (conj, conj_inv))
-    return factor.with_conjugator(word)
+def _move(fact: Factorization, k: int, forward: bool) -> Factorization:
+    """The Hurwitz move at 1-based position k.  The moved factor's new
+    conjugator is spelled as its canonical word, and the record carries
+    the conjugator's form and inverse."""
+    if not (1 <= k < len(fact.factors)):
+        raise BraidError(f"move position {k} out of range 1..{len(fact.factors) - 1}")
+    m = fact.strands
+    a, b = fact.factors[k - 1], fact.factors[k]
+    # a b a^-1 conjugates b's conjugator by a; b^-1 a b conjugates a's by b^-1.
+    by, old = (_factor_raws(a)[0], b) if forward else (_factor_raws(b)[1], a)
+    conj = raw_multiply(m, by, _conjugator_raws(old)[0])
+    moved = old.with_conjugator(BraidWord(m, raw_to_letters(m, conj)))
+    _carrying(moved, (conj, raw_inverse(m, conj)))
+    pair = (moved, a) if forward else (b, moved)
+    return Factorization(m, fact.factors[: k - 1] + pair + fact.factors[k + 1 :])
 
 
 def hurwitz_move(fact: Factorization, k: int) -> Factorization:
     """Replace (a_k, a_{k+1}) by (a_k a_{k+1} a_k^-1, a_k); 1-based k."""
-    if not (1 <= k < len(fact.factors)):
-        raise BraidError(f"move position {k} out of range 1..{len(fact.factors) - 1}")
-    m = fact.strands
-    a, b = fact.factors[k - 1], fact.factors[k]
-    nf_a, _ = _factor_raws(a)
-    cb, _ = _conjugator_raws(b.conjugator)
-    conj = raw_multiply(m, nf_a, cb)
-    moved = _reconjugated(b, conj, raw_inverse(m, conj))
-    new_factors = fact.factors[: k - 1] + (moved, a) + fact.factors[k + 1 :]
-    return Factorization(fact.strands, new_factors)
+    return _move(fact, k, True)
 
 
 def hurwitz_move_inverse(fact: Factorization, k: int) -> Factorization:
     """Replace (a_k, a_{k+1}) by (a_{k+1}, a_{k+1}^-1 a_k a_{k+1}); 1-based k."""
-    if not (1 <= k < len(fact.factors)):
-        raise BraidError(f"move position {k} out of range 1..{len(fact.factors) - 1}")
-    m = fact.strands
-    a, b = fact.factors[k - 1], fact.factors[k]
-    _, nf_b_inv = _factor_raws(b)
-    ca, _ = _conjugator_raws(a.conjugator)
-    conj = raw_multiply(m, nf_b_inv, ca)
-    moved = _reconjugated(a, conj, raw_inverse(m, conj))
-    new_factors = fact.factors[: k - 1] + (b, moved) + fact.factors[k + 1 :]
-    return Factorization(fact.strands, new_factors)
+    return _move(fact, k, False)
 
 
 @dataclasses.dataclass(frozen=True)

@@ -360,7 +360,8 @@ class NormalForm:
         return len(self.canonical_factors)
 
     def key(self) -> tuple:
-        """Flat hashable encoding (used by factorization orbit search)."""
+        """Flat hashable encoding of the form, independent of the
+        process's permutation-id numbering."""
         return (
             self.strands,
             self.delta_power,

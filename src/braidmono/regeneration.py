@@ -16,11 +16,11 @@ rules keyed on the singularity class (= factor exponent):
   joining the doubled pair; degree 4 -> 9.
 
 Which of the doubled endpoints (j versus j') each output uses is a
-convention; the counts and degrees above are forced, and alternative
-endpoint conventions stay comparable through the Hurwitz-equivalence
-checker.  Conjugators are transported by the 2-cabling homomorphism that
-sends sigma_k to the positive crossing of the pairs (2k-1, 2k) and
-(2k+1, 2k+2).
+convention; the counts and degrees above are forced, but the product is
+not: two conventions can give different products, and Hurwitz moves keep
+the product, so their outputs need not be Hurwitz-equivalent.
+Conjugators are transported by the 2-cabling homomorphism that sends
+sigma_k to the positive crossing of the pairs (2k-1, 2k) and (2k+1, 2k+2).
 
 The rewritten factorization is generally not yet a full-twist
 factorization: branch points that regenerate near infinity are invisible
@@ -42,7 +42,7 @@ from .factorization import (
     Factor,
     Factorization,
     StructuredFactor,
-    _full_twist_raw,
+    _FULL_TWIST_RAW,
     _product_raw,
     is_delta2_factorization,
 )
@@ -281,7 +281,7 @@ def complete_deficit(fact: Factorization, budget: int = 10_000) -> CompletionRes
         return CompletionResult(fact if done else None, 0, True)
 
     # The appended factors must multiply to defect = product^-1 Delta^2.
-    defect = raw_multiply(m, raw_inverse(m, _product_raw(fact)), _full_twist_raw(m))
+    defect = raw_multiply(m, raw_inverse(m, _product_raw(fact)), _FULL_TWIST_RAW)
     if defect[0] < -report.deficit:
         return CompletionResult(None, 0, True, ruled_out=True)
 
