@@ -26,11 +26,9 @@ from .braid import (
 from .garside import (
     NormalForm,
     nf_conjugate,
-    nf_identity,
     nf_inverse,
     nf_multiply,
     nf_power,
-    nf_product,
     normal_form,
     words_equal,
 )

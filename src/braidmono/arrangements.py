@@ -198,20 +198,20 @@ def braid_monodromy(arr: LineArrangement, expand_blocks: bool = False) -> Factor
     m = arr.m
     if m < 2:
         raise ArrangementError("need at least 2 lines")
-    wd = to_wiring_diagram(arr)
+    events = [p.block for p in singular_points(arr)]
     # conj(idx) = conj(idx + 1) H_{idx+1}: each conjugator extends the one
     # of the next point by that point's block half-twist.  Two lines cross
     # at most once, so every conjugator is one permutation braid: its raw
     # form is the running order with each block reversed, as one factor.
     conjs: list[tuple[tuple[int, ...], tuple]] = [((), RAW_IDENTITY)]
     images = list(range(1, m + 1))
-    for low, high in reversed(wd.events[1:]):
+    for low, high in reversed(events[1:]):
         images[low - 1 : high] = reversed(images[low - 1 : high])
         letters = conjs[-1][0] + delta_word(m, low, high).letters
         conjs.append((letters, _strip_ids([_pid(tuple(images))], m)))
     conjs.reverse()
     factors: list[Factor] = []
-    for (low, high), (letters, raw) in zip(wd.events, conjs):
+    for (low, high), (letters, raw) in zip(events, conjs):
         conj = BraidWord(m, letters)
         if high == low + 1:
             factor = StructuredFactor(conj, HalfTwist(m, low, high), exponent=2)

@@ -27,6 +27,7 @@ All types are immutable values; all operations are pure functions.
 from __future__ import annotations
 
 import dataclasses
+from itertools import chain
 from typing import Iterable, Sequence
 
 
@@ -79,11 +80,6 @@ class Permutation:
         images = list(range(1, m + 1))
         images[a - 1], images[b - 1] = b, a
         return Permutation(tuple(images))
-
-    @staticmethod
-    def reversal(m: int) -> Permutation:
-        """The order-reversing permutation i -> m+1-i (image of Delta)."""
-        return Permutation(tuple(range(m, 0, -1)))
 
     @property
     def size(self) -> int:
@@ -149,12 +145,6 @@ class BraidWord:
     def __len__(self) -> int:
         return len(self.letters)
 
-    def is_identity_word(self) -> bool:
-        return not self.letters
-
-    def reduced(self) -> BraidWord:
-        return BraidWord(self.strands, free_reduce(self.letters))
-
 
 def compose(*words: BraidWord) -> BraidWord:
     """Concatenate words left to right and freely reduce."""
@@ -162,14 +152,8 @@ def compose(*words: BraidWord) -> BraidWord:
         raise BraidError("compose needs at least one word")
     for w in words[1:]:
         _check_same_strands(words[0], w)
-    letters: list[int] = []
-    for w in words:
-        for letter in w.letters:
-            if letters and letters[-1] == -letter:
-                letters.pop()
-            else:
-                letters.append(letter)
-    return BraidWord(words[0].strands, tuple(letters))
+    letters = free_reduce(chain.from_iterable(w.letters for w in words))
+    return BraidWord(words[0].strands, letters)
 
 
 def invert(w: BraidWord) -> BraidWord:
@@ -224,9 +208,6 @@ class HalfTwist:
 
     def word(self) -> BraidWord:
         return half_twist_word(self)
-
-    def permutation(self) -> Permutation:
-        return Permutation.transposition(self.strands, self.low, self.high)
 
 
 def half_twist_word(h: HalfTwist) -> BraidWord:

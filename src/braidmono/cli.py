@@ -7,16 +7,17 @@ Command-line pipeline driver.
     braidmono check-delta2 FAC_FILE
     braidmono hurwitz-equiv FAC_FILE FAC_FILE [--budget N]
     braidmono orbit FAC_FILE [--budget N]
-    braidmono regenerate FAC_FILE [--rules FILE] [--one-sided-nodes]
-                         [--complete-deficit] [--budget N]
+    braidmono regenerate FAC_FILE [--rules FILE] [--complete-deficit]
+                         [--budget N]
     braidmono audit FAC_FILE
     braidmono vankampen FAC_FILE
     braidmono invariants FAC_FILE
 
 `-` reads the file from standard input (and every command writes to
 standard output).  Exit status: 0 success / true / EQUIVALENT, 1 false /
-NOT_EQUIVALENT, 2 INCONCLUSIVE (budget exhausted), 3 malformed input.
-Output is deterministic: identical inputs and flags give identical bytes.
+NOT_EQUIVALENT, 2 INCONCLUSIVE (budget exhausted), 3 malformed input or a
+usage error (a budget must be at least 1).  Output is deterministic:
+identical inputs and flags give identical bytes.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ import warnings
 from . import factorization as fz
 from . import regeneration as rg
 from . import textio
-from .arrangements import ArrangementError, braid_monodromy, degree_check
+from .arrangements import ArrangementError, braid_monodromy
 from .braid import BraidError
 from .garside import normal_form
 from .vankampen import abelianization_rank, presentation
@@ -67,11 +68,13 @@ def _cmd_equal(args) -> int:
 def _cmd_monodromy(args) -> int:
     arr = textio.parse_arrangement(_read(args.arrangement))
     fact = braid_monodromy(arr, expand_blocks=args.expand_blocks)
-    report = degree_check(arr)
+    # The factors' degrees are the local degrees k(k-1), so this is
+    # degree_check's sum without a second sweep.
+    achieved, target = fact.degree(), arr.m * (arr.m - 1)
     comments = [
         f"braid monodromy of {arr.m} lines, {len(fact.factors)} factors",
-        f"degree {report.achieved} of {report.target}"
-        + (f", deficit {report.deficit} (parallel lines)" if report.deficit else ""),
+        f"degree {achieved} of {target}"
+        + (f", deficit {target - achieved} (parallel lines)" if achieved != target else ""),
     ]
     sys.stdout.write(textio.format_factorization(fact, comments))
     return 0
@@ -112,7 +115,7 @@ def _cmd_orbit(args) -> int:
 def _cmd_regenerate(args) -> int:
     fact = textio.parse_factorization(_read(args.factorization))
     rules = textio.parse_rules(_read(args.rules)) if args.rules else None
-    out = rg.regenerate(fact, rules, one_sided_nodes=args.one_sided_nodes)
+    out = rg.regenerate(fact, rules)
     report = rg.degree_audit(out)
     comments = [
         f"regenerated from {fact.strands} strands into {out.strands}",
@@ -182,6 +185,16 @@ def _cmd_invariants(args) -> int:
     return 0
 
 
+def _budget(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="braidmono",
@@ -210,20 +223,19 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("hurwitz-equiv", help="bounded Hurwitz equivalence search")
     p.add_argument("factorization1")
     p.add_argument("factorization2")
-    p.add_argument("--budget", type=int, default=1_000_000)
+    p.add_argument("--budget", type=_budget, default=1_000_000)
     p.set_defaults(func=_cmd_hurwitz_equiv)
 
     p = sub.add_parser("orbit", help="enumerate the Hurwitz orbit within a budget")
     p.add_argument("factorization")
-    p.add_argument("--budget", type=int, default=1_000_000)
+    p.add_argument("--budget", type=_budget, default=1_000_000)
     p.set_defaults(func=_cmd_orbit)
 
     p = sub.add_parser("regenerate", help="apply branch-curve regeneration rules")
     p.add_argument("factorization")
     p.add_argument("--rules", default=None, help="rule assignment file")
-    p.add_argument("--one-sided-nodes", action="store_true")
     p.add_argument("--complete-deficit", action="store_true")
-    p.add_argument("--budget", type=int, default=10_000)
+    p.add_argument("--budget", type=_budget, default=10_000)
     p.set_defaults(func=_cmd_regenerate)
 
     p = sub.add_parser("audit", help="degree audit against the full twist")
@@ -241,11 +253,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:
+        if not exc.code:
+            raise  # --help
+        return 3  # argparse printed the usage; its own status 2 means INCONCLUSIVE here
     try:
         return args.func(args)
-    except (textio.ParseError, ArrangementError, rg.RegenerationError, BraidError, OSError) as exc:
+    except (textio.ParseError, ArrangementError, rg.RegenerationError, BraidError,
+            OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
 

@@ -67,9 +67,6 @@ from .garside import (
     raw_to_letters,
 )
 
-SINGULARITY_NAMES = {1: "branch", 2: "node", 3: "cusp", 4: "tangency"}
-
-
 _Raw = tuple[int, tuple[int, ...]]
 
 
@@ -98,9 +95,6 @@ class StructuredFactor(_CarriedRaws):
     @property
     def strands(self) -> int:
         return self.base.strands
-
-    def singularity_class(self) -> str:
-        return SINGULARITY_NAMES.get(self.exponent, f"power-{self.exponent}")
 
     def core_word(self) -> BraidWord:
         return power(half_twist_word(self.base), self.exponent)
@@ -148,11 +142,6 @@ class BlockFactor(_CarriedRaws):
     @property
     def width(self) -> int:
         return self.high - self.low + 1
-
-    def singularity_class(self) -> str:
-        return f"full-twist-on-{self.width}" if self.exponent == 2 else (
-            f"block-{self.width}-power-{self.exponent}"
-        )
 
     def core_word(self) -> BraidWord:
         return power(delta_word(self.strands, self.low, self.high), self.exponent)

@@ -292,7 +292,8 @@ def raw_inverse(m: int, a: tuple[int, tuple[int, ...]]):
     return (-(p + k), tuple(out))
 
 
-def _raw_from_letters(m: int, letters: tuple[int, ...]):
+def raw_of_word(m: int, letters: tuple[int, ...]):
+    """Raw form of a word in B_m, one push per letter."""
     # sigma_i^-1 = Delta^-1 (Delta sigma_i^-1): the Delta^-1 joins the count.
     out: list[int] = []
     twisted = 0
@@ -302,11 +303,6 @@ def _raw_from_letters(m: int, letters: tuple[int, ...]):
         else:
             twisted, _ = _push(m, out, _neg_pid(m, -letter), twisted - 1)
     return _finish(m, out, twisted)
-
-
-@lru_cache(maxsize=200_000)
-def raw_of_word(m: int, letters: tuple[int, ...]):
-    return _raw_from_letters(m, letters)
 
 
 @lru_cache(maxsize=None)
@@ -409,10 +405,6 @@ def _check_nf_strands(a: NormalForm, b: NormalForm) -> None:
         )
 
 
-def nf_identity(m: int) -> NormalForm:
-    return NormalForm(m, 0, ())
-
-
 def nf_multiply(a: NormalForm, b: NormalForm) -> NormalForm:
     """Canonical form of the product (a first, then b); costs one junction
     re-weighting rather than a renormalization from letters."""
@@ -420,15 +412,6 @@ def nf_multiply(a: NormalForm, b: NormalForm) -> NormalForm:
     return nf_from_raw(
         a.strands, raw_multiply(a.strands, nf_to_raw(a), nf_to_raw(b))
     )
-
-
-def nf_product(first: NormalForm, *rest: NormalForm) -> NormalForm:
-    m = first.strands
-    raw = nf_to_raw(first)
-    for nf in rest:
-        _check_nf_strands(first, nf)
-        raw = raw_multiply(m, raw, nf_to_raw(nf))
-    return nf_from_raw(m, raw)
 
 
 def nf_inverse(a: NormalForm) -> NormalForm:

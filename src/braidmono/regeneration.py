@@ -22,6 +22,12 @@ the product, so their outputs need not be Hurwitz-equivalent.
 Conjugators are transported by the 2-cabling homomorphism that sends
 sigma_k to the positive crossing of the pairs (2k-1, 2k) and (2k+1, 2k+2).
 
+The three rules and the pass-through are one table, `_RULES`: a row per
+output factor gives its endpoint convention, its exponent and the power of
+the short twist Z_{jj'} that conjugates it, so a convention is a one-row
+change.  The one-sided node variant (two outputs, degree 2 -> 4) is gone:
+no closed form completes its output to Delta^2.
+
 The rewritten factorization is generally not yet a full-twist
 factorization: branch points that regenerate near infinity are invisible
 to the local rules.  `degree_audit` reports the exact deficit against
@@ -34,7 +40,7 @@ from __future__ import annotations
 
 import dataclasses
 import enum
-from typing import Mapping, Sequence
+from typing import Mapping
 
 from .braid import BraidWord, HalfTwist, free_reduce
 from .factorization import (
@@ -58,9 +64,6 @@ class Rule(enum.Enum):
     NODE = "II"
     TANGENCY = "III"
     PASS = "pass"
-
-
-_RULE_BY_EXPONENT = {1: Rule.BRANCH, 2: Rule.NODE, 4: Rule.TANGENCY}
 
 
 @dataclasses.dataclass(frozen=True)
@@ -111,99 +114,88 @@ def double_halftwist(
     return HalfTwist(doubling.strands, lo, hi)
 
 
-def _doubled_input(factor: Factor) -> tuple[IndexDoubling, BraidWord, HalfTwist]:
+# The rules as one table: Rule -> (the exponent it applies to, its rows).
+# A row is (low primed, high primed, output exponent, power -1, 0 or 1 of
+# the short twist Z_{jj'} appended to the cabled conjugator), one output
+# factor per row, in order.  Rule.PASS keeps the factor's own exponent.
+_RULES = {
+    Rule.BRANCH: (1, ((False, True, 1, 0), (True, False, 1, 0))),
+    Rule.NODE: (2, (
+        (True, True, 2, 0), (False, True, 2, 0), (True, False, 2, 0), (False, False, 2, 0),
+    )),
+    Rule.TANGENCY: (4, ((False, True, 3, 0), (False, True, 3, 1), (False, True, 3, -1))),
+    Rule.PASS: (None, ((False, False, None, 0),)),
+}
+
+_RULE_BY_EXPONENT = {exp: rule for rule, (exp, _) in _RULES.items() if exp}
+
+
+def _apply(rule: Rule, factor: Factor) -> tuple[StructuredFactor, ...]:
+    """The rule's rows applied to one factor; the conjugator is cabled once."""
+    exponent, rows = _RULES[rule]
+    if exponent is not None and factor.exponent != exponent:
+        raise RegenerationError(
+            f"rule {rule.value} applies to exponent {exponent}, got {factor.exponent}"
+        )
     if isinstance(factor, BlockFactor):
         raise RegenerationError(
             "block factors must be expanded into node factors before "
             "regeneration (expand_blocks)"
         )
-    doubling = IndexDoubling(factor.strands)
-    return doubling, doubling.word(factor.conjugator), factor.base
-
-
-def rule_I_branch(factor: StructuredFactor) -> tuple[StructuredFactor, StructuredFactor]:
-    """One branch point becomes two: [Z_{ij'}, Z_{i'j}]; degree 1 -> 2."""
-    if factor.exponent != 1:
-        raise RegenerationError(
-            f"rule I applies to exponent 1, got {factor.exponent}"
-        )
-    _, conj, base = _doubled_input(factor)
-    return (
-        StructuredFactor(conj, double_halftwist(base, high_prime=True), 1),
-        StructuredFactor(conj, double_halftwist(base, low_prime=True), 1),
-    )
-
-
-def rule_II_node(
-    factor: StructuredFactor, one_sided: bool = False
-) -> tuple[StructuredFactor, ...]:
-    """One node becomes four: [Z^2_{i'j'}, Z^2_{ij'}, Z^2_{i'j}, Z^2_{ij}];
-    degree 2 -> 8.  `one_sided` keeps only the unprimed-j pair (a variant
-    appearing in the literature), degree 2 -> 4."""
-    if factor.exponent != 2:
-        raise RegenerationError(
-            f"rule II applies to exponent 2, got {factor.exponent}"
-        )
-    _, conj, base = _doubled_input(factor)
-    variants = [(True, True), (False, True), (True, False), (False, False)]
-    if one_sided:
-        variants = [(True, False), (False, False)]
+    conj = IndexDoubling(factor.strands).word(factor.conjugator)
+    short = 2 * factor.base.high - 1  # Z_{jj'} is the generator joining j and j'
     return tuple(
-        StructuredFactor(conj, double_halftwist(base, lp, hp), 2)
-        for lp, hp in variants
+        StructuredFactor(
+            conj if not twist
+            else BraidWord(conj.strands, free_reduce(conj.letters + (twist * short,))),
+            double_halftwist(factor.base, low_prime, high_prime),
+            out_exponent or factor.exponent,
+        )
+        for low_prime, high_prime, out_exponent, twist in rows
     )
+
+
+def rule_I_branch(factor: StructuredFactor) -> tuple[StructuredFactor, ...]:
+    """One branch point becomes two: [Z_{ij'}, Z_{i'j}]; degree 1 -> 2."""
+    return _apply(Rule.BRANCH, factor)
+
+
+def rule_II_node(factor: StructuredFactor) -> tuple[StructuredFactor, ...]:
+    """One node becomes four: [Z^2_{i'j'}, Z^2_{ij'}, Z^2_{i'j}, Z^2_{ij}];
+    degree 2 -> 8."""
+    return _apply(Rule.NODE, factor)
 
 
 def rule_III_tangency(factor: StructuredFactor) -> tuple[StructuredFactor, ...]:
     """One tangency becomes three cusps: Z^3_{ij'} and its conjugates by
     Z_{jj'}^{+1} and Z_{jj'}^{-1}; degree 4 -> 9."""
-    if factor.exponent != 4:
-        raise RegenerationError(
-            f"rule III applies to exponent 4, got {factor.exponent}"
-        )
-    _, conj, base = _doubled_input(factor)
-    cusp_base = double_halftwist(base, high_prime=True)
-    strands = cusp_base.strands
-    short = HalfTwist(strands, 2 * base.high - 1, 2 * base.high).word()
-    inner_pos = BraidWord(strands, free_reduce(conj.letters + short.letters))
-    inner_neg = BraidWord(
-        strands, free_reduce(conj.letters + tuple(-l for l in reversed(short.letters)))
-    )
-    return (
-        StructuredFactor(conj, cusp_base, 3),
-        StructuredFactor(inner_pos, cusp_base, 3),
-        StructuredFactor(inner_neg, cusp_base, 3),
-    )
-
-
-def _pass_through(factor: StructuredFactor) -> StructuredFactor:
-    _, conj, base = _doubled_input(factor)
-    return StructuredFactor(conj, double_halftwist(base), factor.exponent)
+    return _apply(Rule.TANGENCY, factor)
 
 
 def regenerate(
-    fact: Factorization,
-    rules: Mapping[int, Rule] | Sequence[Rule] | None = None,
-    one_sided_nodes: bool = False,
+    fact: Factorization, rules: Mapping[int, Rule] | None = None
 ) -> Factorization:
     """Apply a regeneration rule to every factor, in order.
 
     `rules` assigns a rule per factor index (0-based); by default each
     factor gets the rule matching its exponent (1 -> I, 2 -> II, 4 -> III).
     A factor whose exponent has no rule must be assigned Rule.PASS
-    explicitly, otherwise the input is rejected.
+    explicitly, otherwise the input is rejected, as is a rule for an index
+    with no factor.
     """
     n = fact.strands
     if n < 2:
         raise RegenerationError("regeneration needs at least 2 strands")
+    rules = rules or {}
+    count = len(fact.factors)
+    stray = sorted(idx for idx in rules if not 0 <= idx < count)
+    if stray:
+        raise RegenerationError(
+            f"rule for factor {stray[0]}, but the factorization has only {count} factor(s)"
+        )
     assignment: list[Rule] = []
     for idx, factor in enumerate(fact.factors):
-        if isinstance(rules, Mapping):
-            rule = rules.get(idx)
-        elif rules is not None:
-            rule = rules[idx] if idx < len(rules) else None
-        else:
-            rule = None
+        rule = rules.get(idx)
         if rule is None:
             exp = getattr(factor, "exponent", None)
             if isinstance(factor, StructuredFactor) and exp in _RULE_BY_EXPONENT:
@@ -217,14 +209,7 @@ def regenerate(
 
     out: list[Factor] = []
     for factor, rule in zip(fact.factors, assignment):
-        if rule is Rule.PASS:
-            out.append(_pass_through(factor))
-        elif rule is Rule.BRANCH:
-            out.extend(rule_I_branch(factor))
-        elif rule is Rule.NODE:
-            out.extend(rule_II_node(factor, one_sided=one_sided_nodes))
-        else:
-            out.extend(rule_III_tangency(factor))
+        out.extend(_apply(rule, factor))
     return Factorization(2 * n, tuple(out))
 
 

@@ -33,7 +33,7 @@ import dataclasses
 import warnings
 from itertools import chain
 
-from .braid import BraidError, BraidWord
+from .braid import BraidError, BraidWord, free_reduce
 from .factorization import Factorization, expand, is_delta2_factorization
 
 
@@ -50,13 +50,7 @@ class FreeWord:
 
     @staticmethod
     def reduce(letters) -> FreeWord:
-        out: list[int] = []
-        for letter in letters:
-            if out and out[-1] == -letter:
-                out.pop()
-            else:
-                out.append(letter)
-        return FreeWord(tuple(out))
+        return FreeWord(free_reduce(letters))
 
     def inverse(self) -> FreeWord:
         return FreeWord(tuple(-l for l in reversed(self.letters)))
@@ -82,10 +76,10 @@ def _images(w: BraidWord) -> list[tuple[int, ...]]:
         a, b = images[k], images[k + 1]
         if letter > 0:
             inv = (-l for l in reversed(a))
-            images[k], images[k + 1] = FreeWord.reduce(chain(a, b, inv)).letters, a
+            images[k], images[k + 1] = free_reduce(chain(a, b, inv)), a
         else:
             inv = (-l for l in reversed(b))
-            images[k], images[k + 1] = b, FreeWord.reduce(chain(inv, a, b)).letters
+            images[k], images[k + 1] = b, free_reduce(chain(inv, a, b))
     return images
 
 

@@ -1,15 +1,20 @@
+import argparse
 import io
 import os
+import random
+import re
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from braidmono import Factorization, hurwitz_move
+from braidmono import Factorization, LineArrangement, degree_check, hurwitz_move
+from braidmono import cli
 from braidmono.cli import main
 from braidmono.textio import format_factorization
-from conftest import standard_b3_factorization
+from conftest import random_generic_arrangement, standard_b3_factorization
 
 THREE_GENERIC = "arrangement 3\nline 0 0\nline 1 0\nline 2 -1\n"
 
@@ -78,6 +83,27 @@ class TestMonodromy:
         arr = files("conc.arr", "arrangement 3\nline 0 0\nline 1 0\nline -1 0\n")
         code, out = run(capsys, "monodromy", arr, "--expand-blocks")
         assert code == 0 and "factors 3" in out
+
+    @pytest.mark.parametrize("expand", [False, True])
+    def test_degree_comment_matches_degree_check(self, files, capsys, expand):
+        rng = random.Random(41)
+        arrangements = [random_generic_arrangement(rng, m) for m in (2, 3, 4, 5, 6, 7)]
+        arrangements += [
+            LineArrangement.from_pairs([(1, 0), (1, 3), (-2, 1), (3, Fraction(-5, 2))]),
+            LineArrangement.from_pairs(
+                [(s, 0) for s in (-2, -1, 0, 1, 3)] + [(5, 7), (-7, Fraction(-11, 2))]
+            ),
+            LineArrangement.from_pairs([(i, i * i) for i in range(1, 13)]),
+        ]
+        for arr in arrangements:
+            text = "".join(f"line {a} {b}\n" for a, b in arr.lines)
+            path = files("a.arr", f"arrangement {arr.m}\n{text}")
+            code, out = run(capsys, "monodromy", path, *(["--expand-blocks"] if expand else []))
+            report = degree_check(arr)
+            want = f"# degree {report.achieved} of {report.target}" + (
+                f", deficit {report.deficit} (parallel lines)" if report.deficit else ""
+            )
+            assert code == 0 and out.splitlines()[1] == want
 
     def test_check_delta2_false(self, files, capsys):
         fac = files("one.fac", "strands 2\nfactors 1\nconj= ; base= 1 2 ; exp= 1\n")
@@ -195,6 +221,73 @@ class TestErrors:
         err = capsys.readouterr().err
         assert code == 3 and "line 2" in err
 
+    def test_invalid_utf8_file_exit_3(self, files, capsys):
+        path = files("bad.word", "")
+        Path(path).write_bytes(b"\xff")
+        code = main(["normal-form", path])
+        captured = capsys.readouterr()
+        assert code == 3 and captured.out == ""
+        assert captured.err.startswith("error: ") and "utf-8" in captured.err
+
+
+class TestUsage:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["orbit", "a.fac", "--budget", "abc"],
+            ["orbit", "a.fac", "--budget", "0"],
+            ["hurwitz-equiv", "a.fac", "b.fac", "--budget", "0"],
+            ["regenerate", "a.fac", "--budget", "-1"],
+            ["orbit"],
+            [],
+            ["regenerate", "a.fac", "--one-sided-nodes"],
+        ],
+    )
+    def test_usage_error_exit_3(self, capsys, argv):
+        assert main(argv) == 3
+        captured = capsys.readouterr()
+        assert captured.out == "" and "usage: braidmono" in captured.err
+
+    def test_budget_below_one_is_named(self, files, capsys):
+        fac = files("b3.fac", B3_PAPER)
+        assert main(["orbit", fac, "--budget", "-4"]) == 3
+        captured = capsys.readouterr()
+        assert "exhausted" not in captured.out
+        assert "--budget: must be at least 1, got -4" in captured.err
+
+    @pytest.mark.parametrize("argv", [["--help"], ["orbit", "--help"]])
+    def test_help_exits_0(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 0
+        assert "usage: braidmono" in capsys.readouterr().out
+
+
+def docstring_usage():
+    """{subcommand: flags} from the usage block of the cli docstring; a
+    continuation line belongs to the command above it."""
+    usage = {}
+    command = None
+    for line in cli.__doc__.splitlines():
+        if line.startswith("    braidmono "):
+            command = line.split()[1]
+            usage[command] = set()
+        elif not line.startswith("     "):
+            command = None
+        if command:
+            usage[command] |= set(re.findall(r"--[a-z][a-z-]*", line))
+    return usage
+
+
+def test_docstring_usage_matches_parser():
+    parser = cli.build_parser()
+    (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    from_parser = {
+        name: {o for a in p._actions for o in a.option_strings if o.startswith("--")} - {"--help"}
+        for name, p in sub.choices.items()
+    }
+    assert docstring_usage() == from_parser
+
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
@@ -228,6 +321,16 @@ class TestModuleEntry:
         assert proc.returncode == 3
         assert "Traceback" not in proc.stderr
         assert "line 3" in proc.stderr
+
+    def test_invalid_utf8_stdin_exit_3(self):
+        env = dict(os.environ)
+        env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
+        proc = subprocess.run(
+            [sys.executable, "-m", "braidmono", "normal-form", "-"],
+            input=b"\xff", capture_output=True, env=env,
+        )
+        assert proc.returncode == 3 and proc.stdout == b""
+        assert b"Traceback" not in proc.stderr and proc.stderr.startswith(b"error: ")
 
     def test_huge_exponent_answers_at_once(self, files):
         fac = files("huge.fac", "strands 2\nfactors 1\nconj= ; base= 1 2 ; exp= 999999999\n")

@@ -126,7 +126,7 @@ def inverse_letters(letters):
 def test_words_match_reference(rng, m):
     for _ in range(60):
         w = random_word(rng, m, 60)
-        assert garside._raw_from_letters(m, w.letters) == ref_raw_from_letters(
+        assert garside.raw_of_word(m, w.letters) == ref_raw_from_letters(
             m, w.letters
         )
 

@@ -1,5 +1,6 @@
 import pytest
 
+from braidmono import regeneration as rg
 from braidmono import (
     BlockFactor,
     BraidWord,
@@ -14,6 +15,7 @@ from braidmono import (
     degree_audit,
     double_halftwist,
     expand,
+    free_reduce,
     is_delta2_factorization,
     normal_form,
     permutation_of,
@@ -23,7 +25,8 @@ from braidmono import (
     rule_III_tangency,
     words_equal,
 )
-from conftest import random_generic_arrangement, standard_b3_factorization
+from braidmono.cli import main
+from conftest import random_generic_arrangement, random_word, standard_b3_factorization
 
 
 def sf(m, a, b, exp, conj=()):
@@ -107,10 +110,6 @@ class TestRules:
     def test_rule_II_pure(self):
         for f in rule_II_node(sf(3, 1, 2, 2)):
             assert permutation_of(expand(f)).is_identity()
-
-    def test_rule_II_one_sided(self):
-        out = rule_II_node(sf(3, 1, 2, 2), one_sided=True)
-        assert len(out) == 2 and sum(f.degree() for f in out) == 4
 
     def test_rule_III_budget(self):
         out = rule_III_tangency(sf(3, 2, 3, 4))
@@ -247,3 +246,135 @@ class TestCompletion:
         res = complete_deficit(partial, budget=1)
         if res.completed is None:
             assert not res.exhausted
+
+
+# --- the rule bodies as they were before the table, kept as the reference ---
+
+
+def ref_doubled_input(factor):
+    if isinstance(factor, BlockFactor):
+        raise RegenerationError(
+            "block factors must be expanded into node factors before "
+            "regeneration (expand_blocks)"
+        )
+    doubling = IndexDoubling(factor.strands)
+    return doubling, doubling.word(factor.conjugator), factor.base
+
+
+def ref_rule_I(factor):
+    if factor.exponent != 1:
+        raise RegenerationError(f"rule I applies to exponent 1, got {factor.exponent}")
+    _, conj, base = ref_doubled_input(factor)
+    return (
+        StructuredFactor(conj, double_halftwist(base, high_prime=True), 1),
+        StructuredFactor(conj, double_halftwist(base, low_prime=True), 1),
+    )
+
+
+def ref_rule_II(factor):
+    if factor.exponent != 2:
+        raise RegenerationError(f"rule II applies to exponent 2, got {factor.exponent}")
+    _, conj, base = ref_doubled_input(factor)
+    variants = [(True, True), (False, True), (True, False), (False, False)]
+    return tuple(
+        StructuredFactor(conj, double_halftwist(base, lp, hp), 2) for lp, hp in variants
+    )
+
+
+def ref_rule_III(factor):
+    if factor.exponent != 4:
+        raise RegenerationError(f"rule III applies to exponent 4, got {factor.exponent}")
+    _, conj, base = ref_doubled_input(factor)
+    cusp_base = double_halftwist(base, high_prime=True)
+    strands = cusp_base.strands
+    short = HalfTwist(strands, 2 * base.high - 1, 2 * base.high).word()
+    inner_pos = BraidWord(strands, free_reduce(conj.letters + short.letters))
+    inner_neg = BraidWord(
+        strands, free_reduce(conj.letters + tuple(-l for l in reversed(short.letters)))
+    )
+    return (
+        StructuredFactor(conj, cusp_base, 3),
+        StructuredFactor(inner_pos, cusp_base, 3),
+        StructuredFactor(inner_neg, cusp_base, 3),
+    )
+
+
+def ref_pass(factor):
+    _, conj, base = ref_doubled_input(factor)
+    return (StructuredFactor(conj, double_halftwist(base), factor.exponent),)
+
+
+REFERENCE = {
+    Rule.BRANCH: ref_rule_I,
+    Rule.NODE: ref_rule_II,
+    Rule.TANGENCY: ref_rule_III,
+    Rule.PASS: ref_pass,
+}
+
+
+def outcome(fn, factor):
+    try:
+        return fn(factor)
+    except RegenerationError as exc:
+        return ("error", str(exc))
+
+
+def random_factor(rng, m):
+    conj = random_word(rng, m, 12)
+    if rng.random() < 0.2:
+        low = rng.randint(1, m - 1)
+        return BlockFactor(conj, low, rng.randint(low + 1, m), rng.choice((1, 2, 4)))
+    low = rng.randint(1, m - 1)
+    return StructuredFactor(conj, HalfTwist(m, low, rng.randint(low + 1, m)),
+                            rng.choice((1, 2, 3, 4, 5)))
+
+
+class TestRuleTable:
+    @pytest.mark.parametrize("m", range(2, 8))
+    def test_table_matches_reference_rules(self, rng, m):
+        wrappers = {Rule.BRANCH: rule_I_branch, Rule.NODE: rule_II_node,
+                    Rule.TANGENCY: rule_III_tangency}
+        for _ in range(60):
+            factor = random_factor(rng, m)
+            for rule, ref in REFERENCE.items():
+                want = outcome(ref, factor)
+                assert outcome(lambda f: rg._apply(rule, f), factor) == want
+                if rule in wrappers:
+                    assert outcome(wrappers[rule], factor) == want
+
+    def test_wrong_exponent_reported_before_block(self):
+        block = BlockFactor(BraidWord.identity(3), 1, 3, 2)
+        with pytest.raises(RegenerationError, match="rule I applies to exponent 1, got 2"):
+            rule_I_branch(block)
+        with pytest.raises(RegenerationError, match="block factors"):
+            rule_II_node(block)
+
+    @pytest.mark.parametrize("m", range(2, 8))
+    def test_regenerate_matches_reference(self, rng, m):
+        for _ in range(10):
+            factors = [random_factor(rng, m) for _ in range(rng.randint(1, 6))]
+            factors = [f for f in factors if isinstance(f, StructuredFactor)]
+            rules = {i: Rule.PASS for i, f in enumerate(factors) if f.exponent in (3, 5)}
+            want = []
+            for i, f in enumerate(factors):
+                want.extend(REFERENCE[rules.get(i) or rg._RULE_BY_EXPONENT[f.exponent]](f))
+            got = regenerate(Factorization(m, tuple(factors)), rules)
+            assert got.factors == tuple(want)
+
+
+class TestStrayRuleIndex:
+    def test_api(self):
+        F = Factorization(2, (sf(2, 1, 2, 2),))
+        with pytest.raises(RegenerationError, match="factor 7"):
+            regenerate(F, {7: Rule.NODE})
+        with pytest.raises(RegenerationError, match="factor -1"):
+            regenerate(F, {-1: Rule.NODE})
+
+    def test_cli(self, tmp_path, capsys):
+        fac = tmp_path / "one.fac"
+        fac.write_text("strands 2\nfactors 1\nconj= ; base= 1 2 ; exp= 2\n")
+        rules = tmp_path / "r.rules"
+        rules.write_text("7 II\n")
+        assert main(["regenerate", str(fac), "--rules", str(rules)]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == "" and "factor 7" in captured.err
