@@ -14,7 +14,7 @@ from braidmono import (
     LineArrangement,
     StructuredFactor,
     abelianization_rank,
-    artin_action,
+    artin_images,
     braid_monodromy,
     full_twist,
     presentation,
@@ -24,13 +24,13 @@ from braidmono.textio import format_presentation
 # The action of a single generator, spelled out.
 w = BraidWord(3, (1,))
 print("sigma_1 acting on the free group F(x1, x2, x3):")
-for i in (1, 2, 3):
-    print(f"  x{i} ->", artin_action(w, i).letters)
+for i, image in enumerate(artin_images(w), 1):
+    print(f"  x{i} ->", image.letters)
 print()
 
 # The full twist conjugates everything by the boundary loop x1 x2 x3.
 ft = full_twist(3)
-print("Delta^2 sends x2 to", artin_action(ft, 2).letters, "(global conjugation)")
+print("Delta^2 sends x2 to", artin_images(ft)[1].letters, "(global conjugation)")
 print()
 
 # Two crossing lines: one node, so the group is Z^2.

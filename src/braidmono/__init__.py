@@ -84,6 +84,7 @@ from .vankampen import (
     Presentation,
     abelianization_rank,
     artin_action,
+    artin_images,
     presentation,
 )
 

@@ -26,15 +26,17 @@ call interns the factors' canonical forms as small integer ids and
 memoizes the pair move (a, b) -> a b a^-1 or b^-1 a b in a table that
 lives for that call only.  A search state is a tuple of ids, an orbit is
 a set of such tuples, and a certificate is a list of move positions, so
-no conjugator word is spelled inside a search.  Words appear only where
-a caller asks for factor records: `hurwitz_move`, `hurwitz_move_inverse`
-and `apply_moves` rebuild each moved factor with its conjugator written
-out as a word.
+no conjugator word is spelled inside a search.  `hurwitz_move`,
+`hurwitz_move_inverse` and `apply_moves` return factor records, but a moved
+record carries only its conjugator's raw form: it spells the word, as the
+canonical word of that form, on the first read of `conjugator` (directly
+or through eq, hash, repr, `dataclasses.replace` or the text format), so a
+walk that reads only the final records spells each word once.
 
 Raw forms live on the factor records: each carries its conjugator's and
 its element's `(delta_power, factor_ids)` with the inverses, filled on
-first use or handed over by whoever built it (a Hurwitz move, the sweep),
-and they die with the record.  The searches use their per-call
+first use or handed over by whoever built it (a Hurwitz move, the sweep,
+regeneration), and they die with the record.  The searches use their per-call
 `_MoveTable`; no module-level table remains but the small `_core_raws` LRU.
 """
 
@@ -72,10 +74,26 @@ _Raw = tuple[int, tuple[int, ...]]
 
 class _CarriedRaws:
     """A factor record's raw forms as (form, inverse) pairs, filled on first
-    use.  Not dataclass fields: eq, hash, repr and `replace` ignore them."""
+    use.  Not dataclass fields: eq, hash, repr and `replace` ignore them.
+
+    A record built by a Hurwitz move holds its strand count but no
+    `conjugator` until that is first read (by eq, hash, repr, `replace` or
+    any caller); `__getattr__` then spells it from the carried form, once.
+    """
 
     _conj_raws: tuple[_Raw, _Raw] | None = None
     _element_raws: tuple[_Raw, _Raw] | None = None
+    _strands: int = 0
+
+    def __getattr__(self, name: str):
+        m = self._strands
+        if name != "conjugator" or not m:
+            raise AttributeError(
+                f"{type(self).__name__!r} object has no attribute {name!r}"
+            )
+        word = BraidWord(m, raw_to_letters(m, self._conj_raws[0]))
+        object.__setattr__(self, "conjugator", word)
+        return word
 
 
 @dataclasses.dataclass(frozen=True)
@@ -137,7 +155,7 @@ class BlockFactor(_CarriedRaws):
 
     @property
     def strands(self) -> int:
-        return self.conjugator.strands
+        return self._strands or self.conjugator.strands
 
     @property
     def width(self) -> int:
@@ -293,9 +311,9 @@ def canonical_key(fact: Factorization) -> tuple:
 
 
 def _move(fact: Factorization, k: int, forward: bool) -> Factorization:
-    """The Hurwitz move at 1-based position k.  The moved factor's new
-    conjugator is spelled as its canonical word, and the record carries
-    the conjugator's form and inverse."""
+    """The Hurwitz move at 1-based position k.  The moved factor's record
+    carries its new conjugator's form and inverse and spells the word, as
+    the canonical word of that form, only when it is first read."""
     if not (1 <= k < len(fact.factors)):
         raise BraidError(f"move position {k} out of range 1..{len(fact.factors) - 1}")
     m = fact.strands
@@ -303,8 +321,15 @@ def _move(fact: Factorization, k: int, forward: bool) -> Factorization:
     # a b a^-1 conjugates b's conjugator by a; b^-1 a b conjugates a's by b^-1.
     by, old = (_factor_raws(a)[0], b) if forward else (_factor_raws(b)[1], a)
     conj = raw_multiply(m, by, _conjugator_raws(old)[0])
-    moved = old.with_conjugator(BraidWord(m, raw_to_letters(m, conj)))
-    _carrying(moved, (conj, raw_inverse(m, conj)))
+    # The core fields were validated when `old` was built, so the record is
+    # copied without __post_init__, dropping the raws of the old conjugator.
+    moved = object.__new__(type(old))
+    state = moved.__dict__
+    state.update(old.__dict__)
+    state.pop("conjugator", None)
+    state.pop("_element_raws", None)
+    state["_conj_raws"] = (conj, raw_inverse(m, conj))
+    state["_strands"] = m
     pair = (moved, a) if forward else (b, moved)
     return Factorization(m, fact.factors[: k - 1] + pair + fact.factors[k + 1 :])
 
@@ -348,9 +373,12 @@ class EquivalenceResult:
 
 
 def apply_moves(fact: Factorization, moves: Iterable[tuple[int, int]]) -> Factorization:
-    """Replay a move certificate: (k, +1) forward move, (k, -1) inverse."""
+    """Replay a move certificate: (k, +1) forward move, (k, -1) inverse.
+    Any other direction is a BraidError."""
     for k, direction in moves:
-        fact = hurwitz_move(fact, k) if direction > 0 else hurwitz_move_inverse(fact, k)
+        if direction not in (1, -1):
+            raise BraidError(f"move direction must be +1 or -1, got {direction!r}")
+        fact = hurwitz_move(fact, k) if direction == 1 else hurwitz_move_inverse(fact, k)
     return fact
 
 

@@ -20,9 +20,13 @@ is a position i with pi(i) > pi(i+1).
 
 Hurwitz walks and orbit searches multiply canonical forms millions of times,
 so the hot kernel runs on interned factors: every permutation braid ever
-seen gets a small integer id, and the pair-rewriting (`slide`) results, the
-Delta-conjugation twist, factor complements and minimal positive words are
-all memoized per id.  Canonical forms travel through the kernel as
+seen gets a small integer id, and the pair-rewriting (`slide`) results and
+minimal positive words are memoized per id.  The Delta-conjugation twist
+`tau` and the right complement live in two lists indexed by id, `_TAU` and
+`_RCOMP`, parallel to the interned tuples: an entry reads -1 until it is
+first used, so a twist or a complement is interned only when something asks
+for it, and a whole id list is twisted with one C-level map through the
+table.  Canonical forms travel through the kernel as
 `(delta_power, factor_id_tuple)` pairs; the public `NormalForm` with its
 `Permutation` factors is materialized only at API boundaries.
 
@@ -36,6 +40,11 @@ strands:
 * a push costs one slide per pair it changes and drops trailing identities,
   so a word whose canonical length stays bounded (a sweep conjugator is a
   single permutation braid) normalizes in time linear in its letters;
+* a push of the last factor's complement, whose product with it is Delta,
+  costs O(1) when that complement is already in `_RCOMP`: the factor is
+  popped and the twist count goes up by one, with no slide.  Most pushes of
+  a Hurwitz walk are such cancellations, of a conjugator against its
+  inverse;
 * a `slide` cache hit is one dict lookup; a miss costs O(m + crossings
   moved), since each moved crossing patches the two descent masks locally.
 """
@@ -53,12 +62,19 @@ _PERM_IDS: dict[tuple[int, ...], int] = {}
 _PERM_TUPLES: list[tuple[int, ...]] = []
 
 
+# Per-id tables parallel to _PERM_TUPLES, -1 until the entry is first used.
+_TAU: list[int] = []
+_RCOMP: list[int] = []
+
+
 def _pid(t: tuple[int, ...]) -> int:
     i = _PERM_IDS.get(t)
     if i is None:
         i = len(_PERM_TUPLES)
         _PERM_IDS[t] = i
         _PERM_TUPLES.append(t)
+        _TAU.append(-1)
+        _RCOMP.append(-1)
     return i
 
 
@@ -104,31 +120,38 @@ def _descent_mask(p: tuple[int, ...]) -> int:
     return mask
 
 
-_tau_cache: dict[int, int] = {}
-
-
 def _tau_id(f: int) -> int:
     """Conjugation by Delta: x -> w0(p(w0(x))); an involution on factors."""
-    t = _tau_cache.get(f)
-    if t is None:
+    t = _TAU[f]
+    if t < 0:
         p = _PERM_TUPLES[f]
         m = len(p)
         t = _pid(tuple(m + 1 - p[m - x] for x in range(1, m + 1)))
-        _tau_cache[f] = t
-        _tau_cache[t] = f
+        _TAU[f] = t
+        _TAU[t] = f
     return t
-
-
-_rcomp_cache: dict[int, int] = {}
 
 
 def _rcomp_id(f: int) -> int:
     """Right complement: the permutation braid C with (factor) C = Delta."""
-    c = _rcomp_cache.get(f)
-    if c is None:
-        c = _pid(_inverse_tuple(_PERM_TUPLES[f])[::-1])
-        _rcomp_cache[f] = c
+    c = _RCOMP[f]
+    if c < 0:
+        c = _RCOMP[f] = _pid(_inverse_tuple(_PERM_TUPLES[f])[::-1])
     return c
+
+
+def _mapped(table: list[int], fill, ids) -> list[int]:
+    """Every id mapped through `table` at C speed; a miss (-1) is filled by
+    `fill`, which computes and stores that one entry."""
+    out = list(map(table.__getitem__, ids))
+    if -1 in out:
+        out = [v if v >= 0 else fill(f) for f, v in zip(ids, out)]
+    return out
+
+
+def _twist(ids) -> list[int]:
+    """tau of every id."""
+    return _mapped(_TAU, _tau_id, ids)
 
 
 _slide_cache: dict[tuple[int, int], tuple[int, int]] = {}
@@ -229,6 +252,11 @@ def _push(m: int, out: list[int], f: int, twisted: int) -> tuple[int, bool]:
     """
     if twisted & 1:
         f = _tau_id(f)
+    if out and _RCOMP[out[-1]] == f:
+        # The last factor times f is Delta: the slide would give (Delta, 1),
+        # the cut would remove the Delta and the identity would be popped.
+        out.pop()
+        return twisted + 1, True
     out.append(f)
     touched = False
     w0 = _w0_pid(m)
@@ -239,7 +267,8 @@ def _push(m: int, out: list[int], f: int, twisted: int) -> tuple[int, bool]:
             break
         touched = True
         if a2 == w0:
-            out[j:] = [_tau_id(g) for g in [b2, *out[j + 2 :]]]
+            out[j + 1] = b2
+            out[j:] = _twist(out[j + 1 :])
             twisted += 1
             break
         out[j], out[j + 1] = a2, b2
@@ -252,7 +281,7 @@ def _push(m: int, out: list[int], f: int, twisted: int) -> tuple[int, bool]:
 def _finish(m: int, out: list[int], twisted: int) -> tuple[int, tuple[int, ...]]:
     """The raw form of Delta^twisted tau^twisted(out)."""
     if twisted & 1:
-        out = [_tau_id(f) for f in out]
+        out = _twist(out)
     shift, fids = _strip_ids(out, m)
     return (twisted + shift, fids)
 
@@ -266,13 +295,13 @@ def raw_multiply(m: int, a: tuple[int, tuple[int, ...]], b: tuple[int, tuple[int
     """
     p, left = a
     q, right = b
-    out = [_tau_id(f) for f in left] if q & 1 else list(left)
+    out = _twist(left) if q & 1 else list(left)
     twisted = 0
     for idx, f in enumerate(right):
         twisted, touched = _push(m, out, f, twisted)
         if not touched:
             rest = right[idx + 1 :]
-            out.extend([_tau_id(g) for g in rest] if twisted & 1 else rest)
+            out.extend(_twist(rest) if twisted & 1 else rest)
             break
     power, fids = _finish(m, out, twisted)
     return (p + q + power, fids)
@@ -282,13 +311,14 @@ def raw_inverse(m: int, a: tuple[int, tuple[int, ...]]):
     """Closed-form inverse: (Delta^p A_1...A_k)^-1 = Delta^-(p+k) B_1...B_k
     with B_i the tau^(p+k-i+1)-twist of the right complement of A_{k+1-i}
     (the twist count is the number of Delta carries passing the factor on
-    their way to the front).  The result is already left-weighted."""
+    their way to the front).  The result is already left-weighted: the
+    complements of the reversed ids, every other one twisted."""
     p, fids = a
     k = len(fids)
-    out = []
-    for i in range(1, k + 1):
-        c = _rcomp_id(fids[k - i])
-        out.append(_tau_id(c) if (p + k - i + 1) % 2 else c)
+    out = _mapped(_RCOMP, _rcomp_id, fids[::-1])
+    # B_i, at index i - 1, is twisted when p + k - i + 1 is odd.
+    odd = (p + k + 1) & 1
+    out[odd::2] = _twist(out[odd::2])
     return (-(p + k), tuple(out))
 
 

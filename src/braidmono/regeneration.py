@@ -49,6 +49,7 @@ from .factorization import (
     Factorization,
     StructuredFactor,
     _FULL_TWIST_RAW,
+    _carrying,
     _product_raw,
     is_delta2_factorization,
 )
@@ -143,16 +144,22 @@ def _apply(rule: Rule, factor: Factor) -> tuple[StructuredFactor, ...]:
             "regeneration (expand_blocks)"
         )
     conj = IndexDoubling(factor.strands).word(factor.conjugator)
+    m = conj.strands
     short = 2 * factor.base.high - 1  # Z_{jj'} is the generator joining j and j'
-    return tuple(
-        StructuredFactor(
-            conj if not twist
-            else BraidWord(conj.strands, free_reduce(conj.letters + (twist * short,))),
-            double_halftwist(factor.base, low_prime, high_prime),
-            out_exponent or factor.exponent,
-        )
-        for low_prime, high_prime, out_exponent, twist in rows
-    )
+    # The rows with no short twist share the cabled word, so they share its
+    # raw forms too, computed here once.
+    raw = raw_of_word(m, conj.letters)
+    shared = (raw, raw_inverse(m, raw))
+    out = []
+    for low_prime, high_prime, out_exponent, twist in rows:
+        base = double_halftwist(factor.base, low_prime, high_prime)
+        exponent = out_exponent or factor.exponent
+        if twist:
+            word = BraidWord(m, free_reduce(conj.letters + (twist * short,)))
+            out.append(StructuredFactor(word, base, exponent))
+        else:
+            out.append(_carrying(StructuredFactor(conj, base, exponent), shared))
+    return tuple(out)
 
 
 def rule_I_branch(factor: StructuredFactor) -> tuple[StructuredFactor, ...]:

@@ -83,11 +83,17 @@ def _images(w: BraidWord) -> list[tuple[int, ...]]:
     return images
 
 
+def artin_images(w: BraidWord) -> tuple[FreeWord, ...]:
+    """Images of x_1..x_m under the right action of the braid word w, all
+    from one pass over the word."""
+    return tuple(FreeWord(image) for image in _images(w))
+
+
 def artin_action(w: BraidWord, i: int) -> FreeWord:
     """Image of x_i under the right action of the braid word w."""
     if not (1 <= i <= w.strands):
         raise BraidError(f"generator index {i} out of range 1..{w.strands}")
-    return FreeWord(_images(w)[i - 1])
+    return artin_images(w)[i - 1]
 
 
 @dataclasses.dataclass(frozen=True)

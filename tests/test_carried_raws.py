@@ -18,7 +18,9 @@ import braidmono.factorization as fz
 from braidmono import (
     BraidWord,
     Factorization,
+    HalfTwist,
     LineArrangement,
+    StructuredFactor,
     braid_monodromy,
     canonical_key,
     free_reduce,
@@ -27,8 +29,9 @@ from braidmono import (
     hurwitz_move_inverse,
     invert,
     is_delta2_factorization,
+    regenerate,
 )
-from braidmono.garside import raw_of_word
+from braidmono.garside import raw_inverse, raw_of_word
 from braidmono.textio import format_factorization, parse_factorization
 from conftest import random_generic_arrangement, standard_b3_factorization
 
@@ -97,6 +100,31 @@ class TestMovedForms:
         assert fz._conjugator_raws(g)[0] != fz._conjugator_raws(f)[0]
         want = raw_of_word(3, free_reduce(w.letters + f.core_word().letters + invert(w).letters))
         assert fz._factor_raws(g)[0] == want
+
+
+class TestRegenerationHandOver:
+    def test_rows_carry_the_cabled_pair(self):
+        rng = random.Random(8)
+        facts = [
+            braid_monodromy(random_generic_arrangement(rng, n), expand_blocks=True)
+            for n in (2, 3, 4, 5)
+        ]
+        # a branch point and a tangency with conjugated cores, for rules I and III
+        conj = BraidWord(3, (2, -1, 2))
+        facts.append(Factorization(3, (
+            StructuredFactor(conj, HalfTwist(3, 1, 3), 1),
+            StructuredFactor(conj, HalfTwist(3, 2, 3), 4),
+        )))
+        for fact in facts:
+            out = regenerate(fact).factors
+            m = 2 * fact.strands
+            carried = [f for f in out if f._conj_raws is not None]
+            assert len(carried) >= len(fact.factors)
+            for f in carried:
+                raw = raw_of_word(m, free_reduce(f.conjugator.letters))
+                assert f._conj_raws == (raw, raw_inverse(m, raw))
+            # the rows of one input factor share one pair
+            assert len({id(f._conj_raws) for f in carried}) == len(fact.factors)
 
 
 class TestIdentity:

@@ -1,0 +1,160 @@
+"""The per-id `tau` and complement tables of the Garside kernel, the
+closed-form inverse built on them, and the cancel step of `_push`.
+
+Table entries are filled on first use, so a product must come out the same
+whether the complements it meets are already in the table (the cancel step
+fires) or not (the slide path runs)."""
+
+import itertools
+import random
+
+import pytest
+
+import braidmono.garside as garside
+from braidmono.garside import RAW_IDENTITY, raw_inverse, raw_multiply, raw_of_word
+from conftest import random_word
+from test_kernel_reference import ref_raw_multiply
+
+
+def tau_formula(p):
+    m = len(p)
+    return tuple(m + 1 - p[m - x] for x in range(1, m + 1))
+
+
+def complement_formula(p):
+    inv = [0] * len(p)
+    for i, v in enumerate(p, start=1):
+        inv[v - 1] = i
+    return tuple(reversed(inv))
+
+
+def perm_ids(rng):
+    """Every permutation of S_4, then random ones of S_8 and S_16."""
+    ids = [garside._pid(p) for p in itertools.permutations(range(1, 5))]
+    for m in (8, 16):
+        for _ in range(40):
+            ids.append(garside._pid(tuple(rng.sample(range(1, m + 1), m))))
+    return ids
+
+
+def clear_complements():
+    garside._RCOMP[:] = [-1] * len(garside._RCOMP)
+
+
+def old_raw_inverse(m, a):
+    """The loop `raw_inverse` had before it mapped through the tables."""
+    p, fids = a
+    k = len(fids)
+    out = []
+    for i in range(1, k + 1):
+        c = garside._rcomp_id(fids[k - i])
+        out.append(garside._tau_id(c) if (p + k - i + 1) % 2 else c)
+    return (-(p + k), tuple(out))
+
+
+class TestTables:
+    def test_tables_parallel_the_ids(self):
+        before = len(garside._PERM_TUPLES)
+        f = garside._pid(tuple(random.Random(1).sample(range(1, 21), 20)))
+        # one new id, and nothing else interned with it
+        assert len(garside._PERM_TUPLES) in (before, before + 1)
+        assert len(garside._TAU) == len(garside._RCOMP) == len(garside._PERM_TUPLES)
+        assert f < len(garside._TAU)
+
+    def test_tau_matches_closed_formula(self, rng):
+        for f in perm_ids(rng):
+            p = garside._PERM_TUPLES[f]
+            t = garside._tau_id(f)
+            assert garside._PERM_TUPLES[t] == tau_formula(p)
+            assert garside._TAU[f] == t and garside._TAU[t] == f
+
+    def test_complement_matches_closed_formula(self, rng):
+        for f in perm_ids(rng):
+            p = garside._PERM_TUPLES[f]
+            c = garside._rcomp_id(f)
+            assert garside._PERM_TUPLES[c] == complement_formula(p)
+            assert garside._RCOMP[f] == c
+
+    def test_tau_and_complement_as_braids(self, rng):
+        """Delta f = tau(f) Delta, and f C(f) = Delta."""
+        for f in perm_ids(rng):
+            m = len(garside._PERM_TUPLES[f])
+            one = (0, (f,))
+            if f in (garside._id_pid(m), garside._w0_pid(m)):
+                continue
+            t = garside._tau_id(f)
+            assert raw_multiply(m, (1, ()), one) == raw_multiply(m, (0, (t,)), (1, ()))
+            c = garside._rcomp_id(f)
+            assert raw_multiply(m, one, (0, (c,))) == (1, ())
+
+    def test_batch_maps_match_single_lookups(self, rng):
+        ids = perm_ids(rng)
+        rng.shuffle(ids)
+        assert garside._twist(ids) == [garside._tau_id(f) for f in ids]
+        assert garside._mapped(garside._RCOMP, garside._rcomp_id, ids) == [
+            garside._rcomp_id(f) for f in ids
+        ]
+
+    def test_a_miss_fills_only_its_own_entry(self, rng):
+        fresh = [garside._pid(tuple(rng.sample(range(1, 23), 22))) for _ in range(3)]
+        assert all(garside._TAU[f] == -1 == garside._RCOMP[f] for f in fresh)
+        t = garside._twist(fresh[:1])[0]
+        c = garside._mapped(garside._RCOMP, garside._rcomp_id, fresh[1:2])[0]
+        assert garside._TAU[fresh[0]] == t and garside._RCOMP[fresh[1]] == c
+        assert garside._RCOMP[fresh[0]] == -1 and garside._TAU[fresh[1]] == -1
+        assert garside._TAU[fresh[2]] == -1 == garside._RCOMP[fresh[2]]
+
+
+class TestInverse:
+    @pytest.mark.parametrize("m", [2, 3, 4, 6, 9])
+    def test_matches_the_old_loop(self, rng, m):
+        for _ in range(40):
+            p, fids = raw_of_word(m, random_word(rng, m, 40).letters)
+            for shift in (0, 1):  # both parities of p + k
+                raw = (p + shift, fids)
+                assert raw_inverse(m, raw) == old_raw_inverse(m, raw)
+
+    @pytest.mark.parametrize("m", [3, 5, 8])
+    def test_is_the_inverse(self, rng, m):
+        for _ in range(40):
+            raw = raw_of_word(m, random_word(rng, m, 40).letters)
+            inv = raw_inverse(m, raw)
+            assert raw_multiply(m, raw, inv) == RAW_IDENTITY
+            assert raw_multiply(m, inv, raw) == RAW_IDENTITY
+
+
+class TestCancelStep:
+    def test_cancel_is_what_the_slide_gives(self, rng):
+        for f in perm_ids(rng):
+            m = len(garside._PERM_TUPLES[f])
+            if f in (garside._id_pid(m), garside._w0_pid(m)):
+                continue
+            c = garside._rcomp_id(f)
+            for twisted in (0, 1):
+                g = garside._tau_id(c) if twisted else c
+                filled = [f]
+                got = garside._push(m, filled, g, twisted)
+                clear_complements()
+                slid = [f]
+                assert garside._push(m, slid, g, twisted) == got == (twisted + 1, True)
+                assert filled == slid == []
+
+    @pytest.mark.parametrize("m", range(2, 10))
+    def test_products_with_and_without_filled_complements(self, rng, m):
+        """Products, including x x^-1 and partial cancellations, against the
+        reference kernel: first on a cleared complement table, then with
+        the complements of both operands filled."""
+        for _ in range(15):
+            a = raw_of_word(m, random_word(rng, m, 30).letters)
+            b = raw_of_word(m, random_word(rng, m, 30).letters)
+            a_inv = raw_inverse(m, a)
+            pairs = [(a, b), (a, a_inv), (a_inv, a),
+                     (raw_multiply(m, a, b), raw_inverse(m, b)), (a_inv, raw_multiply(m, a, b))]
+            want = [ref_raw_multiply(m, x, y) for x, y in pairs]
+            assert want[1] == want[2] == RAW_IDENTITY
+            clear_complements()
+            assert [raw_multiply(m, x, y) for x, y in pairs] == want
+            for x, y in pairs:
+                raw_inverse(m, x)
+                raw_inverse(m, y)
+            assert [raw_multiply(m, x, y) for x, y in pairs] == want

@@ -11,6 +11,7 @@ from braidmono import (
     StructuredFactor,
     abelianization_rank,
     artin_action,
+    artin_images,
     braid_monodromy,
     compose,
     full_twist,
@@ -61,6 +62,13 @@ class TestArtinAction:
                 want = [0] * m
                 want[shadow(i) - 1] = 1
                 assert vec == want
+
+    def test_images_are_the_actions(self, rng):
+        assert artin_images(BraidWord(4, ())) == tuple(FreeWord((i,)) for i in range(1, 5))
+        for _ in range(50):
+            m = rng.randint(2, 6)
+            w = random_word(rng, m, 20)
+            assert artin_images(w) == tuple(artin_action(w, i) for i in range(1, m + 1))
 
     def test_index_out_of_range(self):
         from braidmono import BraidError
