@@ -277,10 +277,21 @@ def product(fact: Factorization) -> BraidWord:
 
 
 def _product_raw(fact: Factorization) -> _Raw:
-    out = RAW_IDENTITY
+    # Telescoped: prod c_i z_i c_i^-1 = c_1 z_1 (c_1^-1 c_2) z_2 ... z_n c_n^-1.
+    # Consecutive conjugators of a sweep or a regeneration mostly share a
+    # long prefix, so c_{i-1}^-1 c_i is short and the running product moves
+    # far fewer crossings than when it takes each whole element c_i z_i c_i^-1.
+    # The grouping ((P c_i) z_i) c_i^-1 would skip the short step, but it
+    # pushes every factor of c_i and of c_i^-1, which costs more when, as
+    # for cabled conjugators, they have several canonical factors.
+    m = fact.strands
+    out = carried = RAW_IDENTITY
     for f in fact.factors:
-        out = raw_multiply(fact.strands, out, _factor_raws(f)[0])
-    return out
+        conj, conj_inv = _conjugator_raws(f)
+        out = raw_multiply(m, out, raw_multiply(m, carried, conj))
+        out = raw_multiply(m, out, _core_raws(_core_key(f))[0])
+        carried = conj_inv
+    return raw_multiply(m, out, carried)
 
 
 def product_nf(fact: Factorization) -> NormalForm:

@@ -20,15 +20,15 @@ is a position i with pi(i) > pi(i+1).
 
 Hurwitz walks and orbit searches multiply canonical forms millions of times,
 so the hot kernel runs on interned factors: every permutation braid ever
-seen gets a small integer id, and the pair-rewriting (`slide`) results and
-minimal positive words are memoized per id.  The Delta-conjugation twist
-`tau` and the right complement live in two lists indexed by id, `_TAU` and
-`_RCOMP`, parallel to the interned tuples: an entry reads -1 until it is
-first used, so a twist or a complement is interned only when something asks
-for it, and a whole id list is twisted with one C-level map through the
-table.  Canonical forms travel through the kernel as
-`(delta_power, factor_id_tuple)` pairs; the public `NormalForm` with its
-`Permutation` factors is materialized only at API boundaries.
+seen gets a small integer id, the pair-rewriting (`slide`) results are
+memoized per pair of ids and the minimal positive words per id.  The
+Delta-conjugation twist `tau`, the right complement and the slide inputs
+live in lists indexed by id, parallel to the interned tuples: an entry
+reads -1 (or None) until it is first used, so a twist or a complement is
+interned only when something asks for it, and a whole id list is twisted
+with one C-level map through `_TAU`.  Canonical forms travel through the
+kernel as `(delta_power, factor_id_tuple)` pairs; the public `NormalForm`
+with its `Permutation` factors is materialized only at API boundaries.
 
 Every product is formed by one step, `_push`, which multiplies a
 left-weighted factor list by one simple element in a single leftward pass
@@ -45,8 +45,15 @@ strands:
   popped and the twist count goes up by one, with no slide.  Most pushes of
   a Hurwitz walk are such cancellations, of a conjugator against its
   inverse;
-* a `slide` cache hit is one dict lookup; a miss costs O(m + crossings
-  moved), since each moved crossing patches the two descent masks locally.
+* a `slide` cache hit is one dict lookup.  A miss reads the descent masks
+  of the two factors from the per-id tables, so it costs O(1) when no
+  crossing can move; otherwise it costs O(m + crossings moved), with a few
+  list operations per moved crossing.
+
+Memory: every per-id table (`_TAU`, `_RCOMP`, `_ENDS`, `_STARTS`,
+`_PADINV`) holds one entry per interned id, and the slide cache one entry
+per distinct pair ever slid.  Nothing is evicted: both grow with the
+permutation braids and pairs a process meets.
 """
 
 from __future__ import annotations
@@ -62,9 +69,14 @@ _PERM_IDS: dict[tuple[int, ...], int] = {}
 _PERM_TUPLES: list[tuple[int, ...]] = []
 
 
-# Per-id tables parallel to _PERM_TUPLES, -1 until the entry is first used.
+# Per-id tables parallel to _PERM_TUPLES, -1 (None) until first used.  The
+# last three feed a slide miss: the descent masks of p and of p^-1, and p^-1
+# padded with the sentinels 0 and m+1 so the slide loop needs no range check.
 _TAU: list[int] = []
 _RCOMP: list[int] = []
+_ENDS: list[int] = []
+_STARTS: list[int] = []
+_PADINV: list[tuple[int, ...] | None] = []
 
 
 def _pid(t: tuple[int, ...]) -> int:
@@ -75,6 +87,9 @@ def _pid(t: tuple[int, ...]) -> int:
         _PERM_TUPLES.append(t)
         _TAU.append(-1)
         _RCOMP.append(-1)
+        _ENDS.append(-1)
+        _STARTS.append(-1)
+        _PADINV.append(None)
     return i
 
 
@@ -157,41 +172,77 @@ def _twist(ids) -> list[int]:
 _slide_cache: dict[tuple[int, int], tuple[int, int]] = {}
 
 
+def _ends(f: int) -> int:
+    """Descent mask of p: the letters a permutation braid can end with."""
+    e = _ENDS[f]
+    if e < 0:
+        e = _ENDS[f] = _descent_mask(_PERM_TUPLES[f])
+    return e
+
+
+def _starts(f: int) -> int:
+    """Descent mask of p^-1: the letters a permutation braid can start with."""
+    s = _STARTS[f]
+    if s < 0:
+        s = _STARTS[f] = _descent_mask(_inverse_tuple(_PERM_TUPLES[f]))
+    return s
+
+
+def _padded_inverse(f: int) -> tuple[int, ...]:
+    """(0, p^-1(1), ..., p^-1(m), m + 1)."""
+    b = _PADINV[f]
+    if b is None:
+        p = _PERM_TUPLES[f]
+        b = _PADINV[f] = (0, *_inverse_tuple(p), len(p) + 1)
+    return b
+
+
 def _slide_ids(fa: int, fb: int) -> tuple[int, int]:
     """Left-weight the adjacent factor pair, preserving the product.
 
     While some sigma_i can start b but cannot end a, transfer that crossing:
     a <- a sigma_i, b <- sigma_i^-1 b.  At the fixpoint every starting
-    letter of b already finishes a.  A transfer swaps entries i-1, i of a
-    and of b^-1, so only the descent bits at i-1, i, i+1 can change; the
-    two masks are patched there instead of being recomputed.
+    letter of b already finishes a.  The fixpoint is a x with x the left
+    meet of b and a^-1 Delta, so the order of the transfers does not
+    matter.
+
+    The masks of the letters that start b and end a come from the per-id
+    tables, so a miss where no crossing can move costs O(1).  Otherwise the
+    movable positions go on a stack.  A transfer at i swaps entries i, i+1
+    of a and of b^-1, which can only make i-1 or i+1 movable: i-1 is
+    checked at once and i+1 is pushed, and a popped position is checked
+    again before it moves.  Both lists carry the sentinels 0 and m+1 at
+    their ends, which never form a descent, so the loop needs no range
+    check.  The final b^-1 fills the new b's `_PADINV` entry.
     """
     hit = _slide_cache.get((fa, fb))
     if hit is not None:
         return hit
-    al = list(_PERM_TUPLES[fa])
-    binv = list(_inverse_tuple(_PERM_TUPLES[fb]))
-    ma = _descent_mask(al)
-    mb = _descent_mask(binv)
-    d = mb & ~ma
+    d = _starts(fb) & ~_ends(fa)
     if not d:
         out = (fa, fb)
     else:
-        n = len(al)
+        al = [0, *_PERM_TUPLES[fa], len(_PERM_TUPLES[fa]) + 1]
+        bl = list(_padded_inverse(fb))
+        todo = []
+        push = todo.append
         while d:
-            i = (d & -d).bit_length() - 1
-            al[i - 1], al[i] = al[i], al[i - 1]
-            binv[i - 1], binv[i] = binv[i], binv[i - 1]
-            # Bit i was a descent of b^-1 and not of a; the swap flips both.
-            ma |= 1 << i
-            mb &= ~(1 << i)
-            for k in (i - 1, i + 1):
-                if 0 < k < n:
-                    bit = 1 << k
-                    ma = ma | bit if al[k - 1] > al[k] else ma & ~bit
-                    mb = mb | bit if binv[k - 1] > binv[k] else mb & ~bit
-            d = mb & ~ma
-        out = (_pid(tuple(al)), _pid(_inverse_tuple(binv)))
+            low = d & -d
+            push(low.bit_length() - 1)
+            d ^= low
+        pop = todo.pop
+        while todo:
+            i = pop()
+            j = i + 1
+            while bl[i] > bl[j] and al[i] < al[j]:
+                al[i], al[j] = al[j], al[i]
+                bl[i], bl[j] = bl[j], bl[i]
+                push(j)
+                j = i
+                i -= 1
+        b2 = _pid(_inverse_tuple(bl[1:-1]))
+        _PADINV[b2] = tuple(bl)
+        out = (_pid(tuple(al[1:-1])), b2)
     _slide_cache[(fa, fb)] = out
     return out
 

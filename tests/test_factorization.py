@@ -1,15 +1,22 @@
+from fractions import Fraction
+
 import pytest
 
+import braidmono.factorization as fz
+import braidmono.garside as garside
 from braidmono import (
     BlockFactor,
     BraidError,
     BraidWord,
     Factorization,
     HalfTwist,
+    LineArrangement,
     StructuredFactor,
     Verdict,
     apply_moves,
+    braid_monodromy,
     canonical_key,
+    complete_deficit,
     compose,
     conjugate,
     expand,
@@ -23,9 +30,10 @@ from braidmono import (
     orbit_enumerate,
     product,
     product_nf,
+    regenerate,
     words_equal,
 )
-from conftest import random_word
+from conftest import random_generic_arrangement, random_word, standard_b3_factorization
 
 
 def sf(m, a, b, exp=1, conj=()):
@@ -292,3 +300,88 @@ class TestOrbit:
         res = orbit_enumerate(b3_factorization, budget=2000)
         assert not res.exhausted
         assert len(res.keys) == 2000
+
+
+def element_fold(fact):
+    """The product as the left fold over the factors' element forms."""
+    out = garside.RAW_IDENTITY
+    for f in fact.factors:
+        out = garside.raw_multiply(fact.strands, out, fz._factor_raws(f)[0])
+    return out
+
+
+def tangent_family(m):
+    """y = i x + i^2, i = 1..m: double points only, many sharing an x."""
+    return LineArrangement.from_pairs([(i, i * i) for i in range(1, m + 1)])
+
+
+def pencil_arrangement(k):
+    """k lines through the origin plus two generic lines."""
+    pairs = [(Fraction(s), Fraction(0)) for s in range(1, k + 1)]
+    pairs += [(Fraction(-1), Fraction(7)), (Fraction(-2), Fraction(-5, 2))]
+    return LineArrangement.from_pairs(pairs)
+
+
+def random_walk(rng, fact, moves):
+    for _ in range(moves):
+        k = rng.randint(1, len(fact.factors) - 1)
+        move = hurwitz_move if rng.random() < 0.5 else hurwitz_move_inverse
+        fact = move(fact, k)
+    return fact
+
+
+class TestTelescopedProduct:
+    """`_product_raw` multiplies c_1 z_1 (c_1^-1 c_2) z_2 ... z_n c_n^-1; it
+    must give the fold over the whole elements c_i z_i c_i^-1."""
+
+    def test_sweeps(self, rng):
+        arrangements = [random_generic_arrangement(rng, m) for m in (2, 3, 5, 8, 11)]
+        arrangements += [tangent_family(m) for m in (3, 6, 12)]
+        arrangements += [pencil_arrangement(k) for k in (3, 4, 5)]
+        for arr in arrangements:
+            for expand_blocks in (False, True):
+                fact = braid_monodromy(arr, expand_blocks=expand_blocks)
+                got = fz._product_raw(fact)
+                assert all(f._element_raws is None for f in fact.factors)
+                assert got == element_fold(fact) == (2, ())
+
+    def test_regenerations(self, rng):
+        sweeps = [
+            braid_monodromy(random_generic_arrangement(rng, n), expand_blocks=True)
+            for n in (2, 3, 4)
+        ]
+        facts = [regenerate(fact) for fact in sweeps]
+        conj = BraidWord(3, (2, -1, 2))
+        facts.append(regenerate(Factorization(3, (
+            StructuredFactor(conj, HalfTwist(3, 1, 3), 1),
+            StructuredFactor(conj, HalfTwist(3, 2, 3), 4),
+        ))))
+        partial = Factorization(3, standard_b3_factorization().factors[:4])
+        facts.append(partial)
+        completed = complete_deficit(partial, budget=5000).completed
+        assert completed is not None
+        facts.append(completed)
+        for fact in facts:
+            assert fz._product_raw(fact) == element_fold(fact)
+        assert fz._product_raw(completed) == (2, ())
+
+    @pytest.mark.parametrize("m", [3, 4])
+    def test_after_random_moves(self, rng, m):
+        if m == 3:
+            start = standard_b3_factorization()
+        else:
+            start = braid_monodromy(random_generic_arrangement(rng, 4))
+        for _ in range(3):
+            fact = random_walk(rng, start, 50)
+            assert fz._product_raw(fact) == element_fold(fact) == (2, ())
+
+    def test_empty_and_single(self, rng):
+        assert fz._product_raw(Factorization(4)) == garside.RAW_IDENTITY
+        for _ in range(20):
+            conj = random_word(rng, 4, 12).letters
+            f = sf(4, 1, rng.randint(2, 4), rng.randint(1, 4), conj)
+            fact = Factorization(4, (f,))
+            assert fz._product_raw(fact) == element_fold(fact) == fz._factor_raws(f)[0]
+
+    def test_tangent_family_32(self):
+        assert is_delta2_factorization(braid_monodromy(tangent_family(32)))

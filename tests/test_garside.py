@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 
@@ -261,3 +262,62 @@ class TestKernelPaths:
             w = random_word(rng, m)
             raw = garside.raw_of_word(m, w.letters)
             assert garside.raw_permutation(m, raw) == permutation_of(w)
+
+
+def random_pid(rng, m):
+    return garside._pid(tuple(rng.sample(range(1, m + 1), m)))
+
+
+class TestSlideTables:
+    """A slide miss reads its masks and b^-1 from the per-id tables, and
+    fills `_PADINV` of the b it creates from the loop's own list."""
+
+    @pytest.mark.parametrize("m", [16, 24])
+    def test_slide_matches_reference(self, rng, m):
+        for _ in range(250):
+            fa, fb = random_pid(rng, m), random_pid(rng, m)
+            assert uncached_slide(fa, fb) == slide_reference(fa, fb)
+
+    @pytest.mark.parametrize("m", [16, 24])
+    def test_pairs_of_ids_interned_by_a_slide(self, m):
+        # a seed of its own, so that no earlier test interned these ids
+        rng = random.Random(0x51DE + m)
+        made = []
+        for _ in range(150):
+            fa, fb = random_pid(rng, m), random_pid(rng, m)
+            before = len(garside._PERM_TUPLES)
+            a2, b2 = uncached_slide(fa, fb)
+            made.extend(f for f in (a2, b2) if f >= before)
+        assert len(made) > 100
+        for f in made:
+            assert garside._PADINV[f] is None or garside._PADINV[f] == (
+                0, *garside._inverse_tuple(garside._PERM_TUPLES[f]), m + 1
+            )
+        for _ in range(300):
+            fa = rng.choice(made)
+            fb = rng.choice(made) if rng.random() < 0.5 else random_pid(rng, m)
+            if rng.random() < 0.5:
+                fa, fb = fb, fa
+            assert uncached_slide(fa, fb) == slide_reference(fa, fb)
+
+    def test_filled_entries_match_recomputation(self, rng):
+        from braidmono import braid_monodromy, is_delta2_factorization
+        from conftest import random_generic_arrangement
+
+        fact = braid_monodromy(random_generic_arrangement(rng, 16))
+        assert is_delta2_factorization(fact)
+        tables = (garside._ENDS, garside._STARTS, garside._PADINV)
+        assert all(len(t) == len(garside._PERM_TUPLES) for t in tables)
+        filled = [0, 0, 0]
+        for f, p in enumerate(garside._PERM_TUPLES):
+            inv = garside._inverse_tuple(p)
+            if garside._ENDS[f] != -1:
+                filled[0] += 1
+                assert garside._ENDS[f] == garside._descent_mask(p)
+            if garside._STARTS[f] != -1:
+                filled[1] += 1
+                assert garside._STARTS[f] == garside._descent_mask(inv)
+            if garside._PADINV[f] is not None:
+                filled[2] += 1
+                assert garside._PADINV[f] == (0, *inv, len(p) + 1)
+        assert min(filled) > 0
