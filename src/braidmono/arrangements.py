@@ -227,13 +227,11 @@ def braid_monodromy(arr: LineArrangement, expand_blocks: bool = False) -> Factor
 
 def degree_check(arr: LineArrangement) -> DegreeReport:
     """Compare the sum of local degrees k(k-1) with the full-twist degree
-    m(m-1); every parallel pair accounts for exactly 2 of any deficit."""
-    pts = singular_points(arr)
-    achieved = sum(p.multiplicity * (p.multiplicity - 1) for p in pts)
+    m(m-1).  Every pair of non-parallel lines meets in exactly one point,
+    so the sum is m(m-1) less 2 per parallel pair, with no sweep."""
+    if arr.m < 2:
+        raise ArrangementError("need at least 2 lines")
+    parallel = arr.parallel_pairs()
     target = arr.m * (arr.m - 1)
-    return DegreeReport(
-        achieved=achieved,
-        target=target,
-        deficit=target - achieved,
-        parallel_pairs=arr.parallel_pairs(),
-    )
+    deficit = 2 * len(parallel)
+    return DegreeReport(target - deficit, target, deficit, parallel)

@@ -119,9 +119,7 @@ def _cmd_regenerate(args) -> int:
     report = rg.degree_audit(out)
     comments = [
         f"regenerated from {fact.strands} strands into {out.strands}",
-        "endpoint convention: rule I -> (i,j'),(i',j); "
-        "rule II -> (i'j')(ij')(i'j)(ij); rule III -> Z^3_(ij') and its "
-        "Z_(jj')-conjugates",
+        rg.CONVENTION,
         f"audit achieved {report.achieved_degree} target {report.target_degree} "
         f"deficit {report.deficit}",
     ]

@@ -20,15 +20,9 @@ is a position i with pi(i) > pi(i+1).
 
 Hurwitz walks and orbit searches multiply canonical forms millions of times,
 so the hot kernel runs on interned factors: every permutation braid ever
-seen gets a small integer id, the pair-rewriting (`slide`) results are
-memoized per pair of ids and the minimal positive words per id.  The
-Delta-conjugation twist `tau`, the right complement and the slide inputs
-live in lists indexed by id, parallel to the interned tuples: an entry
-reads -1 (or None) until it is first used, so a twist or a complement is
-interned only when something asks for it, and a whole id list is twisted
-with one C-level map through `_TAU`.  Canonical forms travel through the
-kernel as `(delta_power, factor_id_tuple)` pairs; the public `NormalForm`
-with its `Permutation` factors is materialized only at API boundaries.
+seen gets a small integer id, and canonical forms travel through the kernel
+as `(delta_power, factor_id_tuple)` pairs; the public `NormalForm` with its
+`Permutation` factors is materialized only at API boundaries.
 
 Every product is formed by one step, `_push`, which multiplies a
 left-weighted factor list by one simple element in a single leftward pass
@@ -50,18 +44,21 @@ strands:
   crossing can move; otherwise it costs O(m + crossings moved), with a few
   list operations per moved crossing.
 
-Memory: every per-id table (`_TAU`, `_RCOMP`, `_ENDS`, `_STARTS`,
-`_PADINV`) holds one entry per interned id, and the slide cache one entry
-per distinct pair ever slid.  Nothing is evicted: both grow with the
-permutation braids and pairs a process meets.
+Memory: one policy, in two shapes besides the slide cache (one entry per
+distinct pair ever slid).  Facts about one permutation braid (`tau`, the
+right complement, the slide inputs, a minimal word) live in per-id lists
+parallel to the interned tuples, one entry per id, -1 or None until first
+use; a whole id list is twisted with one C-level map through `_TAU`.
+Constants of one strand count live in one row, `_STRANDS[m]`, built on
+first use and read once per product or word.  Nothing is evicted: the
+tables grow with the permutation braids and pairs a process meets.
 """
 
 from __future__ import annotations
 
 import dataclasses
-from functools import lru_cache
 
-from .braid import BraidWord, BraidError, Permutation, delta_word, free_reduce
+from .braid import BraidWord, BraidError, Permutation, free_reduce
 
 # --- permutation-braid interning -----------------------------------------
 
@@ -69,14 +66,16 @@ _PERM_IDS: dict[tuple[int, ...], int] = {}
 _PERM_TUPLES: list[tuple[int, ...]] = []
 
 
-# Per-id tables parallel to _PERM_TUPLES, -1 (None) until first used.  The
-# last three feed a slide miss: the descent masks of p and of p^-1, and p^-1
-# padded with the sentinels 0 and m+1 so the slide loop needs no range check.
+# Per-id tables parallel to _PERM_TUPLES, -1 (None) until first used.
+# _ENDS, _STARTS and _PADINV feed a slide miss: the descent masks of p and
+# of p^-1, and p^-1 padded with the sentinels 0 and m+1 so the slide loop
+# needs no range check.  _LIFT holds a minimal positive word of p.
 _TAU: list[int] = []
 _RCOMP: list[int] = []
 _ENDS: list[int] = []
 _STARTS: list[int] = []
 _PADINV: list[tuple[int, ...] | None] = []
+_LIFT: list[tuple[int, ...] | None] = []
 
 
 def _pid(t: tuple[int, ...]) -> int:
@@ -90,33 +89,28 @@ def _pid(t: tuple[int, ...]) -> int:
         _ENDS.append(-1)
         _STARTS.append(-1)
         _PADINV.append(None)
+        _LIFT.append(None)
     return i
 
 
-@lru_cache(maxsize=None)
-def _id_pid(m: int) -> int:
-    return _pid(tuple(range(1, m + 1)))
+# One row per strand count m, built on first use by `_strands`:
+# (identity id, Delta id, gens, negs) where gens[i] is sigma_i and negs[i]
+# the positive part Delta sigma_i^-1 of sigma_i^-1, for i = 1..m-1.
+_STRANDS: dict[int, tuple[int, int, list[int], list[int]]] = {}
 
 
-@lru_cache(maxsize=None)
-def _w0_pid(m: int) -> int:
-    return _pid(tuple(range(m, 0, -1)))
+def _swap(p: tuple[int, ...], i: int) -> tuple[int, ...]:
+    return p[: i - 1] + (p[i], p[i - 1]) + p[i + 1 :]
 
 
-@lru_cache(maxsize=None)
-def _gen_pid(m: int, i: int) -> int:
-    """sigma_i as a permutation braid."""
-    images = list(range(1, m + 1))
-    images[i - 1], images[i] = images[i], images[i - 1]
-    return _pid(tuple(images))
-
-
-@lru_cache(maxsize=None)
-def _neg_pid(m: int, i: int) -> int:
-    """The positive part of sigma_i^-1 = Delta^-1 (Delta sigma_i^-1)."""
-    images = list(range(m, 0, -1))
-    images[i - 1], images[i] = images[i], images[i - 1]
-    return _pid(tuple(images))
+def _strands(m: int) -> tuple[int, int, list[int], list[int]]:
+    row = _STRANDS.get(m)
+    if row is None:
+        ident, w0 = tuple(range(1, m + 1)), tuple(range(m, 0, -1))
+        gens = [-1] + [_pid(_swap(ident, i)) for i in range(1, m)]
+        negs = [-1] + [_pid(_swap(w0, i)) for i in range(1, m)]
+        row = _STRANDS[m] = (_pid(ident), _pid(w0), gens, negs)
+    return row
 
 
 def _inverse_tuple(p: tuple[int, ...]) -> tuple[int, ...]:
@@ -247,13 +241,10 @@ def _slide_ids(fa: int, fb: int) -> tuple[int, int]:
     return out
 
 
-_lift_cache: dict[int, tuple[int, ...]] = {}
-
-
 def _lift_letters(f: int) -> tuple[int, ...]:
     """A minimal positive word for a permutation braid (peeled from the
     left: repeatedly strip a sigma_i with i a descent of p^-1)."""
-    w = _lift_cache.get(f)
+    w = _LIFT[f]
     if w is None:
         p = _PERM_TUPLES[f]
         word = []
@@ -265,8 +256,7 @@ def _lift_letters(f: int) -> tuple[int, ...]:
                 break
             word.append(i)
             inv[i - 1], inv[i] = inv[i], inv[i - 1]
-        w = tuple(word)
-        _lift_cache[f] = w
+        w = _LIFT[f] = tuple(word)
     return w
 
 
@@ -281,8 +271,7 @@ RAW_IDENTITY = (0, ())
 
 def _strip_ids(factors: list[int], m: int) -> tuple[int, tuple[int, ...]]:
     """Strip leading Deltas into a power carry, drop trailing identities."""
-    w0 = _w0_pid(m)
-    ident = _id_pid(m)
+    ident, w0, _, _ = _strands(m)
     lo, hi = 0, len(factors)
     while lo < hi and factors[lo] == w0:
         lo += 1
@@ -291,9 +280,10 @@ def _strip_ids(factors: list[int], m: int) -> tuple[int, tuple[int, ...]]:
     return lo, tuple(factors[lo:hi])
 
 
-def _push(m: int, out: list[int], f: int, twisted: int) -> tuple[int, bool]:
+def _push(out: list[int], f: int, twisted: int, ident: int, w0: int) -> tuple[int, bool]:
     """Multiply the left-weighted list `out`, which stands for
-    Delta^twisted tau^twisted(out), by the simple factor f, in place.
+    Delta^twisted tau^twisted(out), by the simple factor tau^twisted(f), in
+    place; `ident` and `w0` are the identity and Delta ids of the row.
 
     A slide that forms Delta ends the pass: carried on, the Delta would
     reach the front and twist every factor it passes, so instead it is cut
@@ -301,8 +291,6 @@ def _push(m: int, out: list[int], f: int, twisted: int) -> tuple[int, bool]:
     one.  Trailing identities are popped; `out` may end empty.  Returns the
     new twist count and whether any slide changed the list.
     """
-    if twisted & 1:
-        f = _tau_id(f)
     if out and _RCOMP[out[-1]] == f:
         # The last factor times f is Delta: the slide would give (Delta, 1),
         # the cut would remove the Delta and the identity would be popped.
@@ -310,7 +298,6 @@ def _push(m: int, out: list[int], f: int, twisted: int) -> tuple[int, bool]:
         return twisted + 1, True
     out.append(f)
     touched = False
-    w0 = _w0_pid(m)
     for j in range(len(out) - 2, -1, -1):
         a = out[j]
         a2, b2 = _slide_ids(a, out[j + 1])
@@ -323,7 +310,6 @@ def _push(m: int, out: list[int], f: int, twisted: int) -> tuple[int, bool]:
             twisted += 1
             break
         out[j], out[j + 1] = a2, b2
-    ident = _id_pid(m)
     while out and out[-1] == ident:
         out.pop()
     return twisted, touched
@@ -346,10 +332,13 @@ def raw_multiply(m: int, a: tuple[int, tuple[int, ...]], b: tuple[int, tuple[int
     """
     p, left = a
     q, right = b
+    ident, w0, _, _ = _strands(m)
     out = _twist(left) if q & 1 else list(left)
     twisted = 0
     for idx, f in enumerate(right):
-        twisted, touched = _push(m, out, f, twisted)
+        if twisted & 1:
+            f = _tau_id(f)
+        twisted, touched = _push(out, f, twisted, ident, w0)
         if not touched:
             rest = right[idx + 1 :]
             out.extend(_twist(rest) if twisted & 1 else rest)
@@ -374,32 +363,32 @@ def raw_inverse(m: int, a: tuple[int, tuple[int, ...]]):
 
 
 def raw_of_word(m: int, letters: tuple[int, ...]):
-    """Raw form of a word in B_m, one push per letter."""
-    # sigma_i^-1 = Delta^-1 (Delta sigma_i^-1): the Delta^-1 joins the count.
+    """Raw form of a word in B_m, one push per letter.
+
+    sigma_i^-1 = Delta^-1 (Delta sigma_i^-1): the Delta^-1 joins the twist
+    count.  A push under an odd count takes the generator's twist, read
+    from the row by index: tau(sigma_i) = sigma_{m-i} and
+    tau(Delta sigma_i^-1) = Delta sigma_{m-i}^-1.
+    """
+    ident, w0, gens, negs = _strands(m)
     out: list[int] = []
     twisted = 0
     for letter in letters:
         if letter > 0:
-            twisted, _ = _push(m, out, _gen_pid(m, letter), twisted)
+            f = gens[m - letter] if twisted & 1 else gens[letter]
         else:
-            twisted, _ = _push(m, out, _neg_pid(m, -letter), twisted - 1)
+            twisted -= 1
+            f = negs[m + letter] if twisted & 1 else negs[-letter]
+        twisted, _ = _push(out, f, twisted, ident, w0)
     return _finish(m, out, twisted)
-
-
-@lru_cache(maxsize=None)
-def _delta_letters(m: int) -> tuple[int, ...]:
-    return delta_word(m).letters
 
 
 def raw_to_letters(m: int, raw: tuple[int, tuple[int, ...]]) -> tuple[int, ...]:
     p, fids = raw
-    letters: list[int] = []
-    d = _delta_letters(m)
-    if p >= 0:
-        letters.extend(d * p)
-    else:
-        inv_d = tuple(-l for l in reversed(d))
-        letters.extend(inv_d * (-p))
+    d = _lift_letters(_strands(m)[1])
+    if p < 0:
+        d = tuple(-l for l in reversed(d))
+    letters = list(d * abs(p))
     for f in fids:
         letters.extend(_lift_letters(f))
     return tuple(letters)

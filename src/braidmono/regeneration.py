@@ -128,6 +128,13 @@ _RULES = {
     Rule.PASS: (None, ((False, False, None, 0),)),
 }
 
+# The `regenerate` header line naming the rows above; i' = 2i, i = 2i - 1.
+CONVENTION = (
+    "endpoint convention: rule I -> (i,j'),(i',j); "
+    "rule II -> (i'j')(ij')(i'j)(ij); rule III -> Z^3_(ij') and its "
+    "Z_(jj')-conjugates"
+)
+
 _RULE_BY_EXPONENT = {exp: rule for rule, (exp, _) in _RULES.items() if exp}
 
 

@@ -197,6 +197,32 @@ class TestDegreeCheck:
         F = braid_monodromy(arrangement((0, 0), (0, 1), (1, 0)))
         assert not is_delta2_factorization(F)
 
+    def test_matches_the_sweep_sum(self, rng):
+        """The closed-form report equals the sum of k(k-1) over the swept
+        points, on random, pencil, tangent-family and parallel arrangements."""
+        arrs = [random_generic_arrangement(rng, m) for m in range(2, 9)]
+        arrs += [arrangement(*[(s, 3) for s in range(k)], (-1, 7)) for k in range(2, 7)]
+        arrs += [arrangement(*[(i, i * i) for i in range(1, m + 1)]) for m in range(2, 13)]
+        while len(arrs) < 40:
+            m = rng.randint(2, 8)
+            pairs = {(rng.randint(-2, 2), rng.randint(-9, 9)) for _ in range(m)}
+            try:
+                singular_points(arrangement(*pairs))
+            except ArrangementError:
+                continue
+            arrs.append(arrangement(*pairs))
+        assert sum(bool(a.parallel_pairs()) for a in arrs) > 10
+        for arr in arrs:
+            rep = degree_check(arr)
+            swept = sum(p.multiplicity * (p.multiplicity - 1) for p in singular_points(arr))
+            assert (rep.achieved, rep.target) == (swept, arr.m * (arr.m - 1))
+            assert rep.deficit == rep.target - swept == 2 * len(rep.parallel_pairs)
+            assert rep.parallel_pairs == arr.parallel_pairs()
+
+    def test_one_line_is_an_error(self):
+        with pytest.raises(ArrangementError, match="need at least 2 lines"):
+            degree_check(arrangement((1, 0)))
+
 
 class TestSameXPoints:
     def test_disjoint_blocks_accepted(self):

@@ -198,6 +198,12 @@ class TestValidation:
         with pytest.raises(BraidError):
             BraidWord(3, (0,))
 
+    @pytest.mark.parametrize("bad", [0, 4, -4])
+    def test_first_bad_letter_is_named(self, bad):
+        with pytest.raises(BraidError) as err:
+            BraidWord(4, (1, -3, 2, bad, 3, 5, 0))
+        assert str(err.value) == f"letter {bad} out of range for 4 strands"
+
     def test_permutation_must_be_bijection(self):
         with pytest.raises(BraidError):
             Permutation((1, 1, 3))

@@ -44,6 +44,11 @@ class TestWords:
         assert code == 0
         assert "delta 1" in out
 
+    def test_normal_form_factor_line(self, files, capsys):
+        code, out = run(capsys, "normal-form", files("w.word", "strands 3\ns1 s2\n"))
+        assert code == 0
+        assert out == "strands 3\ndelta 0\nfactor 2 3 1\n"
+
     def test_equal_true(self, files, capsys):
         w1 = files("a.word", "strands 3\ns1 s2 s1\n")
         w2 = files("b.word", "strands 3\ns2 s1 s2\n")
@@ -121,6 +126,17 @@ class TestEquivalence:
         assert code == 0
         assert "verdict EQUIVALENT" in out
 
+    def test_budget_runs_out(self, files, capsys):
+        F = standard_b3_factorization()
+        G = F
+        for k in (1, 2, 3, 4, 5, 1, 2):
+            G = hurwitz_move(G, k)
+        f1 = files("a.fac", format_factorization(F))
+        f2 = files("b.fac", format_factorization(G))
+        code, out = run(capsys, "hurwitz-equiv", f1, f2, "--budget", "3")
+        assert code == 2
+        assert "verdict INCONCLUSIVE\n" in out
+
     def test_not_equivalent(self, files, capsys):
         f1 = files(
             "a.fac", "strands 3\nfactors 2\nconj= ; base= 1 2 ; exp= 1\nconj= ; base= 2 3 ; exp= 1\n"
@@ -168,7 +184,21 @@ class TestRegeneration:
         fac = files("p.fac", format_factorization(partial))
         code, out = run(capsys, "regenerate", fac, "--rules", files("r.rules", "\n".join(f"{i} pass" for i in range(4)) + "\n"), "--complete-deficit")
         assert code == 0
-        assert "completed" in out or "completion" in out
+        assert (
+            "# deficit completion hit the budget after 10000 tries; "
+            "emitting uncompleted factors\n" in out
+        )
+
+    def test_complete_deficit_completes(self, files, capsys):
+        two = "strands 2\nfactors 2\n" + "conj= ; base= 1 2 ; exp= 1\n" * 2
+        code, out = run(capsys, "regenerate", files("two.fac", two), "--complete-deficit")
+        assert code == 0
+        assert "# deficit completed after trying 4184 placements\n" in out
+        done = files("done.fac", out)
+        code, out = run(capsys, "check-delta2", done)
+        assert code == 0 and out == "true\n"
+        code, out = run(capsys, "audit", done)
+        assert code == 0 and "deficit 0\n" in out
 
     def test_complete_deficit_ruled_out(self, files, capsys):
         arr = files("three.arr", THREE_GENERIC)
@@ -196,6 +226,15 @@ class TestVanKampen:
         code, out = run(capsys, "vankampen", fac)
         assert code == 0
         assert "abelianization rank 1" in out
+
+
+    def test_formal_presentation_warns(self, files, capsys):
+        fac = files("one.fac", "strands 2\nfactors 1\nconj= ; base= 1 2 ; exp= 1\n")
+        code, out = run(capsys, "vankampen", fac)
+        assert code == 0
+        assert out.startswith(
+            "# warning: product is not the full twist; presentation is formal\n"
+        )
 
 
 class TestInvariants:

@@ -124,9 +124,10 @@ class TestSoundness:
         from braidmono import permutation_of
 
         def single_factor_raw(m, f):
-            if f == garside._w0_pid(m):
+            ident, w0, _, _ = garside._strands(m)
+            if f == w0:
                 return (1, ())
-            if f == garside._id_pid(m):
+            if f == ident:
                 return (0, ())
             return (0, (f,))
 
@@ -226,9 +227,10 @@ def uncached_slide(fa, fb):
 
 
 def single_letter_raw(m, letter):
+    _, _, gens, negs = garside._strands(m)
     if letter > 0:
-        return (0, (garside._gen_pid(m, letter),))
-    return (-1, (garside._neg_pid(m, -letter),))
+        return (0, (gens[letter],))
+    return (-1, (negs[-letter],))
 
 
 class TestKernelPaths:
@@ -253,8 +255,7 @@ class TestKernelPaths:
                 want = garside.raw_multiply(m, want, single_letter_raw(m, letter))
             got = garside.raw_of_word(m, w.letters)
             assert got == want
-            assert garside._id_pid(m) not in got[1]
-            assert garside._w0_pid(m) not in got[1]
+            assert not set(garside._strands(m)[:2]) & set(got[1])
 
     def test_raw_permutation_matches_words(self, rng):
         for _ in range(300):

@@ -25,8 +25,7 @@ def _ref_merge_ids(m, left, right):
         return 0, right
     if not right:
         return 0, left
-    w0 = garside._w0_pid(m)
-    ident = garside._id_pid(m)
+    ident, w0, _, _ = garside._strands(m)
     out = list(left)
     pend = 0
     for idx, r in enumerate(right):
@@ -88,21 +87,21 @@ def ref_raw_multiply(m, a, b):
 
 
 def ref_raw_from_letters(m, letters):
+    ident, _, gens, negs = garside._strands(m)
     factors = []
     delta_pows = []
     for letter in letters:
         if letter > 0:
-            factors.append(garside._gen_pid(m, letter))
+            factors.append(gens[letter])
             delta_pows.append(0)
         else:
-            factors.append(garside._neg_pid(m, -letter))
+            factors.append(negs[-letter])
             delta_pows.append(-1)
     acc = 0
     for idx in range(len(factors) - 1, -1, -1):
         if acc % 2:
             factors[idx] = garside._tau_id(factors[idx])
         acc += delta_pows[idx]
-    ident = garside._id_pid(m)
     out = []
     for f in factors:
         if f == ident:

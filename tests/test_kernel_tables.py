@@ -80,7 +80,7 @@ class TestTables:
         for f in perm_ids(rng):
             m = len(garside._PERM_TUPLES[f])
             one = (0, (f,))
-            if f in (garside._id_pid(m), garside._w0_pid(m)):
+            if f in garside._strands(m)[:2]:
                 continue
             t = garside._tau_id(f)
             assert raw_multiply(m, (1, ()), one) == raw_multiply(m, (0, (t,)), (1, ()))
@@ -127,16 +127,16 @@ class TestCancelStep:
     def test_cancel_is_what_the_slide_gives(self, rng):
         for f in perm_ids(rng):
             m = len(garside._PERM_TUPLES[f])
-            if f in (garside._id_pid(m), garside._w0_pid(m)):
+            ident, w0, _, _ = garside._strands(m)
+            if f in (ident, w0):
                 continue
             c = garside._rcomp_id(f)
             for twisted in (0, 1):
-                g = garside._tau_id(c) if twisted else c
                 filled = [f]
-                got = garside._push(m, filled, g, twisted)
+                got = garside._push(filled, c, twisted, ident, w0)
                 clear_complements()
                 slid = [f]
-                assert garside._push(m, slid, g, twisted) == got == (twisted + 1, True)
+                assert garside._push(slid, c, twisted, ident, w0) == got == (twisted + 1, True)
                 assert filled == slid == []
 
     @pytest.mark.parametrize("m", range(2, 10))
@@ -158,3 +158,55 @@ class TestCancelStep:
                 raw_inverse(m, x)
                 raw_inverse(m, y)
             assert [raw_multiply(m, x, y) for x, y in pairs] == want
+
+
+def swap_at(x, i):
+    return {i: i + 1, i + 1: i}.get(x, x)
+
+
+class TestStrandRows:
+    """One row per strand count holds its constants; the minimal words are a
+    per-id list like the other tables."""
+
+    @pytest.mark.parametrize("m", range(2, 17))
+    def test_row_and_twisted_generators(self, m):
+        ident, w0, gens, negs = garside._strands(m)
+        assert garside._PERM_TUPLES[ident] == tuple(range(1, m + 1))
+        assert garside._PERM_TUPLES[w0] == tuple(range(m, 0, -1))
+        for i in range(1, m):
+            # sigma_i swaps positions i and i+1 of the identity, Delta
+            # sigma_i^-1 the same positions of the reversal
+            swap = [swap_at(x, i) for x in range(1, m + 1)]
+            assert garside._PERM_TUPLES[gens[i]] == tuple(swap)
+            assert garside._PERM_TUPLES[negs[i]] == tuple(m + 1 - x for x in swap)
+            # tau(sigma_i) = sigma_{m-i}, tau(Delta sigma_i^-1) = Delta sigma_{m-i}^-1
+            assert garside._tau_id(gens[i]) == gens[m - i]
+            assert garside._tau_id(negs[i]) == negs[m - i]
+
+    def test_tables_after_a_sweep_and_a_walk(self, rng):
+        from braidmono import braid_monodromy, hurwitz_move, hurwitz_move_inverse
+        from braidmono import is_delta2_factorization
+        from braidmono.braid import delta_word
+        from conftest import random_generic_arrangement, standard_b3_factorization
+
+        assert is_delta2_factorization(braid_monodromy(random_generic_arrangement(rng, 16)))
+        fact = standard_b3_factorization()
+        for _ in range(200):
+            k = rng.randint(1, len(fact.factors) - 1)
+            move = hurwitz_move if rng.random() < 0.5 else hurwitz_move_inverse
+            fact = move(fact, k)
+        assert all(f.conjugator.strands == 3 for f in fact.factors)
+
+        tables = (garside._TAU, garside._RCOMP, garside._ENDS, garside._STARTS,
+                  garside._PADINV, garside._LIFT)
+        assert all(len(t) == len(garside._PERM_TUPLES) for t in tables)
+        lifted = 0
+        for f, word in enumerate(garside._LIFT):
+            m = len(garside._PERM_TUPLES[f])
+            if word is None or f in garside._strands(m)[:2]:
+                continue
+            lifted += 1
+            assert raw_of_word(m, word) == (0, (f,))
+        assert lifted > 0
+        for m in range(2, 41):
+            assert garside.raw_to_letters(m, (1, ())) == delta_word(m).letters

@@ -378,3 +378,17 @@ class TestStrayRuleIndex:
         assert main(["regenerate", str(fac), "--rules", str(rules)]) == 3
         captured = capsys.readouterr()
         assert captured.out == "" and "factor 7" in captured.err
+
+    def test_header_names_the_rows_in_order(self, capsys, tmp_path):
+        def end(name, primed):
+            return name + ("'" if primed else "")
+
+        _, branch = rg._RULES[Rule.BRANCH]
+        _, node = rg._RULES[Rule.NODE]
+        rule_I = ",".join(f"({end('i', lo)},{end('j', hi)})" for lo, hi, _, _ in branch)
+        rule_II = "".join(f"({end('i', lo)}{end('j', hi)})" for lo, hi, _, _ in node)
+        assert f"rule I -> {rule_I}; rule II -> {rule_II}; " in rg.CONVENTION
+        path = tmp_path / "one.fac"
+        path.write_text("strands 2\nfactors 1\nconj= ; base= 1 2 ; exp= 2\n")
+        assert main(["regenerate", str(path)]) == 0
+        assert capsys.readouterr().out.splitlines()[1] == "# " + rg.CONVENTION

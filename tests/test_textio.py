@@ -170,6 +170,10 @@ class TestPresentationFormat:
         with pytest.raises(ParseError):
             parse_presentation("gens 2\ny1\n")
 
+    def test_generator_out_of_range(self):
+        with pytest.raises(ParseError, match="relator letter 3 outside generators 1..2"):
+            parse_presentation("gens 2\nx3\n")
+
     def test_non_ascii_digit_token(self):
         with pytest.raises(ParseError) as exc:
             parse_presentation("gens 2\nx1 x\u00b2\n")
