@@ -16,10 +16,23 @@ pi^-1(i) for pi the word's permutation image.
 
 The images of all m generators come from one pass over the word, read right
 to left: the automorphism so far is composed with each letter's, which
-rewrites only the images of x_k and x_{k+1} as freely reduced products.  A
-letter costs time linear in those two images, and the pass holds the m
-images and nothing else; `presentation` makes one pass per factor and keeps
-nothing from one factor to the next.
+rewrites only the images of x_k and x_{k+1}, as a b a^-1 or b^-1 a b of two
+freely reduced images a and b.  Only the two junctions of such a product
+can cancel, so a letter costs one interpreted step per cancelled letter
+plus slicing, at C speed, linear in the two images.
+
+`presentation` shares work between factors.  The pass over a factor's word
+c z c^-1 reads c^-1 first, so the images after that half depend only on
+the prefix of the freely reduced conjugator c.  The sorted conjugators are
+a depth-first walk of their prefix trie: each walk resumes from the images
+at its common prefix with the one before it, and copies of the m images
+are kept only at the depths where a later walk resumes, while the walk is
+below them.  Each factor then finishes with its core z and with c.  A
+factorization thus costs one letter step per edge of its conjugators' trie
+and per letter of every core and conjugator, where a pass per factor costs
+two per conjugator letter.  A sweep's conjugators extend one another, so
+their trie is small: 119 edges for 7,140 conjugator letters on a random
+16-line arrangement.
 
 Abelianization of a presentation is computed exactly: the relators' exponent
 matrix over the integers is put in Smith normal form by elementary row and
@@ -32,9 +45,11 @@ from __future__ import annotations
 import dataclasses
 import warnings
 from itertools import chain
+from operator import neg
+from typing import Iterable
 
 from .braid import BraidError, BraidWord, free_reduce
-from .factorization import Factorization, expand, is_delta2_factorization
+from .factorization import Factorization, is_delta2_factorization
 
 
 @dataclasses.dataclass(frozen=True)
@@ -65,28 +80,64 @@ class FreeWord:
         return vec
 
 
-def _images(w: BraidWord) -> list[tuple[int, ...]]:
-    """Letters of the images of x_1..x_m under the right action of w, from
-    one right-to-left pass (see the module docstring).  The products are
-    reduced straight from iterators, so a letter leaves no temporary tuples
-    behind."""
-    images = [(i,) for i in range(1, w.strands + 1)]
-    for letter in reversed(w.letters):
-        k = abs(letter) - 1
-        a, b = images[k], images[k + 1]
+def _conjugate(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
+    """a b a^-1 freely reduced, for freely reduced a and b.
+
+    Only the two junctions can cancel: the tail of a against the head of b,
+    then the tail of that product against the tail of a.  The loops run over
+    the cancelled letters alone; the rest is sliced.
+    """
+    la, lb = len(a), len(b)
+    stop = min(la, lb)
+    t = 0
+    while t < stop and a[la - 1 - t] == -b[t]:
+        t += 1
+    r = a[: la - t] + b[t:]
+    lr = len(r)
+    stop = min(lr, la)
+    s = 0
+    while s < stop and r[lr - 1 - s] == a[la - 1 - s]:
+        s += 1
+    return r[: lr - s] + tuple(map(neg, reversed(a[: la - s])))
+
+
+def _conjugate_by(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
+    """b^-1 a b freely reduced, for freely reduced a and b, cancelling only
+    at the two junctions as `_conjugate` does."""
+    la, lb = len(a), len(b)
+    stop = min(la, lb)
+    t = 0
+    while t < stop and a[t] == b[t]:
+        t += 1
+    r = tuple(map(neg, reversed(b[t:]))) + a[t:]
+    lr = len(r)
+    stop = min(lr, lb)
+    s = 0
+    while s < stop and r[lr - 1 - s] == -b[s]:
+        s += 1
+    return r[: lr - s] + b[s:]
+
+
+def _act(images: list[tuple[int, ...]], letters: Iterable[int]) -> None:
+    """Compose the automorphism held in `images` with each letter's, in the
+    order given; a right-to-left pass gives a word's letters reversed."""
+    for letter in letters:
         if letter > 0:
-            inv = (-l for l in reversed(a))
-            images[k], images[k + 1] = free_reduce(chain(a, b, inv)), a
+            k = letter - 1
+            a = images[k]
+            images[k], images[k + 1] = _conjugate(a, images[k + 1]), a
         else:
-            inv = (-l for l in reversed(b))
-            images[k], images[k + 1] = b, free_reduce(chain(inv, a, b))
-    return images
+            k = -letter - 1
+            b = images[k + 1]
+            images[k], images[k + 1] = b, _conjugate_by(images[k], b)
 
 
 def artin_images(w: BraidWord) -> tuple[FreeWord, ...]:
     """Images of x_1..x_m under the right action of the braid word w, all
-    from one pass over the word."""
-    return tuple(FreeWord(image) for image in _images(w))
+    from one right-to-left pass over the word (see the module docstring)."""
+    images = [(i,) for i in range(1, w.strands + 1)]
+    _act(images, reversed(w.letters))
+    return tuple(map(FreeWord, images))
 
 
 def artin_action(w: BraidWord, i: int) -> FreeWord:
@@ -135,17 +186,71 @@ def presentation(fact: Factorization) -> Presentation:
             "fixed-loop relations",
             stacklevel=2,
         )
+    factor_relators = [()] * len(fact.factors)
+    for index, images in _factor_images(fact):
+        factor_relators[index] = tuple(
+            image[:-1] if image[-1] == i else image + (-i,)
+            for i, image in enumerate(images, 1)
+            if image != (i,)
+        )
     relators: list[FreeWord] = []
     seen = set()
-    for factor in fact.factors:
-        for i, image in enumerate(_images(expand(factor)), 1):
-            if image == (i,):
-                continue
-            relator = FreeWord.reduce(image + (-i,))
-            if relator.letters and relator.letters not in seen:
-                seen.add(relator.letters)
-                relators.append(relator)
+    for letters in chain.from_iterable(factor_relators):
+        if letters not in seen:
+            seen.add(letters)
+            relators.append(FreeWord(letters))
     return Presentation(m, tuple(relators))
+
+
+def _common_prefix(p: tuple[int, ...], q: tuple[int, ...]) -> int:
+    n = 0
+    for x, y in zip(p, q):
+        if x != y:
+            break
+        n += 1
+    return n
+
+
+def _factor_images(fact: Factorization):
+    """Yield (index, images of x_1..x_m under the factor's word) for every
+    factor, grouped by freely reduced conjugator c in sorted order.  The
+    walk over c^-1, read as -c[0], -c[1], ..., resumes from the images at
+    the common prefix with the previous c (see the module docstring)."""
+    by_conjugator: dict[tuple[int, ...], list[int]] = {}
+    for index, factor in enumerate(fact.factors):
+        c = free_reduce(factor.conjugator.letters)
+        by_conjugator.setdefault(c, []).append(index)
+    keys = sorted(by_conjugator)
+    starts = [_common_prefix(p, q) for p, q in zip([()] + keys, keys)]
+    # Walk j starts at depth starts[j] > 0 on the path of the nearest
+    # earlier walk with a smaller start, which is the walk that read the
+    # letters up to that depth; `shallower` holds the candidates.
+    copy_at: list[set[int]] = [set() for _ in keys]
+    shallower: list[int] = []
+    for j, depth in enumerate(starts):
+        while shallower and starts[shallower[-1]] >= depth:
+            shallower.pop()
+        if depth:
+            copy_at[shallower[-1]].add(depth)
+        shallower.append(j)
+    # The copies on the path of the current walk, by increasing depth; a
+    # deeper copy is dead once a walk starts above it.
+    copies = [(0, [(i,) for i in range(1, fact.strands + 1)])]
+    for c, start, depths in zip(keys, starts, copy_at):
+        while copies[-1][0] > start:
+            copies.pop()
+        images = list(copies[-1][1])
+        done = start
+        for depth in sorted(depths):
+            _act(images, map(neg, c[done:depth]))
+            copies.append((depth, list(images)))
+            done = depth
+        _act(images, map(neg, c[done:]))
+        for index in by_conjugator[c]:
+            finished = list(images)
+            _act(finished, reversed(fact.factors[index].core_word().letters))
+            _act(finished, reversed(c))
+            yield index, finished
 
 
 def _smith_diagonal(matrix: list[list[int]]) -> list[int]:

@@ -14,13 +14,14 @@ from braidmono import (
     artin_images,
     braid_monodromy,
     compose,
+    free_reduce,
     full_twist,
     hurwitz_move,
     invert,
     permutation_of,
     presentation,
 )
-from braidmono.vankampen import _smith_diagonal
+from braidmono.vankampen import _conjugate, _conjugate_by, _smith_diagonal
 from conftest import random_generic_arrangement, random_word, standard_b3_factorization
 
 
@@ -75,6 +76,49 @@ class TestArtinAction:
 
         with pytest.raises(BraidError):
             artin_action(BraidWord(3, (1,)), 4)
+
+
+def _free_inverse(w):
+    return tuple(-l for l in reversed(w))
+
+
+def _junction_pairs(rng):
+    """Freely reduced pairs (a, b) that share a random piece u at the
+    junctions, so a b and b^-1 a cancel anywhere from nothing to all of a
+    or b, plus the edge cases: empty operands, w with w^-1 and w with w."""
+    def word(length):
+        return free_reduce(rng.choice((1, 2, 3, -1, -2, -3)) for _ in range(length))
+
+    pairs = []
+    for _ in range(400):
+        u, v, w = word(rng.randint(0, 8)), word(rng.randint(0, 8)), word(rng.randint(0, 8))
+        a = free_reduce(v + u)
+        pairs += [(a, free_reduce(_free_inverse(u) + w)), (a, free_reduce(v + w))]
+    for w in (word(9) for _ in range(20)):
+        for x, y in ((w, _free_inverse(w)), (w, w), (w, ()), ((), w), ((), ())):
+            pairs += [(x, y), (y, x)]
+    return pairs
+
+
+class TestJunctionSteps:
+    """The action's two steps join freely reduced words and cancel only at
+    the junctions; they must give free_reduce's answer on every pair."""
+
+    def test_conjugate(self, rng):
+        for a, b in _junction_pairs(rng):
+            assert _conjugate(a, b) == free_reduce(a + b + _free_inverse(a)), (a, b)
+
+    def test_conjugate_by(self, rng):
+        for a, b in _junction_pairs(rng):
+            assert _conjugate_by(a, b) == free_reduce(_free_inverse(b) + a + b), (a, b)
+
+    def test_pairs_cancel_whole_operands(self, rng):
+        pairs = _junction_pairs(rng)
+        assert any(a and b and not free_reduce(a + b) for a, b in pairs)
+        assert any(len(a) > len(b) > 0 and free_reduce(a + b) == a[: len(a) - len(b)]
+                   for a, b in pairs)
+        assert any(len(b) > len(a) > 0 and free_reduce(a + b) == b[len(a):]
+                   for a, b in pairs)
 
 
 class TestPresentation:

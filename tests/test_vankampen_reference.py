@@ -17,12 +17,15 @@ from braidmono import (
     braid_monodromy,
     delta_word,
     full_twist,
+    hurwitz_move,
+    hurwitz_move_inverse,
     invert,
     presentation,
     regenerate,
 )
 from braidmono.factorization import expand
-from conftest import random_generic_arrangement, random_word
+from braidmono.textio import format_factorization, parse_factorization
+from conftest import random_generic_arrangement, random_word, standard_b3_factorization
 
 
 def _substitute_reference(word, images):
@@ -152,3 +155,70 @@ class TestPresentationAgainstReference:
         assert any("cuspidal" in str(w.message) for w in record)
         assert pres.relators == presentation_reference(fact)
         assert pres.relators
+
+    def test_reordered_factors(self, rng):
+        # presentation walks the conjugators in sorted order; the relators
+        # must still come in factor order with first-seen dedup
+        for n in (3, 4, 5, 6):
+            fact = braid_monodromy(random_generic_arrangement(rng, n))
+            factors = list(fact.factors)
+            rng.shuffle(factors)
+            for order in (fact.factors[::-1], tuple(factors)):
+                assert_same_relators(Factorization(fact.strands, order))
+
+    def test_branching_conjugators(self, rng):
+        # conjugators drawn as random prefixes of a few words plus a short
+        # tail, so their trie branches at many depths and later conjugators
+        # resume above where the one before them started
+        for m in (3, 4):
+            gens = [i for i in range(-(m - 1), m) if i != 0]
+            stems = [tuple(rng.choice(gens) for _ in range(6)) for _ in range(3)]
+            factors = []
+            for _ in range(30):
+                stem = rng.choice(stems)[: rng.randint(0, 6)]
+                tail = tuple(rng.choice(gens) for _ in range(rng.randint(0, 2)))
+                low = rng.randint(1, m - 1)
+                base = HalfTwist(m, low, rng.randint(low + 1, m))
+                factors.append(StructuredFactor(BraidWord(m, stem + tail), base, rng.randint(1, 2)))
+            assert_same_relators(Factorization(m, tuple(factors)))
+
+    def test_long_unshared_conjugators(self, rng):
+        # Walks leave long conjugators that share little; the text round
+        # trip drops the carried raw forms.  In B_4 the images grow
+        # exponentially along a walk (past 200 letters after 15 moves), so
+        # the sweep's walk is short.
+        sweep = braid_monodromy(random_generic_arrangement(rng, 4))
+        for fact, moves in ((standard_b3_factorization(), 150), (sweep, 12)):
+            for _ in range(moves):
+                k = rng.randint(1, len(fact.factors) - 1)
+                fact = (hurwitz_move if rng.random() < 0.5 else hurwitz_move_inverse)(fact, k)
+            fact = parse_factorization(format_factorization(fact))
+            assert max(len(f.conjugator.letters) for f in fact.factors) > 20
+            assert_same_relators(fact)
+
+    def test_unreduced_and_empty_conjugators(self):
+        fact = parse_factorization(
+            "strands 4\nfactors 6\n"
+            "conj= s1 S1 s2 ; base= 1 2 ; exp= 1\n"
+            "conj= ; base= 2 3 ; exp= 2\n"
+            "conj= s2 ; base= 3 4 ; exp= 1\n"
+            "conj= s3 s2 S2 S3 s2 ; block= 1 3 ; exp= 2\n"
+            "conj= ; base= 1 4 ; exp= 1\n"
+            "conj= s1 S1 ; base= 1 2 ; exp= 1\n"
+        )
+        assert fact.factors[0].conjugator.letters == (1, -1, 2)
+        assert_same_relators(fact)
+
+    def test_duplicate_factors(self, rng):
+        fact = braid_monodromy(_pencil_arrangement())
+        doubled = Factorization(fact.strands, fact.factors + fact.factors[::2])
+        assert_same_relators(doubled)
+        arr = random_generic_arrangement(rng, 4)
+        fact = regenerate(braid_monodromy(arr))
+        assert_same_relators(Factorization(fact.strands, fact.factors * 2))
+
+    def test_smallest_inputs(self):
+        e = BraidWord.identity(2)
+        assert_same_relators(Factorization(2, (StructuredFactor(e, HalfTwist(2, 1, 2), 1),)))
+        assert_same_relators(Factorization(2, ()))
+        assert_same_relators(Factorization(5, ()))
