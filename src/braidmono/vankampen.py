@@ -193,13 +193,9 @@ def presentation(fact: Factorization) -> Presentation:
             for i, image in enumerate(images, 1)
             if image != (i,)
         )
-    relators: list[FreeWord] = []
-    seen = set()
-    for letters in chain.from_iterable(factor_relators):
-        if letters not in seen:
-            seen.add(letters)
-            relators.append(FreeWord(letters))
-    return Presentation(m, tuple(relators))
+    # dict keys keep the first-seen order
+    unique = dict.fromkeys(chain.from_iterable(factor_relators))
+    return Presentation(m, tuple(map(FreeWord, unique)))
 
 
 def _common_prefix(p: tuple[int, ...], q: tuple[int, ...]) -> int:
