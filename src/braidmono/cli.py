@@ -29,7 +29,7 @@ import warnings
 from . import factorization as fz
 from . import regeneration as rg
 from . import textio
-from .arrangements import ArrangementError, braid_monodromy
+from .arrangements import ArrangementError, braid_monodromy, degree_check
 from .braid import BraidError
 from .garside import normal_form
 from .vankampen import abelianization_rank, presentation
@@ -68,13 +68,11 @@ def _cmd_equal(args) -> int:
 def _cmd_monodromy(args) -> int:
     arr = textio.parse_arrangement(_read(args.arrangement))
     fact = braid_monodromy(arr, expand_blocks=args.expand_blocks)
-    # The factors' degrees are the local degrees k(k-1), so this is
-    # degree_check's sum without a second sweep.
-    achieved, target = fact.degree(), arr.m * (arr.m - 1)
+    report = degree_check(arr)
     comments = [
         f"braid monodromy of {arr.m} lines, {len(fact.factors)} factors",
-        f"degree {achieved} of {target}"
-        + (f", deficit {target - achieved} (parallel lines)" if achieved != target else ""),
+        f"degree {report.achieved} of {report.target}"
+        + (f", deficit {report.deficit} (parallel lines)" if report.deficit else ""),
     ]
     sys.stdout.write(textio.format_factorization(fact, comments))
     return 0

@@ -37,7 +37,7 @@ Raw forms live on the factor records: each carries its conjugator's and
 its element's `(delta_power, factor_ids)` with the inverses, filled on
 first use or handed over by whoever built it (a Hurwitz move, the sweep,
 regeneration), and they die with the record.  The searches use their per-call
-`_MoveTable`; no module-level table remains but the small `_core_raws` LRU.
+`_MoveTable`; no module-level table remains but the small `_core_raw` LRU.
 """
 
 from __future__ import annotations
@@ -205,7 +205,7 @@ def _conjugator_raws(factor: Factor) -> tuple[_Raw, _Raw]:
 
 
 @lru_cache(maxsize=4096)
-def _core_raws(factor_core: tuple) -> tuple[_Raw, _Raw]:
+def _core_raw(factor_core: tuple) -> _Raw:
     kind, strands, low, high, exponent = factor_core
     if kind == "halftwist":
         base_word = half_twist_word(HalfTwist(strands, low, high))
@@ -215,7 +215,7 @@ def _core_raws(factor_core: tuple) -> tuple[_Raw, _Raw]:
     raw = RAW_IDENTITY
     for _ in range(exponent):
         raw = raw_multiply(strands, raw, base)
-    return raw, raw_inverse(strands, raw)
+    return raw
 
 
 def _core_key(factor: Factor) -> tuple:
@@ -242,7 +242,7 @@ def _factor_raws(factor: Factor) -> tuple[_Raw, _Raw]:
     if pair is None:
         m = factor.strands
         conj, conj_inv = _conjugator_raws(factor)
-        core, _ = _core_raws(_core_key(factor))
+        core = _core_raw(_core_key(factor))
         element = raw_multiply(m, raw_multiply(m, conj, core), conj_inv)
         pair = (element, raw_inverse(m, element))
         object.__setattr__(factor, "_element_raws", pair)
@@ -257,6 +257,8 @@ class Factorization:
     factors: tuple[Factor, ...] = ()
 
     def __post_init__(self) -> None:
+        if self.strands < 1:
+            raise BraidError(f"strand count must be positive, got {self.strands}")
         for f in self.factors:
             if f.strands != self.strands:
                 raise BraidError("factor strand count differs from factorization")
@@ -289,7 +291,7 @@ def _product_raw(fact: Factorization) -> _Raw:
     for f in fact.factors:
         conj, conj_inv = _conjugator_raws(f)
         out = raw_multiply(m, out, raw_multiply(m, carried, conj))
-        out = raw_multiply(m, out, _core_raws(_core_key(f))[0])
+        out = raw_multiply(m, out, _core_raw(_core_key(f)))
         carried = conj_inv
     return raw_multiply(m, out, carried)
 
@@ -491,43 +493,34 @@ def hurwitz_equivalent(
     if k1 == k2:
         return EquivalenceResult(Verdict.EQUIVALENT, moves=(), explored=0)
 
-    # parent maps: state -> (parent_state, move) with move the step applied
-    # at the parent, in that side's own forward orientation.
-    sides = (
-        {"seen": {k1: (None, None)}, "frontier": deque([k1])},
-        {"seen": {k2: (None, None)}, "frontier": deque([k2])},
-    )
+    # parent maps: state -> (parent state, move applied at the parent, in
+    # that side's own forward orientation), None at the root.
+    seen = ({k1: None}, {k2: None})
+    frontiers = (deque([k1]), deque([k2]))
     stored = 2
 
-    def path_to_root(side: int, key: tuple) -> list[tuple[int, int]]:
+    def path_to_root(parents: dict, key: tuple) -> list[tuple[int, int]]:
         moves = []
-        while True:
-            parent, move = sides[side]["seen"][key]
-            if parent is None:
-                return moves
+        while parents[key] is not None:
+            key, move = parents[key]
             moves.append(move)
-            key = parent
+        return moves
 
-    def certificate(meet: tuple) -> tuple[tuple[int, int], ...]:
-        fwd = list(reversed(path_to_root(0, meet)))
-        back = [(k, -d) for (k, d) in path_to_root(1, meet)]
-        return tuple(fwd + back)
-
-    while sides[0]["frontier"] and sides[1]["frontier"]:
-        side = 0 if len(sides[0]["frontier"]) <= len(sides[1]["frontier"]) else 1
-        other = 1 - side
-        frontier = sides[side]["frontier"]
+    while frontiers[0] and frontiers[1]:
+        side = 0 if len(frontiers[0]) <= len(frontiers[1]) else 1
+        mine, theirs, frontier = seen[side], seen[1 - side], frontiers[side]
         for _ in range(len(frontier)):
             key = frontier.popleft()
             for move, nkey in table.neighbors(key):
-                if nkey in sides[side]["seen"]:
+                if nkey in mine:
                     continue
-                sides[side]["seen"][nkey] = (key, move)
+                mine[nkey] = (key, move)
                 stored += 1
-                if nkey in sides[other]["seen"]:
+                if nkey in theirs:
+                    back = [(k, -d) for k, d in path_to_root(seen[1], nkey)]
                     return EquivalenceResult(
                         Verdict.EQUIVALENT,
-                        moves=certificate(nkey),
+                        moves=tuple(path_to_root(seen[0], nkey)[::-1] + back),
                         explored=stored,
                     )
                 frontier.append(nkey)

@@ -25,9 +25,11 @@ plus slicing, at C speed, linear in the two images.
 c z c^-1 reads c^-1 first, so the images after that half depend only on
 the prefix of the freely reduced conjugator c.  The sorted conjugators are
 a depth-first walk of their prefix trie: each walk resumes from the images
-at its common prefix with the one before it, and copies of the m images
-are kept only at the depths where a later walk resumes, while the walk is
-below them.  Each factor then finishes with its core z and with c.  A
+at its common prefix with the one before it.  Those images are the top of
+a stack of snapshots: a walk first pops the snapshots deeper than its
+start, and it pushes a copy of the m images at each depth where some walk
+starts, the only depths a later walk can resume from.  Each factor then
+finishes with its core z and with c.  A
 factorization thus costs one letter step per edge of its conjugators' trie
 and per letter of every core and conjugator, where a pass per factor costs
 two per conjugator letter.  A sweep's conjugators extend one another, so
@@ -155,6 +157,10 @@ class Presentation:
     relators: tuple[FreeWord, ...]
 
     def __post_init__(self) -> None:
+        if self.generator_count < 0:
+            raise BraidError(
+                f"generator count must not be negative, got {self.generator_count}"
+            )
         for rel in self.relators:
             for letter in rel.letters:
                 if not (1 <= abs(letter) <= self.generator_count):
@@ -186,13 +192,33 @@ def presentation(fact: Factorization) -> Presentation:
             "fixed-loop relations",
             stacklevel=2,
         )
-    factor_relators = [()] * len(fact.factors)
-    for index, images in _factor_images(fact):
+    conjugators = [free_reduce(f.conjugator.letters) for f in fact.factors]
+    order = sorted(range(len(conjugators)), key=conjugators.__getitem__)
+    starts = [0] + [_common_prefix(conjugators[p], conjugators[q])
+                    for p, q in zip(order, order[1:])]
+    resumed = set(starts)
+    # (depth, images after that many letters of c^-1) along the path of the
+    # previous conjugator; the walk of c resumes from the top one.
+    snapshots = [(0, [(i,) for i in range(1, m + 1)])]
+    factor_relators = [()] * len(conjugators)
+    for index, start in zip(order, starts):
+        c = conjugators[index]
+        while snapshots[-1][0] > start:
+            snapshots.pop()
+        top, images = snapshots[-1]
+        images = list(images)
+        for depth in range(top + 1, len(c) + 1):
+            _act(images, (-c[depth - 1],))
+            if depth in resumed:
+                snapshots.append((depth, list(images)))
+        _act(images, reversed(fact.factors[index].core_word().letters))
+        _act(images, reversed(c))
         factor_relators[index] = tuple(
             image[:-1] if image[-1] == i else image + (-i,)
             for i, image in enumerate(images, 1)
             if image != (i,)
         )
+    del snapshots, conjugators  # free the walk before the dedup, where the call peaks
     # dict keys keep the first-seen order
     unique = dict.fromkeys(chain.from_iterable(factor_relators))
     return Presentation(m, tuple(map(FreeWord, unique)))
@@ -205,48 +231,6 @@ def _common_prefix(p: tuple[int, ...], q: tuple[int, ...]) -> int:
             break
         n += 1
     return n
-
-
-def _factor_images(fact: Factorization):
-    """Yield (index, images of x_1..x_m under the factor's word) for every
-    factor, grouped by freely reduced conjugator c in sorted order.  The
-    walk over c^-1, read as -c[0], -c[1], ..., resumes from the images at
-    the common prefix with the previous c (see the module docstring)."""
-    by_conjugator: dict[tuple[int, ...], list[int]] = {}
-    for index, factor in enumerate(fact.factors):
-        c = free_reduce(factor.conjugator.letters)
-        by_conjugator.setdefault(c, []).append(index)
-    keys = sorted(by_conjugator)
-    starts = [_common_prefix(p, q) for p, q in zip([()] + keys, keys)]
-    # Walk j starts at depth starts[j] > 0 on the path of the nearest
-    # earlier walk with a smaller start, which is the walk that read the
-    # letters up to that depth; `shallower` holds the candidates.
-    copy_at: list[set[int]] = [set() for _ in keys]
-    shallower: list[int] = []
-    for j, depth in enumerate(starts):
-        while shallower and starts[shallower[-1]] >= depth:
-            shallower.pop()
-        if depth:
-            copy_at[shallower[-1]].add(depth)
-        shallower.append(j)
-    # The copies on the path of the current walk, by increasing depth; a
-    # deeper copy is dead once a walk starts above it.
-    copies = [(0, [(i,) for i in range(1, fact.strands + 1)])]
-    for c, start, depths in zip(keys, starts, copy_at):
-        while copies[-1][0] > start:
-            copies.pop()
-        images = list(copies[-1][1])
-        done = start
-        for depth in sorted(depths):
-            _act(images, map(neg, c[done:depth]))
-            copies.append((depth, list(images)))
-            done = depth
-        _act(images, map(neg, c[done:]))
-        for index in by_conjugator[c]:
-            finished = list(images)
-            _act(finished, reversed(fact.factors[index].core_word().letters))
-            _act(finished, reversed(c))
-            yield index, finished
 
 
 def _smith_diagonal(matrix: list[list[int]]) -> list[int]:

@@ -2,10 +2,11 @@
 
     PYTHONPATH=src python tests/golden/make_records.py
 
-The inputs are drawn from fixed seeds.  Each record line is `command file
-exit-code sha256-of-stdout`, taken by running `braidmono.cli.main` in this
-process.  Run this only to change the records on purpose, and name the
-records that changed when you do.
+The inputs are drawn from fixed seeds, and the bad files are written out
+literally.  Each record line is `argv... exit-code sha256-of-stdout`, taken
+by running `braidmono.cli.main` in this process; an argument that names a
+file in this directory stands for that file.  Run this only to change the
+records on purpose, and name the records that changed when you do.
 """
 
 import contextlib
@@ -28,10 +29,22 @@ from braidmono import (
     regenerate,
     singular_points,
 )
-from braidmono.textio import format_factorization
+from braidmono.textio import format_arrangement, format_factorization
 
 HERE = Path(__file__).parent
 RECORDS = HERE / "records.txt"
+
+# One file per parse error path, then two strand counts that no braid group has.
+BAD = {
+    "bad_conj.fac": "strands 3\nfactors 1\nconj= s7 ; base= 1 2 ; exp= 1\n",
+    "bad_base.fac": "strands 3\nfactors 1\nconj= ; base= 1 ; exp= 1\n",
+    "no_factors.fac": "strands 3\n",
+    "bad_factors.fac": "strands 3\nfactors two\nconj= ; base= 1 2 ; exp= 1\n",
+    "empty.fac": "",
+    "bad_line.arr": "arrangement 2\nline 1 2\nline 3\n",
+    "strands_neg.fac": "strands -1\nfactors 0\n",
+    "strands_zero.fac": "strands 0\nfactors 0\n",
+}
 
 
 def generic_lines(rng: random.Random, m: int) -> LineArrangement:
@@ -55,10 +68,25 @@ def walk(fact: Factorization, rng: random.Random, moves: int) -> Factorization:
     return fact
 
 
-def inputs() -> dict[str, Factorization]:
+def arrangements() -> dict[str, LineArrangement]:
+    arrs = {f"lines{n}.arr": generic_lines(random.Random(f"golden/{n}"), n)
+            for n in (3, 4, 5, 6, 16)}
+    arrs["tangent12.arr"] = LineArrangement.from_pairs(
+        [(Fraction(i), Fraction(i * i)) for i in range(1, 13)])
+    pencil = [(Fraction(s), Fraction(0)) for s in (1, 2, 3)]
+    pencil += [(Fraction(s, 2), Fraction(5)) for s in (-3, -1, 5, 7)]
+    pencil += [(Fraction(-4), Fraction(-3, 2))]
+    arrs["pencil.arr"] = LineArrangement.from_pairs(pencil)
+    arrs["parallel.arr"] = LineArrangement.from_pairs(
+        [(Fraction(1), Fraction(0)), (Fraction(1), Fraction(3)),
+         (Fraction(-2), Fraction(1)), (Fraction(1, 3), Fraction(-2))])
+    return arrs
+
+
+def inputs(arrs: dict[str, LineArrangement]) -> dict[str, Factorization]:
     facts = {}
     for n in (3, 4, 5, 6, 16):
-        sweep = braid_monodromy(generic_lines(random.Random(f"golden/{n}"), n))
+        sweep = braid_monodromy(arrs[f"lines{n}.arr"])
         facts[f"sweep{n}.fac"] = sweep
         if n <= 6:  # the 16-line regeneration is a 448 KB file
             facts[f"regen{n}.fac"] = regenerate(sweep)
@@ -67,24 +95,50 @@ def inputs() -> dict[str, Factorization]:
     b3 = Factorization(3, tuple(StructuredFactor(e, (x1, x2)[i % 2]) for i in range(6)))
     facts["b3.fac"] = b3
     facts["b3walk.fac"] = walk(b3, random.Random("golden/walk"), 40)
-    facts["tangent12.fac"] = braid_monodromy(LineArrangement.from_pairs(
-        [(Fraction(i), Fraction(i * i)) for i in range(1, 13)]))
-    pencil = [(Fraction(s), Fraction(0)) for s in (1, 2, 3)]
-    pencil += [(Fraction(s, 2), Fraction(5)) for s in (-3, -1, 5, 7)]
-    pencil += [(Fraction(-4), Fraction(-3, 2))]
-    facts["pencil.fac"] = braid_monodromy(LineArrangement.from_pairs(pencil))
+    facts["tangent12.fac"] = braid_monodromy(arrs["tangent12.arr"])
+    facts["pencil.fac"] = braid_monodromy(arrs["pencil.arr"])
     return facts
 
 
+def commands(facts, arrs) -> list[list[str]]:
+    runs = [[command, name]
+            for command in ("vankampen", "check-delta2", "audit", "invariants")
+            for name in facts]
+    runs += [["hurwitz-equiv", "b3.fac", "b3walk.fac"],
+             ["hurwitz-equiv", "b3.fac", "b3walk.fac", "--budget", "50"],
+             ["hurwitz-equiv", "sweep3.fac", "regen3.fac"],
+             ["orbit", "b3.fac", "--budget", "300"],
+             ["orbit", "sweep4.fac", "--budget", "300"]]
+    for name in arrs:
+        runs += [["monodromy", name], ["monodromy", name, "--expand-blocks"]]
+    for name in BAD:
+        if name.endswith(".arr"):
+            runs.append(["monodromy", name])
+        elif name.startswith("strands_"):
+            runs += [[command, name] for command in
+                     ("vankampen", "check-delta2", "audit", "invariants")]
+            runs.append(["hurwitz-equiv", name, name])
+        else:
+            runs.append(["check-delta2", name])
+    return runs
+
+
 def main() -> None:
-    lines = []
-    for name, fact in inputs().items():
+    arrs = arrangements()
+    facts = inputs(arrs)
+    for name, arr in arrs.items():
+        (HERE / name).write_text(format_arrangement(arr), encoding="utf-8")
+    for name, fact in facts.items():
         (HERE / name).write_text(format_factorization(fact), encoding="utf-8")
+    for name, text in BAD.items():
+        (HERE / name).write_text(text, encoding="utf-8")
+    lines = []
+    for argv in commands(facts, arrs):
         out = io.StringIO()
-        with contextlib.redirect_stdout(out):
-            code = cli.main(["vankampen", str(HERE / name)])
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+            code = cli.main([str(HERE / a) if (HERE / a).is_file() else a for a in argv])
         digest = hashlib.sha256(out.getvalue().encode()).hexdigest()
-        lines.append(f"vankampen {name} {code} {digest}\n")
+        lines.append(f"{' '.join(argv)} {code} {digest}\n")
     RECORDS.write_text("".join(lines), encoding="utf-8")
 
 

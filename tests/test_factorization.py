@@ -40,6 +40,16 @@ def sf(m, a, b, exp=1, conj=()):
     return StructuredFactor(BraidWord(m, conj), HalfTwist(m, a, b), exp)
 
 
+class TestStrandCount:
+    @pytest.mark.parametrize("m", [0, -1])
+    def test_no_braid_group(self, m):
+        with pytest.raises(BraidError, match=f"strand count must be positive, got {m}"):
+            Factorization(m)
+
+    def test_one_strand(self):
+        assert Factorization(1).strands == 1
+
+
 class TestExpand:
     def test_plain_generator(self):
         assert expand(sf(2, 1, 2)).letters == (1,)
@@ -250,6 +260,15 @@ class TestEquivalence:
         )
         res = hurwitz_equivalent(b3_factorization, other)
         assert res.verdict is Verdict.NOT_EQUIVALENT
+
+    def test_class_label_witness(self):
+        # Z^1 Z^3 and Z^2 Z^2 in B_2 are both Z^4, with different labels
+        F = Factorization(2, (sf(2, 1, 2), sf(2, 1, 2, exp=3)))
+        G = Factorization(2, (sf(2, 1, 2, exp=2), sf(2, 1, 2, exp=2)))
+        assert product_nf(F) == product_nf(G)
+        res = hurwitz_equivalent(F, G)
+        assert res.verdict is Verdict.NOT_EQUIVALENT
+        assert res.witness == "factor class multisets differ"
 
     def test_product_witness_and_symmetry(self):
         F = Factorization(3, (sf(3, 1, 2), sf(3, 2, 3)))

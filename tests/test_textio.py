@@ -99,6 +99,11 @@ class TestFactorizationFormat:
         with pytest.raises(ParseError):
             parse_factorization("strands 2\nfactors 2\nconj= ; base= 1 2 ; exp= 1\n")
 
+    @pytest.mark.parametrize("m", [0, -1])
+    def test_strand_count_below_one(self, m):
+        with pytest.raises(ParseError, match=f"strand count must be positive, got {m}"):
+            parse_factorization(f"strands {m}\nfactors 0\n")
+
     def test_base_and_block_conflict(self):
         with pytest.raises(ParseError):
             parse_factorization(
@@ -173,6 +178,10 @@ class TestPresentationFormat:
     def test_generator_out_of_range(self):
         with pytest.raises(ParseError, match="relator letter 3 outside generators 1..2"):
             parse_presentation("gens 2\nx3\n")
+
+    def test_negative_generator_count(self):
+        with pytest.raises(ParseError, match="generator count must not be negative"):
+            parse_presentation("gens -1\n")
 
     def test_non_ascii_digit_token(self):
         with pytest.raises(ParseError) as exc:

@@ -3,6 +3,7 @@ import warnings
 import pytest
 
 from braidmono import (
+    BraidError,
     BraidWord,
     Factorization,
     FreeWord,
@@ -181,6 +182,11 @@ class TestPresentation:
     def test_relator_letters_validated(self):
         with pytest.raises(Exception):
             Presentation(2, (FreeWord((3,)),))
+
+    def test_generator_count_not_negative(self):
+        with pytest.raises(BraidError, match="generator count must not be negative, got -1"):
+            Presentation(-1, ())
+        assert abelianization_rank(Presentation(0, ())) == (0, ())
 
 
 class TestSmith:

@@ -6,6 +6,7 @@ must agree letter for letter."""
 import warnings
 from fractions import Fraction
 
+from braidmono import vankampen
 from braidmono import (
     BraidWord,
     Factorization,
@@ -16,6 +17,7 @@ from braidmono import (
     artin_images,
     braid_monodromy,
     delta_word,
+    free_reduce,
     full_twist,
     hurwitz_move,
     hurwitz_move_inverse,
@@ -222,3 +224,42 @@ class TestPresentationAgainstReference:
         assert_same_relators(Factorization(2, (StructuredFactor(e, HalfTwist(2, 1, 2), 1),)))
         assert_same_relators(Factorization(2, ()))
         assert_same_relators(Factorization(5, ()))
+
+
+
+def _trie_cost(fact):
+    """Edges of the conjugators' prefix trie plus the letters of every core
+    and conjugator."""
+    conjugators = [free_reduce(f.conjugator.letters) for f in fact.factors]
+    edges = {c[:d] for c in conjugators for d in range(1, len(c) + 1)}
+    return len(edges) + sum(len(f.core_word().letters) + len(c)
+                            for f, c in zip(fact.factors, conjugators))
+
+
+def test_one_letter_step_per_trie_edge(rng, monkeypatch):
+    # A walk that resumed from a snapshot shallower than its start, or
+    # re-read a shared prefix, would read more letters than this.
+    read = []
+    act = vankampen._act
+
+    def counting(images, letters):
+        letters = list(letters)
+        read.extend(letters)
+        act(images, letters)
+
+    monkeypatch.setattr(vankampen, "_act", counting)
+    facts = [standard_b3_factorization(), braid_monodromy(_pencil_arrangement())]
+    for n in (3, 4, 5, 6):
+        sweep = braid_monodromy(random_generic_arrangement(rng, n))
+        facts += [sweep, regenerate(sweep),
+                  Factorization(sweep.strands, sweep.factors[::-1] + sweep.factors[::2])]
+    walk = facts[0]
+    for _ in range(60):
+        k = rng.randint(1, len(walk.factors) - 1)
+        walk = (hurwitz_move if rng.random() < 0.5 else hurwitz_move_inverse)(walk, k)
+    for fact in facts + [walk]:
+        read.clear()
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            presentation(fact)
+        assert len(read) == _trie_cost(fact)
