@@ -31,8 +31,8 @@ from typing import Iterable
 
 from .braid import BraidError, BraidWord, HalfTwist, delta_word
 from .factorization import BlockFactor, Factor, Factorization, StructuredFactor
-from .factorization import _carrying, _conjugator_raws
-from .garside import RAW_IDENTITY, _pid, _strip_ids, raw_inverse
+from .factorization import _carrying, _conjugator_raw
+from .garside import raw_of_permutation
 
 
 class ArrangementError(ValueError):
@@ -86,7 +86,7 @@ class SingularPoint:
 @dataclasses.dataclass(frozen=True)
 class WiringDiagram:
     """Initial bottom-to-top line order at x -> -infinity plus the ordered
-    block-reversal events; this is all the monodromy computation consumes."""
+    block-reversal events of the sweep."""
 
     strands: int
     initial_order: tuple[int, ...]
@@ -167,11 +167,11 @@ def expand_block_factor(factor: BlockFactor) -> list[StructuredFactor]:
     taken with t ascending and s ascending within t.  The identity is exact
     in the subgroup, so the expansion leaves any surrounding product
     unchanged; each node factor inherits the block factor's conjugator,
-    with its raw forms.
+    with its raw form.
     """
     if factor.exponent != 2:
         raise BraidError("only full twists (exponent 2) expand into nodes")
-    conj = _conjugator_raws(factor)
+    conj = _conjugator_raw(factor)
     out = []
     for t in range(factor.low + 1, factor.high + 1):
         for s in range(factor.low, t):
@@ -198,31 +198,29 @@ def braid_monodromy(arr: LineArrangement, expand_blocks: bool = False) -> Factor
     m = arr.m
     if m < 2:
         raise ArrangementError("need at least 2 lines")
-    events = [p.block for p in singular_points(arr)]
-    # conj(idx) = conj(idx + 1) H_{idx+1}: each conjugator extends the one
-    # of the next point by that point's block half-twist.  Two lines cross
-    # at most once, so every conjugator is one permutation braid: its raw
-    # form is the running order with each block reversed, as one factor.
-    conjs: list[tuple[tuple[int, ...], tuple]] = [((), RAW_IDENTITY)]
+    # One pass from the base fiber leftwards, by conj(i) = conj(i+1) H_{i+1}:
+    # each conjugator extends the one of the point to its right by that
+    # point's block half-twist.  Two lines cross at most once, so every
+    # conjugator is one permutation braid, of the running order with each
+    # block reversed.
+    letters: tuple[int, ...] = ()
     images = list(range(1, m + 1))
-    for low, high in reversed(events[1:]):
-        images[low - 1 : high] = reversed(images[low - 1 : high])
-        letters = conjs[-1][0] + delta_word(m, low, high).letters
-        conjs.append((letters, _strip_ids([_pid(tuple(images))], m)))
-    conjs.reverse()
-    factors: list[Factor] = []
-    for (low, high), (letters, raw) in zip(events, conjs):
+    records: list[Factor] = []
+    for p in reversed(singular_points(arr)):
+        low, high = p.block
         conj = BraidWord(m, letters)
         if high == low + 1:
             factor = StructuredFactor(conj, HalfTwist(m, low, high), exponent=2)
         else:
             factor = BlockFactor(conj, low, high, exponent=2)
-        _carrying(factor, (raw, raw_inverse(m, raw)))
+        _carrying(factor, raw_of_permutation(m, images))
         if expand_blocks and high > low + 1:
-            factors.extend(expand_block_factor(factor))
+            records.extend(reversed(expand_block_factor(factor)))
         else:
-            factors.append(factor)
-    return Factorization(m, tuple(factors))
+            records.append(factor)
+        letters += delta_word(m, low, high).letters
+        images[low - 1 : high] = reversed(images[low - 1 : high])
+    return Factorization(m, tuple(reversed(records)))
 
 
 def degree_check(arr: LineArrangement) -> DegreeReport:

@@ -31,7 +31,7 @@ from . import regeneration as rg
 from . import textio
 from .arrangements import ArrangementError, braid_monodromy, degree_check
 from .braid import BraidError
-from .garside import normal_form
+from .garside import normal_form, words_equal
 from .vankampen import abelianization_rank, presentation
 
 
@@ -58,8 +58,6 @@ def _cmd_normal_form(args) -> int:
 def _cmd_equal(args) -> int:
     w1 = textio.parse_braid_word(_read(args.word1))
     w2 = textio.parse_braid_word(_read(args.word2))
-    from .garside import words_equal
-
     same = words_equal(w1, w2)
     print("true" if same else "false")
     return 0 if same else 1

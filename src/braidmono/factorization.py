@@ -33,11 +33,12 @@ canonical word of that form, on the first read of `conjugator` (directly
 or through eq, hash, repr, `dataclasses.replace` or the text format), so a
 walk that reads only the final records spells each word once.
 
-Raw forms live on the factor records: each carries its conjugator's and
-its element's `(delta_power, factor_ids)` with the inverses, filled on
-first use or handed over by whoever built it (a Hurwitz move, the sweep,
-regeneration), and they die with the record.  The searches use their per-call
-`_MoveTable`; no module-level table remains but the small `_core_raw` LRU.
+Raw forms `(delta_power, factor_ids)` live on the factor records and die
+with them: the conjugator's form, handed over through `_carrying` by whoever
+built the record (a Hurwitz move, the sweep, regeneration) or filled on
+first use, and the element's (form, inverse) pair, which both move
+directions reuse.  The searches use their per-call `_MoveTable`; the one
+module-level table is `_CORE_RAWS`, never evicted, like the kernel's.
 """
 
 from __future__ import annotations
@@ -45,7 +46,6 @@ from __future__ import annotations
 import dataclasses
 import enum
 from collections import deque
-from functools import lru_cache
 from typing import Iterable, Union
 
 from .braid import (
@@ -73,15 +73,16 @@ _Raw = tuple[int, tuple[int, ...]]
 
 
 class _CarriedRaws:
-    """A factor record's raw forms as (form, inverse) pairs, filled on first
-    use.  Not dataclass fields: eq, hash, repr and `replace` ignore them.
+    """A factor record's raw forms: its conjugator's form, and its element's
+    (form, inverse) pair, filled on first use.  Not dataclass fields: eq,
+    hash, repr and `replace` ignore them.
 
     A record built by a Hurwitz move holds its strand count but no
     `conjugator` until that is first read (by eq, hash, repr, `replace` or
     any caller); `__getattr__` then spells it from the carried form, once.
     """
 
-    _conj_raws: tuple[_Raw, _Raw] | None = None
+    _conj_raw: _Raw | None = None
     _element_raws: tuple[_Raw, _Raw] | None = None
     _strands: int = 0
 
@@ -91,7 +92,7 @@ class _CarriedRaws:
             raise AttributeError(
                 f"{type(self).__name__!r} object has no attribute {name!r}"
             )
-        word = BraidWord(m, raw_to_letters(m, self._conj_raws[0]))
+        word = BraidWord(m, raw_to_letters(m, self._conj_raw))
         object.__setattr__(self, "conjugator", word)
         return word
 
@@ -187,35 +188,30 @@ def expand(factor: Factor) -> BraidWord:
     return compose(factor.conjugator, factor.core_word(), invert(factor.conjugator))
 
 
-def _carrying(factor: Factor, conj: tuple[_Raw, _Raw]) -> Factor:
-    """`factor`, now carrying `conj` as its conjugator's (form, inverse)."""
-    object.__setattr__(factor, "_conj_raws", conj)
+def _carrying(factor: Factor, raw: _Raw) -> Factor:
+    """`factor`, now carrying `raw` as its conjugator's canonical form."""
+    object.__setattr__(factor, "_conj_raw", raw)
     return factor
 
 
-def _conjugator_raws(factor: Factor) -> tuple[_Raw, _Raw]:
-    """(canonical form, inverse canonical form) of a factor's conjugator."""
-    pair = factor._conj_raws
-    if pair is None:
-        m = factor.strands
-        raw = raw_of_word(m, free_reduce(factor.conjugator.letters))
-        pair = (raw, raw_inverse(m, raw))
-        _carrying(factor, pair)
-    return pair
-
-
-@lru_cache(maxsize=4096)
-def _core_raw(factor_core: tuple) -> _Raw:
-    kind, strands, low, high, exponent = factor_core
-    if kind == "halftwist":
-        base_word = half_twist_word(HalfTwist(strands, low, high))
-    else:
-        base_word = delta_word(strands, low, high)
-    base = raw_of_word(strands, base_word.letters)
-    raw = RAW_IDENTITY
-    for _ in range(exponent):
-        raw = raw_multiply(strands, raw, base)
+def _conjugator_raw(factor: Factor) -> _Raw:
+    """Canonical form of a factor's conjugator."""
+    raw = factor._conj_raw
+    if raw is None:
+        raw = raw_of_word(factor.strands, free_reduce(factor.conjugator.letters))
+        _carrying(factor, raw)
     return raw
+
+
+_CORE_RAWS: dict[tuple, _Raw] = {}
+
+
+def _core_raw(factor: Factor) -> _Raw:
+    """Canonical form of the factor's core, one entry per `_core_key`."""
+    key = _core_key(factor)
+    if key not in _CORE_RAWS:
+        _CORE_RAWS[key] = raw_of_word(factor.strands, factor.core_word().letters)
+    return _CORE_RAWS[key]
 
 
 def _core_key(factor: Factor) -> tuple:
@@ -241,9 +237,9 @@ def _factor_raws(factor: Factor) -> tuple[_Raw, _Raw]:
     pair = factor._element_raws
     if pair is None:
         m = factor.strands
-        conj, conj_inv = _conjugator_raws(factor)
-        core = _core_raw(_core_key(factor))
-        element = raw_multiply(m, raw_multiply(m, conj, core), conj_inv)
+        conj = _conjugator_raw(factor)
+        element = raw_multiply(m, conj, _core_raw(factor))
+        element = raw_multiply(m, element, raw_inverse(m, conj))
         pair = (element, raw_inverse(m, element))
         object.__setattr__(factor, "_element_raws", pair)
     return pair
@@ -289,10 +285,10 @@ def _product_raw(fact: Factorization) -> _Raw:
     m = fact.strands
     out = carried = RAW_IDENTITY
     for f in fact.factors:
-        conj, conj_inv = _conjugator_raws(f)
+        conj = _conjugator_raw(f)
         out = raw_multiply(m, out, raw_multiply(m, carried, conj))
-        out = raw_multiply(m, out, _core_raw(_core_key(f)))
-        carried = conj_inv
+        out = raw_multiply(m, out, _core_raw(f))
+        carried = raw_inverse(m, conj)
     return raw_multiply(m, out, carried)
 
 
@@ -325,24 +321,24 @@ def canonical_key(fact: Factorization) -> tuple:
 
 def _move(fact: Factorization, k: int, forward: bool) -> Factorization:
     """The Hurwitz move at 1-based position k.  The moved factor's record
-    carries its new conjugator's form and inverse and spells the word, as
-    the canonical word of that form, only when it is first read."""
+    carries its new conjugator's form and spells the word, as the canonical
+    word of that form, only when it is first read."""
     if not (1 <= k < len(fact.factors)):
         raise BraidError(f"move position {k} out of range 1..{len(fact.factors) - 1}")
     m = fact.strands
     a, b = fact.factors[k - 1], fact.factors[k]
     # a b a^-1 conjugates b's conjugator by a; b^-1 a b conjugates a's by b^-1.
     by, old = (_factor_raws(a)[0], b) if forward else (_factor_raws(b)[1], a)
-    conj = raw_multiply(m, by, _conjugator_raws(old)[0])
+    conj = raw_multiply(m, by, _conjugator_raw(old))
     # The core fields were validated when `old` was built, so the record is
-    # copied without __post_init__, dropping the raws of the old conjugator.
+    # copied without __post_init__, dropping the old conjugator's word and forms.
     moved = object.__new__(type(old))
     state = moved.__dict__
     state.update(old.__dict__)
     state.pop("conjugator", None)
     state.pop("_element_raws", None)
-    state["_conj_raws"] = (conj, raw_inverse(m, conj))
     state["_strands"] = m
+    _carrying(moved, conj)
     pair = (moved, a) if forward else (b, moved)
     return Factorization(m, fact.factors[: k - 1] + pair + fact.factors[k + 1 :])
 

@@ -383,6 +383,12 @@ def raw_of_word(m: int, letters: tuple[int, ...]):
     return _finish(m, out, twisted)
 
 
+def raw_of_permutation(m: int, images) -> tuple[int, tuple[int, ...]]:
+    """Raw form of the permutation braid of `images`, a permutation of
+    1..m: Delta itself, the identity, or one factor."""
+    return _strip_ids([_pid(tuple(images))], m)
+
+
 def raw_to_letters(m: int, raw: tuple[int, tuple[int, ...]]) -> tuple[int, ...]:
     p, fids = raw
     d = _lift_letters(_strands(m)[1])

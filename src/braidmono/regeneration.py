@@ -25,8 +25,7 @@ sigma_k to the positive crossing of the pairs (2k-1, 2k) and (2k+1, 2k+2).
 The three rules and the pass-through are one table, `_RULES`: a row per
 output factor gives its endpoint convention, its exponent and the power of
 the short twist Z_{jj'} that conjugates it, so a convention is a one-row
-change.  The one-sided node variant (two outputs, degree 2 -> 4) is gone:
-no closed form completes its output to Delta^2.
+change.
 
 The rewritten factorization is generally not yet a full-twist
 factorization: branch points that regenerate near infinity are invisible
@@ -153,19 +152,19 @@ def _apply(rule: Rule, factor: Factor) -> tuple[StructuredFactor, ...]:
     conj = IndexDoubling(factor.strands).word(factor.conjugator)
     m = conj.strands
     short = 2 * factor.base.high - 1  # Z_{jj'} is the generator joining j and j'
-    # The rows with no short twist share the cabled word, so they share its
-    # raw forms too, computed here once.
+    # Every row is handed its conjugator's form: the cabled word's, times
+    # Z_{jj'}^{+-1} in a twist row.
     raw = raw_of_word(m, conj.letters)
-    shared = (raw, raw_inverse(m, raw))
     out = []
     for low_prime, high_prime, out_exponent, twist in rows:
         base = double_halftwist(factor.base, low_prime, high_prime)
-        exponent = out_exponent or factor.exponent
+        word, form = conj, raw
         if twist:
-            word = BraidWord(m, free_reduce(conj.letters + (twist * short,)))
-            out.append(StructuredFactor(word, base, exponent))
-        else:
-            out.append(_carrying(StructuredFactor(conj, base, exponent), shared))
+            letter = (twist * short,)
+            word = BraidWord(m, free_reduce(conj.letters + letter))
+            form = raw_multiply(m, raw, raw_of_word(m, letter))
+        row = StructuredFactor(word, base, out_exponent or factor.exponent)
+        out.append(_carrying(row, form))
     return tuple(out)
 
 

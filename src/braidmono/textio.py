@@ -249,7 +249,10 @@ def parse_rules(text: str) -> dict[int, Rule]:
             rule = Rule(parts[1])
         except ValueError as exc:
             raise ParseError(f"unknown rule {parts[1]!r}", no) from exc
-        out[_int(parts[0], no, "rule index")] = rule
+        idx = _int(parts[0], no, "rule index")
+        if idx in out:
+            raise ParseError(f"repeated rule for factor {idx}", no)
+        out[idx] = rule
     return out
 
 

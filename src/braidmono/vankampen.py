@@ -175,21 +175,16 @@ def presentation(fact: Factorization) -> Presentation:
     every generator i the factor moves, duplicates removed.
 
     For a full-twist factorization these relations present the fundamental
-    group of the curve complement.  Inputs whose product is not the full
-    twist, and cuspidal factors (exponent 3 and up, whose local relations
-    classically take a different shape), are flagged with a warning but
-    still processed with the generic fixed-loop relations.
+    group of the curve complement, for every exponent: the fixed-loop
+    relators of a factor Z^e are its van Kampen relations, a = b for e = 1,
+    [a, b] for a node, aba = bab for a cusp and (ab)^2 = (ba)^2 for a
+    tangency.  An input whose product is not the full twist is flagged with
+    a warning but still processed.
     """
     m = fact.strands
     if not is_delta2_factorization(fact):
         warnings.warn(
             "product is not the full twist; presentation is formal",
-            stacklevel=2,
-        )
-    if any(getattr(f, "exponent", 0) >= 3 for f in fact.factors):
-        warnings.warn(
-            "cuspidal factors present (exponent >= 3); emitting generic "
-            "fixed-loop relations",
             stacklevel=2,
         )
     conjugators = [free_reduce(f.conjugator.letters) for f in fact.factors]

@@ -2,7 +2,8 @@
 
     PYTHONPATH=src python tests/golden/make_records.py
 
-The inputs are drawn from fixed seeds, and the bad files are written out
+The arrangements and factorizations are drawn from fixed seeds; the bad
+files, the braid words, the rules file and the tangency are written out
 literally.  Each record line is `argv... exit-code sha256-of-stdout`, taken
 by running `braidmono.cli.main` in this process; an argument that names a
 file in this directory stands for that file.  Run this only to change the
@@ -44,6 +45,20 @@ BAD = {
     "bad_line.arr": "arrangement 2\nline 1 2\nline 3\n",
     "strands_neg.fac": "strands -1\nfactors 0\n",
     "strands_zero.fac": "strands 0\nfactors 0\n",
+    "bad_token.word": "strands 3\ns1 x2\n",
+    "unknown_rule.rules": "0 IV\n",
+    "stray_index.rules": "6 pass\n",
+    "repeated_index.rules": "0 I\n0 pass\n",
+}
+
+# Braid words, a rules file and a one-factor tangency, written out literally.
+TEXT = {
+    "braid_a.word": "strands 3\ns1 s2 s1\n",
+    "braid_b.word": "strands 3\ns2 s1 s2\n",
+    "braid_c.word": "strands 3\ns1 s2 s1 s1\n",
+    "braid4.word": "strands 4\ns1 s2 s3\n",
+    "b3pass.rules": "0 pass\n1 pass\n2 pass\n3 pass\n",
+    "tangency.fac": "strands 2\nfactors 1\nconj= s1 ; base= 1 2 ; exp= 4\n",
 }
 
 
@@ -111,9 +126,20 @@ def commands(facts, arrs) -> list[list[str]]:
              ["orbit", "sweep4.fac", "--budget", "300"]]
     for name in arrs:
         runs += [["monodromy", name], ["monodromy", name, "--expand-blocks"]]
+    runs += [["normal-form", name] for name in TEXT if name.endswith(".word")]
+    runs += [["equal", "braid_a.word", name] for name in ("braid_b.word", "braid_c.word", "braid4.word")]
+    for name in ("sweep3.fac", "sweep4.fac"):
+        runs += [["regenerate", name], ["regenerate", name, "--complete-deficit", "--budget", "1000"]]
+    runs += [["regenerate", "tangency.fac"], ["regenerate", "tangency.fac", "--complete-deficit"],
+             ["regenerate", "b3.fac", "--rules", "b3pass.rules"],
+             ["regenerate", "b3.fac", "--rules", "b3pass.rules", "--complete-deficit", "--budget", "2000"]]
     for name in BAD:
         if name.endswith(".arr"):
             runs.append(["monodromy", name])
+        elif name.endswith(".word"):
+            runs += [["normal-form", name], ["equal", "braid_a.word", name]]
+        elif name.endswith(".rules"):
+            runs.append(["regenerate", "b3.fac", "--rules", name])
         elif name.startswith("strands_"):
             runs += [[command, name] for command in
                      ("vankampen", "check-delta2", "audit", "invariants")]
@@ -130,7 +156,7 @@ def main() -> None:
         (HERE / name).write_text(format_arrangement(arr), encoding="utf-8")
     for name, fact in facts.items():
         (HERE / name).write_text(format_factorization(fact), encoding="utf-8")
-    for name, text in BAD.items():
+    for name, text in {**BAD, **TEXT}.items():
         (HERE / name).write_text(text, encoding="utf-8")
     lines = []
     for argv in commands(facts, arrs):

@@ -1,0 +1,76 @@
+"""Module boundaries of the package, read from its source with `ast`.
+
+* The kernel's private names (permutation-id interning, per-id tables) stay
+  inside `garside.py`: no other module imports a `_`-name from it.
+* The raw forms a factor record carries are read and set only in
+  `factorization.py`: other modules hand a record its form through
+  `factorization._carrying` and read it through the functions there.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "braidmono"
+MODULES = sorted(SRC.glob("*.py"))
+RECORD_ATTRIBUTES = {"_conj_raw", "_element_raws", "_strands"}
+
+
+def tree(path: Path) -> ast.Module:
+    return ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+
+
+def private_garside_imports(module: ast.Module) -> list[str]:
+    out = []
+    for node in ast.walk(module):
+        source = (getattr(node, "module", None) or "").split(".")[-1]
+        if isinstance(node, ast.ImportFrom) and source == "garside":
+            out += [alias.name for alias in node.names if alias.name.startswith("_")]
+    return out
+
+
+def record_attribute_uses(module: ast.Module) -> list[str]:
+    """Attribute reads and writes of the record's raw-form slots, plus the
+    same names passed as strings (`object.__setattr__(f, "_conj_raw", ...)`)."""
+    out = []
+    for node in ast.walk(module):
+        if isinstance(node, ast.Attribute) and node.attr in RECORD_ATTRIBUTES:
+            out.append(f"line {node.lineno}: .{node.attr}")
+        elif isinstance(node, ast.Constant) and node.value in RECORD_ATTRIBUTES:
+            out.append(f"line {node.lineno}: {node.value!r}")
+    return out
+
+
+def test_modules_found():
+    names = {p.name for p in MODULES}
+    assert {"garside.py", "factorization.py", "arrangements.py", "regeneration.py"} <= names
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_garside_private_names_stay_in_garside(path):
+    if path.name == "garside.py":
+        return
+    assert private_garside_imports(tree(path)) == []
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_record_raw_forms_stay_in_factorization(path):
+    if path.name == "factorization.py":
+        return
+    assert record_attribute_uses(tree(path)) == []
+
+
+def test_the_checks_see_what_they_forbid():
+    """Both checks find the forbidden shapes in a made-up module."""
+    bad = ast.parse(
+        "from .garside import RAW_IDENTITY, _pid\n"
+        "from braidmono.garside import _strip_ids\n"
+        "x = f._conj_raw\n"
+        "g._element_raws = None\n"
+        "object.__setattr__(h, '_strands', 3)\n"
+    )
+    assert private_garside_imports(bad) == ["_pid", "_strip_ids"]
+    assert record_attribute_uses(bad) == [
+        "line 3: ._conj_raw", "line 4: ._element_raws", "line 5: '_strands'",
+    ]

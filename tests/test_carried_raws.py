@@ -1,10 +1,11 @@
 """Raw Garside forms carried by factor records.
 
-Each `StructuredFactor` / `BlockFactor` carries its conjugator's and its
-element's raw forms, filled on first use or handed over by the sweep and
-the Hurwitz moves.  These tests check the handed-over forms against the
-spelled words, that the forms never leak into identity or into a rebuilt
-record, and that they die with their record.
+Each `StructuredFactor` / `BlockFactor` carries its conjugator's form,
+handed over by its producer (the sweep, `expand_block_factor`, a Hurwitz
+move, every regeneration row) or filled on first use, and its element's
+form with that form's inverse.  These tests check every handed-over form
+against the spelled word, that the forms never leak into identity or into
+a rebuilt record, and that they die with their record.
 """
 
 import gc
@@ -16,6 +17,7 @@ import pytest
 
 import braidmono.factorization as fz
 from braidmono import (
+    BlockFactor,
     BraidWord,
     Factorization,
     HalfTwist,
@@ -31,6 +33,8 @@ from braidmono import (
     is_delta2_factorization,
     regenerate,
 )
+from braidmono import regeneration as rg
+from braidmono.arrangements import expand_block_factor
 from braidmono.garside import raw_inverse, raw_of_word
 from braidmono.textio import format_factorization, parse_factorization
 from conftest import random_generic_arrangement, standard_b3_factorization
@@ -61,32 +65,60 @@ class TestSweepHandOver:
         for arr in sweep_inputs():
             m = arr.m
             for f in braid_monodromy(arr, expand_blocks=expand_blocks).factors:
-                carried = f._conj_raws
+                carried = f._conj_raw
                 assert carried is not None
-                assert carried[0] == raw_of_word(m, free_reduce(f.conjugator.letters))
-                assert carried[1] == raw_of_word(m, invert(f.conjugator).letters)
+                assert carried == raw_of_word(m, free_reduce(f.conjugator.letters))
+                assert raw_inverse(m, carried) == raw_of_word(m, invert(f.conjugator).letters)
 
-    def test_block_nodes_share_the_block_pair(self):
+    def test_block_nodes_share_the_block_form(self):
         pencil = LineArrangement.from_pairs([(s, 0) for s in range(1, 5)] + [(-1, 7)])
         blocks = braid_monodromy(pencil).factors
         nodes = braid_monodromy(pencil, expand_blocks=True).factors
         assert is_delta2_factorization(Factorization(pencil.m, nodes))
-        pairs = {f.conjugator: f._conj_raws for f in blocks}
+        forms = {f.conjugator: f._conj_raw for f in blocks}
         for f in nodes:
-            assert f._conj_raws == pairs[f.conjugator]
+            assert f._conj_raw == forms[f.conjugator]
+
+    @pytest.mark.parametrize("carried", [False, True])
+    def test_expand_block_factor_hands_over_the_form(self, carried):
+        """Each node carries the block's conjugator form, whether the block
+        was handed one or fills it from its word."""
+        conj = BraidWord(5, (2, -1, 3, 4, -2))
+        block = BlockFactor(conj, 2, 5)
+        if carried:
+            fz._conjugator_raw(block)
+        nodes = expand_block_factor(block)
+        assert len(nodes) == 6
+        want = raw_of_word(5, free_reduce(conj.letters))
+        assert block._conj_raw == want
+        assert all(node._conj_raw is block._conj_raw for node in nodes)
 
 
 class TestMovedForms:
     def test_moved_conjugator_is_the_spelled_one(self):
-        fact = walk(standard_b3_factorization(), random.Random(11), 200)
-        for f in fact.factors:
-            if f._conj_raws is not None:
-                assert f._conj_raws[0] == raw_of_word(3, f.conjugator.letters)
+        """Each move hands the moved record the form of its new conjugator,
+        a c_b forward and b^-1 c_a inverse, here spelled from words."""
+        rng = random.Random(11)
+        fact = standard_b3_factorization()
+        for _ in range(200):
+            k = rng.randint(1, len(fact.factors) - 1)
+            a, b = fact.factors[k - 1], fact.factors[k]
+            if rng.random() < 0.5:
+                fact = hurwitz_move(fact, k)
+                word = fz.expand(a).letters + b.conjugator.letters
+                moved = fact.factors[k - 1]
+            else:
+                fact = hurwitz_move_inverse(fact, k)
+                word = invert(fz.expand(b)).letters + a.conjugator.letters
+                moved = fact.factors[k]
+            assert "conjugator" not in vars(moved)
+            assert moved._conj_raw == raw_of_word(3, free_reduce(word))
+            assert moved._conj_raw == raw_of_word(3, moved.conjugator.letters)
 
     def test_key_survives_a_text_round_trip(self):
         fact = walk(standard_b3_factorization(), random.Random(5), 500)
         reread = parse_factorization(format_factorization(fact))
-        assert all(f._conj_raws is None and f._element_raws is None for f in reread.factors)
+        assert all(f._conj_raw is None and f._element_raws is None for f in reread.factors)
         assert canonical_key(reread) == canonical_key(fact)
         assert is_delta2_factorization(reread)
 
@@ -95,36 +127,71 @@ class TestMovedForms:
         fz._factor_raws(f)
         w = BraidWord(3, (1, -2, 1))
         g = f.with_conjugator(w)
-        assert g._conj_raws is None and g._element_raws is None
-        assert fz._conjugator_raws(g)[0] == raw_of_word(3, w.letters)
-        assert fz._conjugator_raws(g)[0] != fz._conjugator_raws(f)[0]
+        assert g._conj_raw is None and g._element_raws is None
+        assert fz._conjugator_raw(g) == raw_of_word(3, w.letters)
+        assert fz._conjugator_raw(g) != fz._conjugator_raw(f)
         want = raw_of_word(3, free_reduce(w.letters + f.core_word().letters + invert(w).letters))
         assert fz._factor_raws(g)[0] == want
 
 
+def regeneration_inputs():
+    rng = random.Random(8)
+    facts = [
+        braid_monodromy(random_generic_arrangement(rng, n), expand_blocks=True)
+        for n in (2, 3, 4, 5)
+    ]
+    # a branch point and a tangency with conjugated cores, for rules I and III
+    conj = BraidWord(3, (2, -1, 2))
+    facts.append(Factorization(3, (
+        StructuredFactor(conj, HalfTwist(3, 1, 3), 1),
+        StructuredFactor(conj, HalfTwist(3, 2, 3), 4),
+    )))
+    return facts
+
+
 class TestRegenerationHandOver:
-    def test_rows_carry_the_cabled_pair(self):
-        rng = random.Random(8)
-        facts = [
-            braid_monodromy(random_generic_arrangement(rng, n), expand_blocks=True)
-            for n in (2, 3, 4, 5)
-        ]
-        # a branch point and a tangency with conjugated cores, for rules I and III
-        conj = BraidWord(3, (2, -1, 2))
-        facts.append(Factorization(3, (
-            StructuredFactor(conj, HalfTwist(3, 1, 3), 1),
-            StructuredFactor(conj, HalfTwist(3, 2, 3), 4),
-        )))
-        for fact in facts:
-            out = regenerate(fact).factors
+    def test_every_row_carries_its_form(self):
+        """Every row of every rule, the pass-through and the Rule III twist
+        rows included, carries the form of its spelled conjugator; the rows
+        on the cabled word share one form."""
+        rules_seen = set()
+        for fact in regeneration_inputs():
             m = 2 * fact.strands
-            carried = [f for f in out if f._conj_raws is not None]
-            assert len(carried) >= len(fact.factors)
-            for f in carried:
-                raw = raw_of_word(m, free_reduce(f.conjugator.letters))
-                assert f._conj_raws == (raw, raw_inverse(m, raw))
-            # the rows of one input factor share one pair
-            assert len({id(f._conj_raws) for f in carried}) == len(fact.factors)
+            for factor in fact.factors:
+                cabled = rg.IndexDoubling(fact.strands).word(factor.conjugator)
+                for rule in (rg._RULE_BY_EXPONENT[factor.exponent], rg.Rule.PASS):
+                    rules_seen.add(rule)
+                    rows = rg._apply(rule, factor)
+                    assert len(rows) == len(rg._RULES[rule][1])
+                    for row in rows:
+                        assert row._conj_raw is not None
+                        spelled = free_reduce(row.conjugator.letters)
+                        assert row._conj_raw == raw_of_word(m, spelled)
+                    plain = [row for row in rows if row.conjugator == cabled]
+                    assert len({id(row._conj_raw) for row in plain}) == 1
+                    if rule is rg.Rule.TANGENCY:
+                        assert len(plain) == 1  # the other two are twist rows
+        assert rules_seen == set(rg.Rule)
+
+    def test_the_cabled_word_is_normalized_once(self, monkeypatch):
+        """A factor's rows normalize its cabled word once; a twist row adds
+        one letter, and the product reads every row's carried form."""
+        seen = []
+
+        def counting(m, letters):
+            seen.append(len(letters))
+            return raw_of_word(m, letters)
+
+        fact = regeneration_inputs()[-1]
+        cabled = [rg.IndexDoubling(3).word(f.conjugator) for f in fact.factors]
+        monkeypatch.setattr(rg, "raw_of_word", counting)
+        monkeypatch.setattr(fz, "raw_of_word", counting)
+        fz._CORE_RAWS.clear()
+        out = regenerate(fact)
+        assert seen == [len(cabled[0]), len(cabled[1]), 1, 1]
+        seen.clear()
+        canonical_key(out)
+        assert len(seen) == len({fz._core_key(f) for f in out.factors})
 
 
 class TestIdentity:

@@ -53,7 +53,7 @@ def eager_twin(factor):
     """The record a spelling move would build, made without reading
     `factor.conjugator`."""
     m = factor.strands
-    word = BraidWord(m, raw_to_letters(m, factor._conj_raws[0]))
+    word = BraidWord(m, raw_to_letters(m, factor._conj_raw))
     if isinstance(factor, StructuredFactor):
         return StructuredFactor(word, factor.base, factor.exponent)
     return BlockFactor(word, factor.low, factor.high, factor.exponent)
@@ -76,7 +76,7 @@ class TestMovedRecords:
         for f in moved:
             m = f.strands
             assert is_lazy(f)  # reading strands does not spell
-            assert f.conjugator == BraidWord(m, raw_to_letters(m, f._conj_raws[0]))
+            assert f.conjugator == BraidWord(m, raw_to_letters(m, f._conj_raw))
             assert not is_lazy(f)
 
     def test_identity_matches_eager_records(self, start, seed):

@@ -210,3 +210,11 @@ class TestRulesFormat:
         with pytest.raises(ParseError) as exc:
             parse_rules("0 II\n\u00b2 I\n")
         assert exc.value.line == 2
+
+    @pytest.mark.parametrize("text", ["0 II\n0 pass\n", "0 II\n# note\n1 I\n00 II\n"])
+    def test_repeated_index(self, text):
+        """A second line for one factor is an error naming that line, not a
+        silent override."""
+        with pytest.raises(ParseError, match="repeated rule for factor 0") as exc:
+            parse_rules(text)
+        assert exc.value.line == len(text.splitlines())

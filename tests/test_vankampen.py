@@ -1,3 +1,4 @@
+import itertools
 import warnings
 
 import pytest
@@ -153,7 +154,10 @@ class TestPresentation:
         with pytest.warns(UserWarning, match="not the full twist"):
             presentation(F)
 
-    def test_warns_on_cusps(self):
+    def test_no_cusp_warning(self):
+        """A cusp factor's fixed-loop relators are its van Kampen relation
+        (see `test_fixed_loop_relators_are_the_local_relations`), so only
+        the product is flagged."""
         F = Factorization(
             2,
             (
@@ -161,9 +165,12 @@ class TestPresentation:
                 StructuredFactor(BraidWord.identity(2), HalfTwist(2, 1, 2), 1),
             ),
         )
-        with pytest.warns(UserWarning) as record:
+        with warnings.catch_warnings(record=True) as record:
+            warnings.simplefilter("always")
             presentation(F)
-        assert any("cuspidal" in str(w.message) for w in record)
+        assert [str(w.message) for w in record] == [
+            "product is not the full twist; presentation is formal"
+        ]
 
     def test_generic_arrangement_abelianization(self, rng):
         for m in range(2, 7):
@@ -223,3 +230,44 @@ class TestSmith:
             diag = _smith_diagonal([row[:] for row in mat])
             for a, b in zip(diag, diag[1:]):
                 assert b % a == 0
+
+
+def _solutions(relators, n):
+    """The pairs (a, b) of S_n with every relator trivial at x1 = a, x2 = b."""
+    ident = tuple(range(n))
+
+    def value(word, gens):
+        out = ident
+        for letter in word:
+            g = gens[abs(letter) - 1]
+            if letter < 0:
+                g = tuple(sorted(ident, key=g.__getitem__))
+            out = tuple(g[i] for i in out)
+        return out
+
+    perms = list(itertools.permutations(ident))
+    return {
+        (a, b) for a in perms for b in perms
+        if all(value(r, (a, b)) == ident for r in relators)
+    }
+
+
+@pytest.mark.parametrize("exponent, relation, counts", [
+    (1, (1, -2), (6, 24)),                                   # a = b
+    (2, (1, 2, -1, -2), (18, 120)),                          # ab = ba
+    (3, (1, 2, 1, -2, -1, -2), (12, 96)),                    # aba = bab
+    (4, (1, 2, 1, 2, -1, -2, -1, -2), (30, 312)),            # (ab)^2 = (ba)^2
+])
+def test_fixed_loop_relators_are_the_local_relations(exponent, relation, counts):
+    """For one factor sigma_1^e in B_2 the fixed-loop relators and the van
+    Kampen relation of that singularity have the same solutions in S_3 and
+    in S_4."""
+    core = StructuredFactor(BraidWord.identity(2), HalfTwist(2, 1, 2), exponent)
+    fact = Factorization(2, (core,))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        relators = [r.letters for r in presentation(fact).relators]
+    for n, count in zip((3, 4), counts):
+        solutions = _solutions(relators, n)
+        assert solutions == _solutions([relation], n)
+        assert len(solutions) == count
