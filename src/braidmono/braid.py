@@ -248,7 +248,8 @@ def parse_letters(tokens: Sequence[str]) -> tuple[int, ...]:
     """Parse `s<k>` / `S<k>` generator tokens into signed letters."""
     letters = []
     for tok in tokens:
-        if len(tok) < 2 or tok[0] not in "sS" or not tok[1:].isdigit():
+        # isascii: str.isdigit and int also take non-ASCII digits
+        if len(tok) < 2 or tok[0] not in "sS" or not (tok.isascii() and tok[1:].isdigit()):
             raise BraidError(f"bad generator token {tok!r}")
         k = int(tok[1:])
         if k < 1:

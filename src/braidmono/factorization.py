@@ -73,9 +73,10 @@ _Raw = tuple[int, tuple[int, ...]]
 
 
 class _CarriedRaws:
-    """A factor record's raw forms: its conjugator's form, and its element's
-    (form, inverse) pair, filled on first use.  Not dataclass fields: eq,
-    hash, repr and `replace` ignore them.
+    """The base of both factor records.  It holds a record's raw forms: its
+    conjugator's form, and its element's (form, inverse) pair, filled on
+    first use.  Not dataclass fields: eq, hash, repr and `replace` ignore
+    them.
 
     A record built by a Hurwitz move holds its strand count but no
     `conjugator` until that is first read (by eq, hash, repr, `replace` or
@@ -95,6 +96,21 @@ class _CarriedRaws:
         word = BraidWord(m, raw_to_letters(m, self._conj_raw))
         object.__setattr__(self, "conjugator", word)
         return word
+
+    def with_conjugator(self, conjugator: BraidWord) -> Factor:
+        """The same core under another conjugator, validated, with no
+        carried form."""
+        return dataclasses.replace(self, conjugator=conjugator)
+
+    def class_label(self) -> tuple:
+        """(kind, [width,] exponent, cycle type); the cycle type is taken
+        from the core, which conjugation cannot change.  A width-2 block is
+        the band half-twist (low, low+1), so it takes the half-twist label;
+        Hurwitz-equivalent tuples share labels."""
+        cyc = _core_cycle_type(_core_key(self))
+        if isinstance(self, StructuredFactor) or self.width == 2:
+            return ("halftwist", self.exponent, cyc)
+        return ("blocktwist", self.width, self.exponent, cyc)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -121,15 +137,6 @@ class StructuredFactor(_CarriedRaws):
     def degree(self) -> int:
         """Exponent sum of the denoted word (conjugation-invariant)."""
         return self.exponent
-
-    def with_conjugator(self, conjugator: BraidWord) -> StructuredFactor:
-        return StructuredFactor(conjugator, self.base, self.exponent)
-
-    def class_label(self) -> tuple:
-        """(kind, exponent, cycle type); cycle type taken from the core,
-        which conjugation cannot change."""
-        cyc = _core_cycle_type(_core_key(self))
-        return ("halftwist", self.exponent, cyc)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -167,17 +174,6 @@ class BlockFactor(_CarriedRaws):
 
     def degree(self) -> int:
         return self.exponent * self.width * (self.width - 1) // 2
-
-    def with_conjugator(self, conjugator: BraidWord) -> BlockFactor:
-        return BlockFactor(conjugator, self.low, self.high, self.exponent)
-
-    def class_label(self) -> tuple:
-        """A width-2 block is the band half-twist (low, low+1), so it takes
-        the half-twist label; Hurwitz-equivalent tuples share labels."""
-        cyc = _core_cycle_type(_core_key(self))
-        if self.width == 2:
-            return ("halftwist", self.exponent, cyc)
-        return ("blocktwist", self.width, self.exponent, cyc)
 
 
 Factor = Union[StructuredFactor, BlockFactor]

@@ -40,8 +40,17 @@ class ParseError(ValueError):
         super().__init__(f"{message}{where}")
 
 
+def _digits(text: str) -> bool:
+    """Nonempty and ASCII digits only: `str.isdigit` and `int` also take
+    non-ASCII digits, and `int` takes `+2` and `1_000`."""
+    return text.isascii() and text.isdigit()
+
+
 def _int(token: str, no: int, what: str) -> int:
+    """An ASCII integer `-?[0-9]+`."""
     try:
+        if not _digits(token.removeprefix("-")):
+            raise ValueError(token)
         return int(token)
     except ValueError as exc:
         raise ParseError(f"bad integer {token!r} in {what}", no) from exc
@@ -177,7 +186,12 @@ def format_factorization(fact: Factorization, header_comments: Iterable[str] = (
 
 
 def _parse_rational(token: str, no: int) -> Fraction:
+    """An ASCII integer or `p/q` fraction, `-?[0-9]+(/[0-9]+)?`; `Fraction`
+    alone would also take decimals and exponents, and expand `1e99999999`."""
+    num, slash, den = token.partition("/")
     try:
+        if not _digits(num.removeprefix("-")) or slash and not _digits(den):
+            raise ValueError(token)
         return Fraction(token)
     except (ValueError, ZeroDivisionError) as exc:
         raise ParseError(f"bad rational {token!r}", no) from exc

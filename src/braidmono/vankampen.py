@@ -36,10 +36,13 @@ two per conjugator letter.  A sweep's conjugators extend one another, so
 their trie is small: 119 edges for 7,140 conjugator letters on a random
 16-line arrangement.
 
-Abelianization of a presentation is computed exactly: the relators' exponent
-matrix over the integers is put in Smith normal form by elementary row and
-column operations (arbitrary-precision arithmetic, no pivots lost), giving
-the free rank and torsion coefficients.
+Abelianization of a presentation is computed exactly: the Smith normal form
+of the relators' exponent matrix over the integers gives the free rank and
+the torsion coefficients.  Only the matrix's distinct nonzero rows enter,
+and each elimination step pivots on an entry of least absolute value, so
+the entries stay small.  A fixed-loop relator beta(x_i) x_i^-1 has exponent
+vector e_j - e_i with j = pi^-1(i), so a van Kampen presentation gives few
+distinct rows.
 """
 
 from __future__ import annotations
@@ -229,74 +232,50 @@ def _common_prefix(p: tuple[int, ...], q: tuple[int, ...]) -> int:
 
 
 def _smith_diagonal(matrix: list[list[int]]) -> list[int]:
-    """Diagonal of the Smith normal form of an integer matrix, via exact
-    elementary row/column operations with divisibility fix-up."""
-    mat = [row[:] for row in matrix]
-    rows = len(mat)
-    cols = len(mat[0]) if mat else 0
+    """Nonzero diagonal of the Smith normal form of an integer matrix, as a
+    divisibility chain, by least-pivot elimination on its distinct nonzero
+    rows (duplicate and zero rows span nothing new).
+
+    Each step moves an entry of least absolute value to the corner, then
+    clears the corner's column by row operations and its row by column
+    operations, with floor division.  A remainder left behind is a smaller
+    entry, and the step repeats.  If the corner does not divide some entry
+    left, that entry's row is added to the corner's and the step repeats.
+    Otherwise the corner's absolute value is recorded and its row and
+    column are dropped.
+    """
+    rows = [list(row) for row in dict.fromkeys(map(tuple, matrix)) if any(row)]
     diag: list[int] = []
-    r = 0
-    while r < min(rows, cols):
-        # find the nonzero pivot of least magnitude in the remaining block
-        best = None
-        for i in range(r, rows):
-            for j in range(r, cols):
-                v = mat[i][j]
-                if v and (best is None or abs(v) < abs(mat[best[0]][best[1]])):
-                    best = (i, j)
-        if best is None:
-            break
-        bi, bj = best
-        mat[r], mat[bi] = mat[bi], mat[r]
-        for row in mat:
-            row[r], row[bj] = row[bj], row[r]
-        changed = True
-        while changed:
-            changed = False
-            for i in range(r + 1, rows):
-                if mat[i][r]:
-                    q = mat[i][r] // mat[r][r]
-                    for j in range(r, cols):
-                        mat[i][j] -= q * mat[r][j]
-                    if mat[i][r]:
-                        mat[r], mat[i] = mat[i], mat[r]
-                        changed = True
-            for j in range(r + 1, cols):
-                if mat[r][j]:
-                    q = mat[r][j] // mat[r][r]
-                    for i in range(r, rows):
-                        mat[i][j] -= q * mat[i][r]
-                    if mat[r][j]:
-                        for row in mat:
-                            row[r], row[j] = row[j], row[r]
-                        changed = True
-        pivot = abs(mat[r][r])
-        # divisibility: pivot must divide every remaining entry
-        fixed = False
-        for i in range(r + 1, rows):
-            for j in range(r + 1, cols):
-                if mat[i][j] % pivot:
-                    for jj in range(r, cols):
-                        mat[r][jj] += mat[i][jj]
-                    fixed = True
-                    break
-            if fixed:
-                break
-        if fixed:
+    while rows:
+        _, i, j = min((abs(v), i, j) for i, row in enumerate(rows)
+                      for j, v in enumerate(row) if v)
+        rows[0], rows[i] = rows[i], rows[0]
+        for row in rows:
+            row[0], row[j] = row[j], row[0]
+        top = rows[0]
+        p = top[0]
+        for row in rows[1:]:
+            q = row[0] // p
+            row[:] = [a - q * b for a, b in zip(row, top)]
+        for k in range(1, len(top)):
+            q = top[k] // p
+            for row in rows:
+                row[k] -= q * row[0]
+        if any(top[1:]) or any(row[0] for row in rows[1:]):
             continue
-        diag.append(pivot)
-        r += 1
+        stray = next((row for row in rows[1:] if any(v % p for v in row)), None)
+        if stray is not None:
+            top[:] = [a + b for a, b in zip(top, stray)]
+            continue
+        diag.append(abs(p))
+        rows = [row[1:] for row in rows[1:] if any(row)]
     return diag
 
 
 def abelianization_rank(pres: Presentation) -> tuple[int, tuple[int, ...]]:
-    """(free rank, torsion coefficients) of the abelianized group, from the
-    Smith normal form of the relator exponent matrix."""
+    """(free rank, torsion coefficients) of the abelianized group: the
+    generator count less the Smith diagonal's length, and the diagonal's
+    entries above 1."""
     m = pres.generator_count
-    matrix = [rel.exponent_vector(m) for rel in pres.relators]
-    if not matrix:
-        return m, ()
-    diag = _smith_diagonal(matrix)
-    nonzero = [d for d in diag if d != 0]
-    torsion = tuple(d for d in nonzero if d > 1)
-    return m - len(nonzero), torsion
+    diag = _smith_diagonal([rel.exponent_vector(m) for rel in pres.relators])
+    return m - len(diag), tuple(d for d in diag if d > 1)

@@ -43,6 +43,7 @@ BAD = {
     "bad_factors.fac": "strands 3\nfactors two\nconj= ; base= 1 2 ; exp= 1\n",
     "empty.fac": "",
     "bad_line.arr": "arrangement 2\nline 1 2\nline 3\n",
+    "exponent.arr": "arrangement 2\nline 1e99999999 0\nline 0 1\n",
     "strands_neg.fac": "strands -1\nfactors 0\n",
     "strands_zero.fac": "strands 0\nfactors 0\n",
     "bad_token.word": "strands 3\ns1 x2\n",

@@ -1,3 +1,5 @@
+import re
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -189,6 +191,11 @@ class TestTokens:
             parse_letters(["q2"])
         with pytest.raises(BraidError):
             parse_letters(["s"])
+
+    @pytest.mark.parametrize("token", ["s\u0663", "S\u00b2", "s1_0", "s+1", "s-1", "s 1", "\uff53\uff11"])
+    def test_only_ascii_digits(self, token):
+        with pytest.raises(BraidError, match=re.escape(repr(token))):
+            parse_letters([token])
 
 
 class TestValidation:

@@ -206,6 +206,28 @@ class TestCoreCycleType:
                             assert _core_cycle_type(key) == want, key
 
 
+@pytest.mark.parametrize("factor, label", [
+    (sf(4, 1, 3, exp=3), ("halftwist", 3, (2, 1, 1))),
+    (BlockFactor(BraidWord.identity(4), 2, 3, 1), ("halftwist", 1, (2, 1, 1))),
+    (BlockFactor(BraidWord.identity(4), 1, 3, 2), ("blocktwist", 3, 2, (1, 1, 1, 1))),
+])
+def test_with_conjugator_and_class_label(factor, label):
+    """Both record kinds share one `with_conjugator` and one `class_label`:
+    a moved record, which carries its conjugator's form, keeps its core and
+    label under a new conjugator, carries no form, and is validated."""
+    moved = hurwitz_move(Factorization(4, (sf(4, 1, 2), factor)), 1).factors[0]
+    assert moved._conj_raw is not None
+    w = BraidWord(4, (3, -1, 2))
+    fresh = moved.with_conjugator(w)
+    assert type(fresh) is type(factor) and fresh.conjugator == w
+    assert fresh == factor.with_conjugator(w)
+    assert fresh.core_word() == factor.core_word()
+    assert fresh._conj_raw is None and fresh._element_raws is None
+    assert factor.class_label() == moved.class_label() == fresh.class_label() == label
+    with pytest.raises(BraidError):
+        factor.with_conjugator(BraidWord.identity(2))
+
+
 class TestCanonicalKey:
     def test_deterministic(self, b3_factorization):
         assert canonical_key(b3_factorization) == canonical_key(b3_factorization)

@@ -1,3 +1,6 @@
+import re
+from fractions import Fraction
+
 import pytest
 
 from braidmono import (
@@ -161,6 +164,22 @@ class TestArrangementFormat:
         with pytest.raises(ParseError):
             parse_arrangement("arrangement 2\nline 1 0\nline 1 0\n")
 
+    @pytest.mark.parametrize("token", [
+        "0.5", "1e99999999", "1E3", "1_000", "+2", "\u0663", "1/2/3", "1/", "/2",
+        "1/-2", "-", "1/0", "3/00", "inf", "nan",
+    ])
+    def test_only_integers_and_fractions(self, token):
+        with pytest.raises(ParseError, match=re.escape(repr(token))) as exc:
+            parse_arrangement(f"arrangement 2\nline 0 1\nline {token} 0\n")
+        assert exc.value.line == 3
+
+    @pytest.mark.parametrize("token, value", [
+        ("-7", -7), ("007", 7), ("-0", 0), ("6/4", Fraction(3, 2)), ("-1/03", Fraction(-1, 3)),
+    ])
+    def test_integer_and_fraction_tokens(self, token, value):
+        arr = parse_arrangement(f"arrangement 2\nline 0 1\nline {token} 0\n")
+        assert (value, 0) in arr.lines
+
 
 class TestPresentationFormat:
     def test_roundtrip(self):
@@ -210,6 +229,20 @@ class TestRulesFormat:
         with pytest.raises(ParseError) as exc:
             parse_rules("0 II\n\u00b2 I\n")
         assert exc.value.line == 2
+
+    @pytest.mark.parametrize("token", ["1_000", "+1", "\u0663"])
+    def test_only_ascii_integers(self, token):
+        """`int` takes each of these; the grammar is ASCII `-?[0-9]+`."""
+        for text in (f"strands {token}\n", f"strands 3\nfactors {token}\n",
+                     f"strands 3\nfactors 1\nconj= ; base= 1 2 ; exp= {token}\n"):
+            with pytest.raises(ParseError):
+                parse_factorization(text)
+        with pytest.raises(ParseError):
+            parse_braid_word(f"strands {token}\n")
+        with pytest.raises(ParseError):
+            parse_presentation(f"gens {token}\n")
+        with pytest.raises(ParseError):
+            parse_rules(f"{token} II\n")
 
     @pytest.mark.parametrize("text", ["0 II\n0 pass\n", "0 II\n# note\n1 I\n00 II\n"])
     def test_repeated_index(self, text):

@@ -1,4 +1,6 @@
 import itertools
+import math
+import signal
 import warnings
 
 import pytest
@@ -223,13 +225,104 @@ class TestSmith:
         assert _smith_diagonal([[-2, 0], [0, -3]]) == [1, 6]
 
     def test_divisibility_chain(self, rng):
-        for _ in range(50):
-            rows = rng.randint(1, 4)
-            cols = rng.randint(1, 4)
-            mat = [[rng.randint(-9, 9) for _ in range(cols)] for _ in range(rows)]
-            diag = _smith_diagonal([row[:] for row in mat])
-            for a, b in zip(diag, diag[1:]):
-                assert b % a == 0
+        for size in (4, 8, 12):
+            for _ in range(50):
+                rows = rng.randint(1, size)
+                cols = rng.randint(1, size)
+                mat = [[rng.randint(-9, 9) for _ in range(cols)] for _ in range(rows)]
+                diag = _smith_diagonal([row[:] for row in mat])
+                for a, b in zip(diag, diag[1:]):
+                    assert b % a == 0
+
+    def test_determinantal_divisors(self, rng):
+        """s_k = d_k / d_(k-1), with d_k the gcd of the k x k minors, on
+        small matrices with zero rows, repeated rows and negative entries."""
+        for _ in range(600):
+            rows, cols = rng.randint(1, 4), rng.randint(1, 4)
+            mat = [[rng.choice((0, rng.randint(-12, 12))) for _ in range(cols)]
+                   for _ in range(rows)]
+            if rng.random() < 0.3:
+                mat[rng.randrange(rows)] = list(mat[0])
+            if rng.random() < 0.2:
+                mat[rng.randrange(rows)] = [0] * cols
+            assert _smith_diagonal([row[:] for row in mat]) == _invariant_factors(mat)
+
+    def test_scrambled_chain(self, rng):
+        """A chosen chain d_1 | d_2 | ... on the diagonal, scrambled by random
+        unimodular row and column operations, comes back unchanged."""
+        for _ in range(60):
+            rows, cols = rng.randint(1, 12), rng.randint(1, 10)
+            chain, d = [], 1
+            for _ in range(rng.randint(0, min(rows, cols))):
+                d *= rng.choice((1, 1, 2, 3, 5))
+                chain.append(d)
+            mat = [[chain[i] if i == j and i < len(chain) else 0 for j in range(cols)]
+                   for i in range(rows)]
+            for _ in range(40):
+                _unimodular_step(rng, mat)
+                transposed = [list(col) for col in zip(*mat)]
+                _unimodular_step(rng, transposed)
+                mat = [list(row) for row in zip(*transposed)]
+            assert _smith_diagonal(mat) == chain
+
+    def test_dense_matrix_in_bounded_time(self):
+        """A dense 8 x 6 matrix with entries of at most 40; an elimination
+        that does not return to the least entry grows its entries past
+        thousands of digits here."""
+        mat = [
+            [1, 25, 39, -39, -7, -21], [-15, -7, -29, -15, 25, -33],
+            [36, -16, 24, -37, 27, 6], [18, -24, 4, -19, -36, 4],
+            [37, -37, 9, 34, -16, -21], [1, 15, 17, -28, -38, -9],
+            [37, -22, -21, -9, 25, 5], [-2, 34, -38, -8, 4, -14],
+        ]
+
+        def too_slow(signum, frame):
+            raise TimeoutError("Smith form took more than 1 s")
+
+        previous = signal.signal(signal.SIGALRM, too_slow)
+        signal.setitimer(signal.ITIMER_REAL, 1.0)
+        try:
+            diag = _smith_diagonal(mat)
+        finally:
+            signal.setitimer(signal.ITIMER_REAL, 0)
+            signal.signal(signal.SIGALRM, previous)
+        assert diag == [1, 1, 1, 1, 2, 4] == _invariant_factors(mat)
+
+
+def _determinant(mat):
+    if not mat:
+        return 1
+    return sum((-1) ** j * v * _determinant([row[:j] + row[j + 1:] for row in mat[1:]])
+               for j, v in enumerate(mat[0]) if v)
+
+
+def _invariant_factors(mat):
+    """Nonzero invariant factors from the determinantal divisors."""
+    out, previous = [], 1
+    for k in range(1, min(len(mat), len(mat[0])) + 1):
+        d = 0
+        for rows in itertools.combinations(mat, k):
+            for cols in itertools.combinations(range(len(mat[0])), k):
+                d = math.gcd(d, _determinant([[row[j] for j in cols] for row in rows]))
+        if d == 0:
+            break
+        out.append(d // previous)
+        previous = d
+    return out
+
+
+def _unimodular_step(rng, mat):
+    """One random invertible integer row operation: a swap, a sign change
+    or adding a multiple of one row to another."""
+    i, j = rng.randrange(len(mat)), rng.randrange(len(mat))
+    kind = rng.randrange(3)
+    if kind == 0:
+        mat[i], mat[j] = mat[j], mat[i]
+    elif kind == 1:
+        mat[i] = [-v for v in mat[i]]
+    elif i != j:
+        q = rng.randint(-3, 3)
+        mat[i] = [a + q * b for a, b in zip(mat[i], mat[j])]
 
 
 def _solutions(relators, n):
