@@ -251,7 +251,10 @@ def parse_letters(tokens: Sequence[str]) -> tuple[int, ...]:
         # isascii: str.isdigit and int also take non-ASCII digits
         if len(tok) < 2 or tok[0] not in "sS" or not (tok.isascii() and tok[1:].isdigit()):
             raise BraidError(f"bad generator token {tok!r}")
-        k = int(tok[1:])
+        try:
+            k = int(tok[1:])
+        except ValueError:  # more digits than int converts
+            k = 0
         if k < 1:
             raise BraidError(f"bad generator index in token {tok!r}")
         letters.append(k if tok[0] == "s" else -k)

@@ -336,7 +336,9 @@ def _move(fact: Factorization, k: int, forward: bool) -> Factorization:
     state["_strands"] = m
     _carrying(moved, conj)
     pair = (moved, a) if forward else (b, moved)
-    return Factorization(m, fact.factors[: k - 1] + pair + fact.factors[k + 1 :])
+    out = object.__new__(Factorization)  # all factors have m strands: no check
+    out.__dict__.update(strands=m, factors=fact.factors[: k - 1] + pair + fact.factors[k + 1 :])
+    return out
 
 
 def hurwitz_move(fact: Factorization, k: int) -> Factorization:
@@ -392,9 +394,10 @@ class _MoveTable:
     in first-seen order, with their inverses and the memoized pair moves.
 
     `move(a, b, +1)` is the id of a b a^-1 and `move(a, b, -1)` the id of
-    b^-1 a b, the new factor of a forward and of an inverse Hurwitz move; a
-    table miss costs two `raw_multiply` calls, and one `raw_inverse` when
-    the result is an element not seen before.  The table belongs to one
+    b^-1 a b, the new factor of a forward and of an inverse Hurwitz move.
+    A new pair costs three products, one for both directions: a b, then
+    (a b) a^-1 and b^-1 (a b), interned in that order, and one
+    `raw_inverse` per element not seen before.  The table belongs to one
     call and grows with the states that call stores.
     """
 
@@ -405,7 +408,7 @@ class _MoveTable:
         self._ids: dict[_Raw, int] = {}
         self._raws: list[_Raw] = []
         self._inverses: list[_Raw] = []
-        self._moves: dict[tuple[int, int, int], int] = {}
+        self._moves: dict[tuple[int, int], tuple[int, int]] = {}
 
     def _intern(self, raw: _Raw, inverse: _Raw | None = None) -> int:
         i = self._ids.get(raw)
@@ -421,16 +424,13 @@ class _MoveTable:
         return tuple(self._intern(*_factor_raws(f)) for f in fact.factors)
 
     def move(self, a: int, b: int, direction: int) -> int:
-        key = (a, b, direction)
-        out = self._moves.get(key)
-        if out is None:
+        pair = self._moves.get((a, b))
+        if pair is None:
             m, raws, invs = self.m, self._raws, self._inverses
-            if direction > 0:
-                raw = raw_multiply(m, raw_multiply(m, raws[a], raws[b]), invs[a])
-            else:
-                raw = raw_multiply(m, raw_multiply(m, invs[b], raws[a]), raws[b])
-            out = self._moves[key] = self._intern(raw)
-        return out
+            ab = raw_multiply(m, raws[a], raws[b])
+            forward = self._intern(raw_multiply(m, ab, invs[a]))
+            pair = self._moves[a, b] = (forward, self._intern(raw_multiply(m, invs[b], ab)))
+        return pair[0] if direction > 0 else pair[1]
 
     def neighbors(
         self, state: tuple[int, ...]

@@ -24,21 +24,22 @@ seen gets a small integer id, and canonical forms travel through the kernel
 as `(delta_power, factor_id_tuple)` pairs; the public `NormalForm` with its
 `Permutation` factors is materialized only at API boundaries.
 
-Every product is formed by one step, `_push`, which multiplies a
-left-weighted factor list by one simple element in a single leftward pass
-of slides (Epstein et al., *Word Processing in Groups*, ch. 9).  Letters push
-sigma_i, or the positive part Delta sigma_i^-1 of sigma_i^-1; `raw_multiply`
-pushes the right operand's factors onto the left operand's.  Costs, for m
-strands:
+Every product is formed by one loop, `_push_all`, which multiplies a
+left-weighted factor list by a run of simple elements, each by one leftward
+pass of slides (the left-greedy step of Epstein et al., *Word Processing in
+Groups*, ch. 9).  `raw_multiply` runs it once on the right operand's
+factors; `raw_of_word` runs it once on the word's letters, sigma_i or the
+positive part Delta sigma_i^-1 of sigma_i^-1, with every Delta^-1 moved
+to the front.  Costs, for m strands:
 
 * a push costs one slide per pair it changes and drops trailing identities,
   so a word whose canonical length stays bounded (a sweep conjugator is a
   single permutation braid) normalizes in time linear in its letters;
 * a push of the last factor's complement, whose product with it is Delta,
   costs O(1) when that complement is already in `_RCOMP`: the factor is
-  popped and the twist count goes up by one, with no slide.  Most pushes of
-  a Hurwitz walk are such cancellations, of a conjugator against its
-  inverse;
+  popped and the twist count goes up by one, with no slide and no call.
+  Most pushes of a Hurwitz walk are such cancellations, in runs, of a
+  conjugator against its inverse;
 * a `slide` cache hit is one dict lookup.  A miss reads the descent masks
   of the two factors from the per-id tables, so it costs O(1) when no
   crossing can move; otherwise it costs O(m + crossings moved), with a few
@@ -280,46 +281,52 @@ def _strip_ids(factors: list[int], m: int) -> tuple[int, tuple[int, ...]]:
     return lo, tuple(factors[lo:hi])
 
 
-def _push(out: list[int], f: int, twisted: int, ident: int, w0: int) -> tuple[int, bool]:
-    """Multiply the left-weighted list `out`, which stands for
-    Delta^twisted tau^twisted(out), by the simple factor tau^twisted(f), in
-    place; `ident` and `w0` are the identity and Delta ids of the row.
+def _push_all(m: int, out: list[int], factors, weighted: bool, twisted: int = 0):
+    """Raw form of Delta^twisted tau^twisted(out) times the simple
+    `factors`, for a left-weighted list `out`, which is used up.
 
-    A slide that forms Delta ends the pass: carried on, the Delta would
-    reach the front and twist every factor it passes, so instead it is cut
-    out, the suffix right of the cut is twisted and `twisted` goes up by
-    one.  Trailing identities are popped; `out` may end empty.  Returns the
-    new twist count and whether any slide changed the list.
+    A factor enters as its tau^twisted-image.  If it is the complement of
+    the last factor (`_RCOMP`), the two make Delta: the last is popped and
+    `twisted` goes up by one, as the slide to (Delta, 1) and the cut would
+    do.  Otherwise it is appended and slid leftward
+    until a slide changes nothing.  A slide that forms Delta ends the pass:
+    carried on, the Delta would twist every factor on its way to the
+    front, so it is cut out, the suffix right of the cut is twisted and
+    `twisted` goes up by one.  Trailing identities are popped.  `weighted`
+    factors are left-weighted among themselves, so after a push that
+    changes nothing the rest is appended as it is.
     """
-    if out and _RCOMP[out[-1]] == f:
-        # The last factor times f is Delta: the slide would give (Delta, 1),
-        # the cut would remove the Delta and the identity would be popped.
-        out.pop()
-        return twisted + 1, True
-    out.append(f)
-    touched = False
-    for j in range(len(out) - 2, -1, -1):
-        a = out[j]
-        a2, b2 = _slide_ids(a, out[j + 1])
-        if a2 == a:
-            break
-        touched = True
-        if a2 == w0:
-            out[j + 1] = b2
-            out[j:] = _twist(out[j + 1 :])
+    ident, w0, _, _ = _strands(m)
+    rcomp, tau = _RCOMP, _TAU
+    for idx, f in enumerate(factors):
+        if twisted & 1:
+            t = tau[f]
+            f = t if t >= 0 else _tau_id(f)
+        if out and rcomp[out[-1]] == f:
+            out.pop()
             twisted += 1
+            continue
+        out.append(f)
+        touched = False
+        for j in range(len(out) - 2, -1, -1):
+            a = out[j]
+            a2, b2 = _slide_ids(a, out[j + 1])
+            if a2 == a:
+                break
+            touched = True
+            if a2 == w0:
+                out[j + 1] = b2
+                out[j:] = _twist(out[j + 1 :])
+                twisted += 1
+                break
+            out[j], out[j + 1] = a2, b2
+        while out and out[-1] == ident:
+            out.pop()
+        if weighted and not touched:
+            rest = factors[idx + 1 :]
+            out.extend(_twist(rest) if twisted & 1 else rest)
             break
-        out[j], out[j + 1] = a2, b2
-    while out and out[-1] == ident:
-        out.pop()
-    return twisted, touched
-
-
-def _finish(m: int, out: list[int], twisted: int) -> tuple[int, tuple[int, ...]]:
-    """The raw form of Delta^twisted tau^twisted(out)."""
-    if twisted & 1:
-        out = _twist(out)
-    shift, fids = _strip_ids(out, m)
+    shift, fids = _strip_ids(_twist(out) if twisted & 1 else out, m)
     return (twisted + shift, fids)
 
 
@@ -327,23 +334,11 @@ def raw_multiply(m: int, a: tuple[int, tuple[int, ...]], b: tuple[int, tuple[int
     """Raw form of the product a b (a first) of two raw forms in B_m.
 
     Delta^p L Delta^q R = Delta^(p+q) tau^q(L) R, so R's factors are pushed
-    onto tau^q(L).  After a push that changes nothing, the rest of R is
-    already left-weighted against the list and is appended as it is.
+    onto tau^q(L).
     """
     p, left = a
     q, right = b
-    ident, w0, _, _ = _strands(m)
-    out = _twist(left) if q & 1 else list(left)
-    twisted = 0
-    for idx, f in enumerate(right):
-        if twisted & 1:
-            f = _tau_id(f)
-        twisted, touched = _push(out, f, twisted, ident, w0)
-        if not touched:
-            rest = right[idx + 1 :]
-            out.extend(_twist(rest) if twisted & 1 else rest)
-            break
-    power, fids = _finish(m, out, twisted)
+    power, fids = _push_all(m, _twist(left) if q & 1 else list(left), right, True)
     return (p + q + power, fids)
 
 
@@ -363,24 +358,26 @@ def raw_inverse(m: int, a: tuple[int, tuple[int, ...]]):
 
 
 def raw_of_word(m: int, letters: tuple[int, ...]):
-    """Raw form of a word in B_m, one push per letter.
+    """Raw form of a word in B_m, its letters pushed in one pass.
 
-    sigma_i^-1 = Delta^-1 (Delta sigma_i^-1): the Delta^-1 joins the twist
-    count.  A push under an odd count takes the generator's twist, read
-    from the row by index: tau(sigma_i) = sigma_{m-i} and
-    tau(Delta sigma_i^-1) = Delta sigma_{m-i}^-1.
+    sigma_i^-1 = Delta^-1 (Delta sigma_i^-1) and x Delta^-1 = Delta^-1 tau(x).
+    With every Delta^-1 moved to the front, the part of letter t (sigma_i or
+    Delta sigma_i^-1) takes one twist per negative letter after it.  A
+    twisted part is read from the row by index: tau(sigma_i) = sigma_{m-i}
+    and tau(Delta sigma_i^-1) = Delta sigma_{m-i}^-1.
     """
-    ident, w0, gens, negs = _strands(m)
-    out: list[int] = []
-    twisted = 0
+    _, _, gens, negs = _strands(m)
+    parts = []
+    # Each part is twisted once per negative letter up to its own; when
+    # their count is odd, one more twist of all leaves one per letter after.
+    neg = 0
     for letter in letters:
         if letter > 0:
-            f = gens[m - letter] if twisted & 1 else gens[letter]
+            parts.append(gens[m - letter] if neg & 1 else gens[letter])
         else:
-            twisted -= 1
-            f = negs[m + letter] if twisted & 1 else negs[-letter]
-        twisted, _ = _push(out, f, twisted, ident, w0)
-    return _finish(m, out, twisted)
+            neg += 1
+            parts.append(negs[m + letter] if neg & 1 else negs[-letter])
+    return _push_all(m, [], _twist(parts) if neg & 1 else parts, False, -neg)
 
 
 def raw_of_permutation(m: int, images) -> tuple[int, tuple[int, ...]]:

@@ -197,6 +197,11 @@ class TestTokens:
         with pytest.raises(BraidError, match=re.escape(repr(token))):
             parse_letters([token])
 
+    def test_index_past_the_int_digit_limit(self):
+        token = "s" + "1" * 5000
+        with pytest.raises(BraidError, match="bad generator index in token"):
+            parse_letters([token])
+
 
 class TestValidation:
     def test_letter_out_of_range(self):

@@ -20,8 +20,9 @@ from braidmono import (
     hurwitz_move_inverse,
     orbit_enumerate,
 )
-from braidmono.garside import nf_from_raw
-from conftest import random_generic_arrangement, standard_b3_factorization
+from braidmono.braid import compose, invert
+from braidmono.garside import nf_from_raw, raw_inverse, raw_of_word
+from conftest import random_generic_arrangement, random_word, standard_b3_factorization
 
 # --- reference engine: every state a Factorization, every move spelled ----
 
@@ -187,3 +188,29 @@ def test_search_spells_no_words(monkeypatch, rng):
         monkeypatch.setattr(fz, name, forbidden)
     assert fz.hurwitz_equivalent(f1, f2) == want
     assert fz.orbit_enumerate(f1, budget=300).explored == 300
+
+
+@pytest.mark.parametrize("m", [3, 4, 5, 6])
+def test_move_table_against_words(rng, m):
+    """move(a, b, +1) is a b a^-1 and move(a, b, -1) is b^-1 a b.  A new
+    pair interns the forward result before the inverse one, whichever
+    direction is asked for first."""
+    table = fz._MoveTable(m)
+    both_new = 0
+    for trial in range(20):
+        wa, wb = random_word(rng, m, 20), random_word(rng, m, 20)
+        a = table._intern(raw_of_word(m, wa.letters))
+        b = table._intern(raw_of_word(m, wb.letters))
+        fresh = len(table._raws)
+        first = 1 if trial % 2 else -1
+        asked = {first: table.move(a, b, first)}
+        asked[-first] = table.move(a, b, -first)
+        forward, inverse = asked[1], asked[-1]
+        assert table._raws[forward] == raw_of_word(m, compose(wa, wb, invert(wa)).letters)
+        assert table._raws[inverse] == raw_of_word(m, compose(invert(wb), wa, wb).letters)
+        for i in (forward, inverse):
+            assert table._inverses[i] == raw_inverse(m, table._raws[i])
+        if min(forward, inverse) >= fresh and forward != inverse:
+            both_new += 1
+            assert (forward, inverse) == (fresh, fresh + 1)
+    assert both_new >= 10

@@ -1,5 +1,5 @@
 """The per-id `tau` and complement tables of the Garside kernel, the
-closed-form inverse built on them, and the cancel step of `_push`.
+closed-form inverse built on them, and the cancel step of the push loop.
 
 Table entries are filled on first use, so a product must come out the same
 whether the complements it meets are already in the table (the cancel step
@@ -13,7 +13,7 @@ import pytest
 import braidmono.garside as garside
 from braidmono.garside import RAW_IDENTITY, raw_inverse, raw_multiply, raw_of_word
 from conftest import random_word
-from test_kernel_reference import ref_raw_multiply
+from test_kernel_reference import ref_raw_from_letters, ref_raw_multiply
 
 
 def tau_formula(p):
@@ -125,19 +125,58 @@ class TestInverse:
 
 class TestCancelStep:
     def test_cancel_is_what_the_slide_gives(self, rng):
+        """A product that ends in a factor times its complement, first with
+        the complements cleared (the slide path), then filled (the cancel
+        path).  (a, f) times (C(f), tau C(a)) cancels f with no cut before
+        it, then a after one cut, so the entering id is twisted."""
         for f in perm_ids(rng):
             m = len(garside._PERM_TUPLES[f])
-            ident, w0, _, _ = garside._strands(m)
+            ident, w0, gens, _ = garside._strands(m)
             if f in (ident, w0):
                 continue
-            c = garside._rcomp_id(f)
-            for twisted in (0, 1):
-                filled = [f]
-                got = garside._push(filled, c, twisted, ident, w0)
+            a, f2 = garside._slide_ids(gens[rng.randrange(1, m)], f)
+            cases = [((0, (f,)), (0, (garside._rcomp_id(f),)), (1, ()))]
+            if a != w0 and f2 != ident:
+                right = (0, raw_inverse(m, (0, (a, f2)))[1])
+                cases.append(((0, (a, f2)), right, (2, ())))
+            clear_complements()
+            slid = [raw_multiply(m, x, y) for x, y, _ in cases]
+            for x, y, _ in cases:
+                raw_inverse(m, x)
+            assert garside._RCOMP[f] >= 0
+            filled = [raw_multiply(m, x, y) for x, y, _ in cases]
+            assert slid == filled == [want for _, _, want in cases]
+
+    @pytest.mark.parametrize("m", range(2, 9))
+    def test_cancellation_runs(self, rng, m):
+        """x times each prefix of x^-1: a run of 1 to k cancellations, then
+        the rest of x left as it is, against the reference kernel."""
+        for _ in range(10):
+            x = raw_of_word(m, random_word(rng, m, 40).letters)
+            q, inv = raw_inverse(m, x)
+            for j in range(1, len(inv) + 1):
+                y = (q, inv[:j])
+                want = ref_raw_multiply(m, x, y)
                 clear_complements()
-                slid = [f]
-                assert garside._push(slid, c, twisted, ident, w0) == got == (twisted + 1, True)
-                assert filled == slid == []
+                assert raw_multiply(m, x, y) == want
+                raw_inverse(m, x)
+                assert raw_multiply(m, x, y) == want
+
+    @pytest.mark.parametrize("m", [2, 3, 4])
+    def test_letters_with_many_inverses(self, rng, m):
+        """At m = 2, Delta sigma_1^-1 is the identity id and sigma_1 is
+        Delta, so an inverse letter pushes the identity, the complement of
+        a leading Delta."""
+        every_id = [garside._pid(p) for p in itertools.permutations(range(1, m + 1))]
+        for _ in range(60):
+            letters = tuple(rng.choice((-1, -1, -1, 1)) * rng.randint(1, m - 1)
+                            for _ in range(rng.randint(0, 30)))
+            want = ref_raw_from_letters(m, letters)
+            clear_complements()
+            assert raw_of_word(m, letters) == want
+            for f in every_id:
+                garside._rcomp_id(f)
+            assert raw_of_word(m, letters) == want
 
     @pytest.mark.parametrize("m", range(2, 10))
     def test_products_with_and_without_filled_complements(self, rng, m):
