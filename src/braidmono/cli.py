@@ -15,8 +15,9 @@ Command-line pipeline driver.
 
 `-` reads the file from standard input (and every command writes to
 standard output).  Exit status: 0 success / true / EQUIVALENT, 1 false /
-NOT_EQUIVALENT, 2 INCONCLUSIVE (budget exhausted), 3 malformed input or a
-usage error (a budget must be at least 1).  Output is deterministic:
+NOT_EQUIVALENT, 2 INCONCLUSIVE (budget exhausted), 3 malformed input, a
+usage error (a budget must be at least 1), a computation past one of the
+library's size caps, or running out of memory.  Output is deterministic:
 identical inputs and flags give identical bytes.
 """
 
@@ -258,6 +259,10 @@ def main(argv: list[str] | None = None) -> int:
     except (textio.ParseError, ArrangementError, rg.RegenerationError, BraidError,
             OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 3
+    except MemoryError:
+        # exit 1 would read as false / NOT_EQUIVALENT
+        print("error: out of memory", file=sys.stderr)
         return 3
 
 

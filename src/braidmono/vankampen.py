@@ -21,20 +21,19 @@ freely reduced images a and b.  Only the two junctions of such a product
 can cancel, so a letter costs one interpreted step per cancelled letter
 plus slicing, at C speed, linear in the two images.
 
-`presentation` shares work between factors.  The pass over a factor's word
-c z c^-1 reads c^-1 first, so the images after that half depend only on
-the prefix of the freely reduced conjugator c.  The sorted conjugators are
-a depth-first walk of their prefix trie: each walk resumes from the images
-at its common prefix with the one before it.  Those images are the top of
-a stack of snapshots: a walk first pops the snapshots deeper than its
-start, and it pushes a copy of the m images at each depth where some walk
-starts, the only depths a later walk can resume from.  Each factor then
-finishes with its core z and with c.  A
-factorization thus costs one letter step per edge of its conjugators' trie
-and per letter of every core and conjugator, where a pass per factor costs
-two per conjugator letter.  A sweep's conjugators extend one another, so
-their trie is small: 119 edges for 7,140 conjugator letters on a random
-16-line arrangement.
+`presentation` never passes over a factor's word c z c^-1 as a whole.
+With phi the automorphism w |-> w.c^-1 and y = w.c, the factor's
+fixed-loop relator at w is (w.(c z c^-1)) w^-1 = phi((y.z) y^-1), and y
+runs over F with w.  So the core's relators (x_j.z) x_j^-1, with each x_k
+replaced by x_k.c^-1, generate the same normal subgroup.  The images
+x_k.c^-1 depend only on the prefix of the freely reduced c, and the sorted
+conjugators are a depth-first walk of their prefix trie: each walk resumes
+from the images at its common prefix with the one before, the top of a
+stack of snapshots taken only at the depths where some walk starts.  A
+factorization costs one letter step per trie edge and per letter of each
+distinct core, plus one substitution per factor.  A sweep's conjugators
+extend one another, so their trie is small: 119 edges for 7,140
+conjugator letters on a random 16-line arrangement.
 
 Abelianization of a presentation is computed exactly: the Smith normal form
 of the relators' exponent matrix over the integers gives the free rank and
@@ -55,6 +54,13 @@ from typing import Iterable
 
 from .braid import BraidError, BraidWord, free_reduce
 from .factorization import Factorization, is_delta2_factorization
+
+# A letter step of the trie walk rewrites one image as a b a^-1 or b^-1 a b
+# of two images, so a step at this length copies up to three times as many
+# letters, a snapshot holds at most m times as many, and a core relator of
+# L letters substitutes into at most L times as many.  Images grow
+# exponentially along Hurwitz walks in B_4, so the walk stops here.
+MAX_IMAGE_LETTERS = 100_000
 
 
 @dataclasses.dataclass(frozen=True)
@@ -174,15 +180,15 @@ class Presentation:
 
 
 def presentation(fact: Factorization) -> Presentation:
-    """Relators artin_action(beta, i) x_i^-1 for every factor beta and
-    every generator i the factor moves, duplicates removed.
+    """For every factor c z c^-1 and generator x_j its core z moves, the
+    relator (x_j.z) x_j^-1 with each x_k replaced by x_k.c^-1, freely
+    reduced, duplicates removed: by the module docstring they generate the
+    normal subgroup of the factors' fixed-loop relators (x_i.beta) x_i^-1.
 
-    For a full-twist factorization these relations present the fundamental
-    group of the curve complement, for every exponent: the fixed-loop
-    relators of a factor Z^e are its van Kampen relations, a = b for e = 1,
-    [a, b] for a node, aba = bab for a cusp and (ab)^2 = (ba)^2 for a
-    tangency.  An input whose product is not the full twist is flagged with
-    a warning but still processed.
+    For a full-twist factorization they present the fundamental group of
+    the curve complement: a core Z^e gives its van Kampen relation, a = b
+    for e = 1, [a, b] for a node, aba = bab for a cusp and (ab)^2 = (ba)^2
+    for a tangency.  A product other than the full twist gets a warning.
     """
     m = fact.strands
     if not is_delta2_factorization(fact):
@@ -198,6 +204,7 @@ def presentation(fact: Factorization) -> Presentation:
     # (depth, images after that many letters of c^-1) along the path of the
     # previous conjugator; the walk of c resumes from the top one.
     snapshots = [(0, [(i,) for i in range(1, m + 1)])]
+    core_relators = {}
     factor_relators = [()] * len(conjugators)
     for index, start in zip(order, starts):
         c = conjugators[index]
@@ -207,15 +214,19 @@ def presentation(fact: Factorization) -> Presentation:
         images = list(images)
         for depth in range(top + 1, len(c) + 1):
             _act(images, (-c[depth - 1],))
+            k = abs(c[depth - 1]) - 1
+            if max(len(images[k]), len(images[k + 1])) > MAX_IMAGE_LETTERS:
+                raise BraidError(f"an image under a conjugator's inverse passed the cap "
+                                 f"of {MAX_IMAGE_LETTERS} letters of van Kampen's walk")
             if depth in resumed:
                 snapshots.append((depth, list(images)))
-        _act(images, reversed(fact.factors[index].core_word().letters))
-        _act(images, reversed(c))
-        factor_relators[index] = tuple(
-            image[:-1] if image[-1] == i else image + (-i,)
-            for i, image in enumerate(images, 1)
-            if image != (i,)
-        )
+        core = fact.factors[index].core_word()
+        if core.letters not in core_relators:
+            core_relators[core.letters] = [free_reduce(w.letters + (-i,)) for i, w in
+                                           enumerate(artin_images(core), 1) if w.letters != (i,)]
+        factor_relators[index] = [free_reduce(chain.from_iterable(
+            images[x - 1] if x > 0 else map(neg, reversed(images[-x - 1])) for x in r))
+            for r in core_relators[core.letters]]
     del snapshots, conjugators  # free the walk before the dedup, where the call peaks
     # dict keys keep the first-seen order
     unique = dict.fromkeys(chain.from_iterable(factor_relators))

@@ -5,15 +5,18 @@ import random
 import re
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from braidmono import Factorization, LineArrangement, degree_check, hurwitz_move
+from braidmono import (Factorization, LineArrangement, braid_monodromy, degree_check,
+                       hurwitz_move, hurwitz_move_inverse)
 from braidmono import cli
 from braidmono.cli import main
 from braidmono.textio import format_factorization
+from braidmono.vankampen import MAX_IMAGE_LETTERS
 from conftest import random_generic_arrangement, standard_b3_factorization
 
 THREE_GENERIC = "arrangement 3\nline 0 0\nline 1 0\nline 2 -1\n"
@@ -267,6 +270,38 @@ class TestErrors:
         captured = capsys.readouterr()
         assert code == 3 and captured.out == ""
         assert captured.err.startswith("error: ") and "utf-8" in captured.err
+
+    def test_memory_error_exit_3(self, files, capsys, monkeypatch):
+        # exit 1 would read as NOT_EQUIVALENT
+        def exhausted(*args, **kwargs):
+            raise MemoryError
+
+        monkeypatch.setattr(cli.fz, "hurwitz_equivalent", exhausted)
+        fac = files("b3.fac", B3_PAPER)
+        code = main(["hurwitz-equiv", fac, fac])
+        captured = capsys.readouterr()
+        assert code == 3 and captured.out == ""
+        assert captured.err == "error: out of memory\n"
+
+    def test_image_cap_exit_3(self, files, capsys):
+        # 30 random moves on a 4-line sweep leave a conjugator whose images
+        # under its inverse pass the cap; without it the walk took more than
+        # 1.5 GB and died with a MemoryError
+        rng = random.Random(1)
+        fact = braid_monodromy(random_generic_arrangement(rng, 4))
+        for _ in range(30):
+            k = rng.randint(1, len(fact.factors) - 1)
+            fact = (hurwitz_move if rng.random() < 0.5 else hurwitz_move_inverse)(fact, k)
+        fac = files("walk.fac", format_factorization(fact))
+        start = time.perf_counter()
+        code = main(["vankampen", fac])
+        assert time.perf_counter() - start < 1
+        captured = capsys.readouterr()
+        assert code == 3 and captured.out == ""
+        assert captured.err == (
+            f"error: an image under a conjugator's inverse passed the cap "
+            f"of {MAX_IMAGE_LETTERS} letters of van Kampen's walk\n"
+        )
 
 
 class TestUsage:
