@@ -17,15 +17,18 @@ Command-line pipeline driver.
 standard output).  Exit status: 0 success / true / EQUIVALENT, 1 false /
 NOT_EQUIVALENT, 2 INCONCLUSIVE (budget exhausted), 3 malformed input, a
 usage error (a budget must be at least 1), a computation past one of the
-library's size caps, or running out of memory.  Output is deterministic:
-identical inputs and flags give identical bytes.
+library's size caps, or running out of memory; 141 (128 + SIGPIPE) when the
+reader closes standard output early, with no message.  Output is
+deterministic: identical inputs and flags give identical bytes.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
+import functools
+import os
 import sys
-import warnings
 
 from . import factorization as fz
 from . import regeneration as rg
@@ -43,16 +46,12 @@ def _read(path: str) -> str:
         return fh.read()
 
 
-def _print_normal_form(nf) -> None:
+def _cmd_normal_form(args) -> int:
+    nf = normal_form(textio.parse_braid_word(_read(args.word)))
     print(f"strands {nf.strands}")
     print(f"delta {nf.delta_power}")
     for p in nf.canonical_factors:
         print("factor " + " ".join(str(v) for v in p.images))
-
-
-def _cmd_normal_form(args) -> int:
-    w = textio.parse_braid_word(_read(args.word))
-    _print_normal_form(normal_form(w))
     return 0
 
 
@@ -152,11 +151,9 @@ def _cmd_audit(args) -> int:
 
 def _cmd_vankampen(args) -> int:
     fact = textio.parse_factorization(_read(args.factorization))
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        pres = presentation(fact)
-    for warn in caught:
-        print(f"# warning: {warn.message}")
+    pres = presentation(fact)
+    if not fz.is_delta2_factorization(fact):
+        print("# warning: product is not the full twist; presentation is formal")
     rank, torsion = abelianization_rank(pres)
     print(f"# abelianization rank {rank}"
           + (f" torsion {' '.join(map(str, torsion))}" if torsion else ""))
@@ -182,8 +179,8 @@ def _cmd_invariants(args) -> int:
 
 def _budget(text: str) -> int:
     try:
-        value = int(text)
-    except ValueError:
+        value = textio._int(text, None, "--budget")
+    except textio.ParseError:
         raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
@@ -247,15 +244,24 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_parser = functools.cache(build_parser)  # built on main's first call; parse_args leaves it as is
+
+
 def main(argv: list[str] | None = None) -> int:
     try:
-        args = build_parser().parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         if not exc.code:
             raise  # --help
         return 3  # argparse printed the usage; its own status 2 means INCONCLUSIVE here
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed pipe raises here, not at interpreter exit
+        return code
+    except BrokenPipeError:  # the reader closed stdout: end with no message
+        with contextlib.suppress(AttributeError, OSError, ValueError):  # no descriptor
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())  # for the exit flush
+        return 141  # 128 + SIGPIPE
     except (textio.ParseError, ArrangementError, rg.RegenerationError, BraidError,
             OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -264,7 +270,3 @@ def main(argv: list[str] | None = None) -> int:
         # exit 1 would read as false / NOT_EQUIVALENT
         print("error: out of memory", file=sys.stderr)
         return 3
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -46,7 +46,7 @@ def _digits(text: str) -> bool:
     return text.isascii() and text.isdigit()
 
 
-def _int(token: str, no: int, what: str) -> int:
+def _int(token: str, no: int | None, what: str) -> int:
     """An ASCII integer `-?[0-9]+`."""
     try:
         if not _digits(token.removeprefix("-")):

@@ -1,11 +1,12 @@
 """
 Presentations of the complement's fundamental group from a factorization.
 
-The complement of a plane curve with braid monodromy factors beta_1..beta_n
-has fundamental group generated by one loop x_i per fiber point, modulo one
-relation per factor and moved generator: the braid action of the factor
-fixes the loop.  The braid group acts on the free group F(x_1..x_m) on the
-right, with sigma_k acting by
+The complement of a plane curve whose braid monodromy factors beta_1..beta_n
+multiply to the full twist has fundamental group generated by one loop x_i
+per fiber point, modulo one relation per factor and moved generator: the
+braid action of the factor fixes the loop.  `presentation` does not check
+the product; the CLI does.  The braid group acts on the free group
+F(x_1..x_m) on the right, with sigma_k acting by
 
     x_k |-> x_k x_{k+1} x_k^-1,   x_{k+1} |-> x_k,   others fixed,
 
@@ -47,13 +48,12 @@ distinct rows.
 from __future__ import annotations
 
 import dataclasses
-import warnings
 from itertools import chain
 from operator import neg
 from typing import Iterable
 
 from .braid import BraidError, BraidWord, free_reduce
-from .factorization import Factorization, is_delta2_factorization
+from .factorization import Factorization
 
 # A letter step of the trie walk rewrites one image as a b a^-1 or b^-1 a b
 # of two images, so a step at this length copies up to three times as many
@@ -185,17 +185,12 @@ def presentation(fact: Factorization) -> Presentation:
     reduced, duplicates removed: by the module docstring they generate the
     normal subgroup of the factors' fixed-loop relators (x_i.beta) x_i^-1.
 
-    For a full-twist factorization they present the fundamental group of
-    the curve complement: a core Z^e gives its van Kampen relation, a = b
-    for e = 1, [a, b] for a node, aba = bab for a cusp and (ab)^2 = (ba)^2
-    for a tangency.  A product other than the full twist gets a warning.
+    They present the fundamental group of the curve complement only when
+    `is_delta2_factorization(fact)` holds, which is not checked here: a
+    core Z^e gives its van Kampen relation, a = b for e = 1, [a, b] for a
+    node, aba = bab for a cusp and (ab)^2 = (ba)^2 for a tangency.
     """
     m = fact.strands
-    if not is_delta2_factorization(fact):
-        warnings.warn(
-            "product is not the full twist; presentation is formal",
-            stacklevel=2,
-        )
     conjugators = [free_reduce(f.conjugator.letters) for f in fact.factors]
     order = sorted(range(len(conjugators)), key=conjugators.__getitem__)
     starts = [0] + [_common_prefix(conjugators[p], conjugators[q])

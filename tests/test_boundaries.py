@@ -5,6 +5,9 @@
 * The raw forms a factor record carries are read and set only in
   `factorization.py`: other modules hand a record its form through
   `factorization._carrying` and read it through the functions there.
+* Only the command line talks to the user: no module but `cli.py` and
+  `__main__.py` imports `sys` or `warnings` or calls `print`.  The library
+  returns what it found, and the CLI decides what to print.
 """
 
 import ast
@@ -15,6 +18,7 @@ import pytest
 SRC = Path(__file__).resolve().parent.parent / "src" / "braidmono"
 MODULES = sorted(SRC.glob("*.py"))
 RECORD_ATTRIBUTES = {"_conj_raw", "_element_raws", "_strands"}
+CONSOLE_NAMES = {"sys", "warnings", "print"}
 
 
 def tree(path: Path) -> ast.Module:
@@ -42,6 +46,22 @@ def record_attribute_uses(module: ast.Module) -> list[str]:
     return out
 
 
+def console_uses(module: ast.Module) -> list[str]:
+    """Imports of `sys` and `warnings`, and calls of `print`."""
+    out = []
+    for node in ast.walk(module):
+        if isinstance(node, ast.Import):
+            names = [alias.name.split(".")[0] for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            names = [(node.module or "").split(".")[0]]
+        elif isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
+            names = [node.func.id]
+        else:
+            continue
+        out += [f"line {node.lineno}: {name}" for name in names if name in CONSOLE_NAMES]
+    return out
+
+
 def test_modules_found():
     names = {p.name for p in MODULES}
     assert {"garside.py", "factorization.py", "arrangements.py", "regeneration.py"} <= names
@@ -61,16 +81,31 @@ def test_record_raw_forms_stay_in_factorization(path):
     assert record_attribute_uses(tree(path)) == []
 
 
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_only_the_cli_talks_to_the_user(path):
+    if path.name in ("cli.py", "__main__.py"):
+        return
+    assert console_uses(tree(path)) == []
+
+
 def test_the_checks_see_what_they_forbid():
-    """Both checks find the forbidden shapes in a made-up module."""
+    """The checks find the forbidden shapes in a made-up module."""
     bad = ast.parse(
         "from .garside import RAW_IDENTITY, _pid\n"
         "from braidmono.garside import _strip_ids\n"
         "x = f._conj_raw\n"
         "g._element_raws = None\n"
         "object.__setattr__(h, '_strands', 3)\n"
+        "import warnings\n"
+        "import os, sys\n"
+        "from warnings import warn\n"
+        "print(x)\n"
+        "log.print(x)\n"
     )
     assert private_garside_imports(bad) == ["_pid", "_strip_ids"]
     assert record_attribute_uses(bad) == [
         "line 3: ._conj_raw", "line 4: ._element_raws", "line 5: '_strands'",
+    ]
+    assert console_uses(bad) == [
+        "line 6: warnings", "line 7: sys", "line 8: warnings", "line 9: print",
     ]

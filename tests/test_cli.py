@@ -283,6 +283,20 @@ class TestErrors:
         assert code == 3 and captured.out == ""
         assert captured.err == "error: out of memory\n"
 
+    @pytest.mark.parametrize("method", ["write", "flush"])
+    def test_closed_stdout_ends_quietly(self, files, capsys, monkeypatch, method):
+        # a reader that closed the pipe is not malformed input: no error
+        # line and no exit 3, whether the print or main's flush meets it
+        def closed(*args):
+            raise BrokenPipeError(32, "Broken pipe")
+
+        stdout = io.StringIO()  # no file descriptor, so main redirects none
+        monkeypatch.setattr(stdout, method, closed)
+        monkeypatch.setattr(sys, "stdout", stdout)
+        code = main(["vankampen", files("b3.fac", B3_PAPER)])
+        assert code == 141
+        assert capsys.readouterr().err == ""
+
     def test_image_cap_exit_3(self, files, capsys):
         # 30 random moves on a 4-line sweep leave a conjugator whose images
         # under its inverse pass the cap; without it the walk took more than
@@ -315,6 +329,11 @@ class TestUsage:
             ["orbit"],
             [],
             ["regenerate", "a.fac", "--one-sided-nodes"],
+            # a budget is read by the files' number rule, ASCII `-?[0-9]+`
+            ["orbit", "a.fac", "--budget", "1_0"],
+            ["orbit", "a.fac", "--budget", "+5"],
+            ["orbit", "a.fac", "--budget", "\u0661\u0660"],
+            ["orbit", "a.fac", "--budget", " 7"],
         ],
     )
     def test_usage_error_exit_3(self, capsys, argv):
@@ -405,6 +424,24 @@ class TestModuleEntry:
         )
         assert proc.returncode == 3 and proc.stdout == b""
         assert b"Traceback" not in proc.stderr and proc.stderr.startswith(b"error: ")
+
+    def test_closed_stdout_pipe_ends_quietly(self, files):
+        # the pipe's read end is closed before the run starts, so every write
+        # fails; with stdout buffered, what is left would also fail at the
+        # interpreter's exit flush, with "Exception ignored" and status 120
+        read, write = os.pipe()
+        os.close(read)
+        env = dict(os.environ)
+        env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
+        env.pop("PYTHONUNBUFFERED", None)
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "braidmono", "vankampen", files("b3.fac", B3_PAPER)],
+                stdout=write, stderr=subprocess.PIPE, env=env,
+            )
+        finally:
+            os.close(write)
+        assert proc.returncode == 141 and proc.stderr == b""
 
     def test_huge_exponent_answers_at_once(self, files):
         fac = files("huge.fac", "strands 2\nfactors 1\nconj= ; base= 1 2 ; exp= 999999999\n")

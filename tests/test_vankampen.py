@@ -22,6 +22,7 @@ from braidmono import (
     full_twist,
     hurwitz_move,
     invert,
+    is_delta2_factorization,
     permutation_of,
     presentation,
 )
@@ -145,21 +146,25 @@ class TestPresentation:
             assert artin_action(ft, i) == c * FreeWord((i,)) * c.inverse()
 
     def test_empty_factorization_is_free(self):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            pres = presentation(Factorization(4))
+        pres = presentation(Factorization(4))
         assert pres.relators == ()
         assert abelianization_rank(pres) == (4, ())
 
     def test_warns_on_non_delta2(self):
+        """The library leaves the product to its caller: a factorization
+        that is not of the full twist gets its relators and no warning (the
+        CLI prints the note, see `test_cli.py`)."""
         F = Factorization(2, (StructuredFactor(BraidWord.identity(2), HalfTwist(2, 1, 2), 1),))
-        with pytest.warns(UserWarning, match="not the full twist"):
-            presentation(F)
+        assert not is_delta2_factorization(F)
+        with warnings.catch_warnings(record=True) as record:
+            warnings.simplefilter("always")
+            assert presentation(F).relators
+        assert record == []
 
     def test_no_cusp_warning(self):
         """A cusp factor's fixed-loop relators are its van Kampen relation
-        (see `test_fixed_loop_relators_are_the_local_relations`), so only
-        the product is flagged."""
+        (see `test_fixed_loop_relators_are_the_local_relations`), so nothing
+        about the cusp is flagged, and the product is not checked here."""
         F = Factorization(
             2,
             (
@@ -167,12 +172,11 @@ class TestPresentation:
                 StructuredFactor(BraidWord.identity(2), HalfTwist(2, 1, 2), 1),
             ),
         )
+        assert not is_delta2_factorization(F)
         with warnings.catch_warnings(record=True) as record:
             warnings.simplefilter("always")
             presentation(F)
-        assert [str(w.message) for w in record] == [
-            "product is not the full twist; presentation is formal"
-        ]
+        assert record == []
 
     def test_generic_arrangement_abelianization(self, rng):
         for m in range(2, 7):
@@ -357,9 +361,7 @@ def test_fixed_loop_relators_are_the_local_relations(exponent, relation, counts)
     in S_4."""
     core = StructuredFactor(BraidWord.identity(2), HalfTwist(2, 1, 2), exponent)
     fact = Factorization(2, (core,))
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        relators = [r.letters for r in presentation(fact).relators]
+    relators = [r.letters for r in presentation(fact).relators]
     for n, count in zip((3, 4), counts):
         solutions = _solutions(relators, n)
         assert solutions == _solutions([relation], n)
