@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import dataclasses
 from itertools import chain
-from typing import Iterable, Sequence
+from typing import Iterable
 
 
 class BraidError(ValueError):
@@ -242,24 +242,3 @@ def full_twist(m: int, low: int = 1, high: int | None = None) -> BraidWord:
         raise BraidError("full twist needs a block of at least 2 strands")
     d = delta_word(m, low, high)
     return BraidWord(m, d.letters + d.letters)
-
-
-def parse_letters(tokens: Sequence[str]) -> tuple[int, ...]:
-    """Parse `s<k>` / `S<k>` generator tokens into signed letters."""
-    letters = []
-    for tok in tokens:
-        # isascii: str.isdigit and int also take non-ASCII digits
-        if len(tok) < 2 or tok[0] not in "sS" or not (tok.isascii() and tok[1:].isdigit()):
-            raise BraidError(f"bad generator token {tok!r}")
-        try:
-            k = int(tok[1:])
-        except ValueError:  # more digits than int converts
-            k = 0
-        if k < 1:
-            raise BraidError(f"bad generator index in token {tok!r}")
-        letters.append(k if tok[0] == "s" else -k)
-    return tuple(letters)
-
-
-def format_letters(letters: Sequence[int]) -> str:
-    return " ".join(f"s{l}" if l > 0 else f"S{-l}" for l in letters)

@@ -249,12 +249,13 @@ _parser = functools.cache(build_parser)  # built on main's first call; parse_arg
 
 def main(argv: list[str] | None = None) -> int:
     try:
-        args = _parser().parse_args(argv)
-    except SystemExit as exc:
-        if not exc.code:
-            raise  # --help
-        return 3  # argparse printed the usage; its own status 2 means INCONCLUSIVE here
-    try:
+        try:
+            args = _parser().parse_args(argv)
+        except SystemExit as exc:
+            if exc.code:
+                return 3  # argparse printed the usage; its own status 2 means INCONCLUSIVE here
+            sys.stdout.flush()  # --help, on a closed pipe as a command below
+            raise
         code = args.func(args)
         sys.stdout.flush()  # a closed pipe raises here, not at interpreter exit
         return code

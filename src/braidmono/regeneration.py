@@ -137,6 +137,15 @@ CONVENTION = (
 _RULE_BY_EXPONENT = {exp: rule for rule, (exp, _) in _RULES.items() if exp}
 
 
+def _unblocked(factor: Factor) -> StructuredFactor:
+    if isinstance(factor, BlockFactor):
+        raise RegenerationError(
+            "block factors must be expanded into node factors before "
+            "regeneration (expand_blocks)"
+        )
+    return factor
+
+
 def _apply(rule: Rule, factor: Factor) -> tuple[StructuredFactor, ...]:
     """The rule's rows applied to one factor; the conjugator is cabled once."""
     exponent, rows = _RULES[rule]
@@ -144,12 +153,7 @@ def _apply(rule: Rule, factor: Factor) -> tuple[StructuredFactor, ...]:
         raise RegenerationError(
             f"rule {rule.value} applies to exponent {exponent}, got {factor.exponent}"
         )
-    if isinstance(factor, BlockFactor):
-        raise RegenerationError(
-            "block factors must be expanded into node factors before "
-            "regeneration (expand_blocks)"
-        )
-    conj = IndexDoubling(factor.strands).word(factor.conjugator)
+    conj = IndexDoubling(_unblocked(factor).strands).word(factor.conjugator)
     m = conj.strands
     short = 2 * factor.base.high - 1  # Z_{jj'} is the generator joining j and j'
     # Every row is handed its conjugator's form: the cabled word's, times
@@ -194,7 +198,8 @@ def regenerate(
     factor gets the rule matching its exponent (1 -> I, 2 -> II, 4 -> III).
     A factor whose exponent has no rule must be assigned Rule.PASS
     explicitly, otherwise the input is rejected, as is a rule for an index
-    with no factor.
+    with no factor and, whatever its rule, a block factor (expand blocks
+    first).
     """
     n = fact.strands
     if n < 2:
@@ -206,22 +211,15 @@ def regenerate(
         raise RegenerationError(
             f"rule for factor {stray[0]}, but the factorization has only {count} factor(s)"
         )
-    assignment: list[Rule] = []
-    for idx, factor in enumerate(fact.factors):
-        rule = rules.get(idx)
-        if rule is None:
-            exp = getattr(factor, "exponent", None)
-            if isinstance(factor, StructuredFactor) and exp in _RULE_BY_EXPONENT:
-                rule = _RULE_BY_EXPONENT[exp]
-            else:
-                raise RegenerationError(
-                    f"factor {idx} has no applicable rule (exponent {exp}); "
-                    "assign Rule.PASS explicitly or expand blocks"
-                )
-        assignment.append(rule)
-
     out: list[Factor] = []
-    for factor, rule in zip(fact.factors, assignment):
+    for idx, factor in enumerate(fact.factors):
+        exp = _unblocked(factor).exponent
+        rule = rules.get(idx) or _RULE_BY_EXPONENT.get(exp)
+        if rule is None:
+            raise RegenerationError(
+                f"factor {idx} has no applicable rule (exponent {exp}); "
+                "assign Rule.PASS explicitly"
+            )
         out.extend(_apply(rule, factor))
     return Factorization(2 * n, tuple(out))
 

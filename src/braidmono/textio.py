@@ -1,6 +1,6 @@
 """
 Text formats for braid words, factorizations, arrangements, presentations
-and rule assignments.
+and rule assignments: the one module that reads or writes a token.
 
 All formats are line based; blank lines and lines starting with `#` are
 ignored.  Every emitter round-trips bit-exactly through its parser.
@@ -19,6 +19,14 @@ presentation        gens 2
                     x1 x2 X1 X2
 rule assignment     0 II
                     1 pass
+
+The grammar, for every format.  Tokens are separated by white space.
+An integer is ASCII `-?[0-9]+`; a count (the `factors` line and a rule
+index) is `[0-9]+`; a rational is an integer or `-?[0-9]+/[0-9]+` with a
+nonzero denominator.  A generator token is a letter and an ASCII index
+k >= 1: `s<k>` / `S<k>` are sigma_k and its inverse, `x<k>` / `X<k>` the
+free generator x_k and its inverse.  A malformed token is reported with
+its line.
 """
 
 from __future__ import annotations
@@ -26,7 +34,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterable
 
-from .braid import BraidWord, HalfTwist, format_letters, parse_letters
+from .braid import BraidError, BraidWord, HalfTwist
 from .factorization import BlockFactor, Factor, Factorization, StructuredFactor
 from .arrangements import LineArrangement
 from .regeneration import Rule
@@ -40,20 +48,41 @@ class ParseError(ValueError):
         super().__init__(f"{message}{where}")
 
 
-def _digits(text: str) -> bool:
-    """Nonempty and ASCII digits only: `str.isdigit` and `int` also take
-    non-ASCII digits, and `int` takes `+2` and `1_000`."""
-    return text.isascii() and text.isdigit()
-
-
-def _int(token: str, no: int | None, what: str) -> int:
-    """An ASCII integer `-?[0-9]+`."""
+def _int(token: str, no: int | None, what: str, sign: str = "-") -> int:
+    """An ASCII integer `-?[0-9]+`, or a count `[0-9]+` when `sign` is empty:
+    `str.isdigit` and `int` also take non-ASCII digits, and `int` takes `+2`
+    and `1_000`."""
+    digits = token.removeprefix(sign)
     try:
-        if not _digits(token.removeprefix("-")):
-            raise ValueError(token)
-        return int(token)
-    except ValueError as exc:
-        raise ParseError(f"bad integer {token!r} in {what}", no) from exc
+        if digits.isascii() and digits.isdigit():
+            return int(token)
+    except ValueError:  # more digits than int converts
+        pass
+    kind = "integer" if sign else "count"
+    raise ParseError(f"bad {kind} {token!r} in {what}", no)
+
+
+def _letters(tokens: Iterable[str], names: str, no: int | None) -> tuple[int, ...]:
+    """Generator tokens `<name><k>` as signed letters: the letter pair
+    `names` ("sS" or "xX") gives k and -k."""
+    letters = []
+    for tok in tokens:
+        index = tok[1:]
+        # isascii: str.isdigit and int also take non-ASCII digits
+        if tok[:1] not in names or not (index.isascii() and index.isdigit()):
+            raise ParseError(f"bad generator token {tok!r}", no)
+        try:
+            k = int(index)
+        except ValueError:  # more digits than int converts
+            k = 0
+        if k < 1:
+            raise ParseError(f"bad generator index in token {tok!r}", no)
+        letters.append(k if tok[0] == names[0] else -k)
+    return tuple(letters)
+
+
+def _spell(letters: Iterable[int], names: str) -> str:
+    return " ".join(f"{names[0]}{l}" if l > 0 else f"{names[1]}{-l}" for l in letters)
 
 
 def _content_lines(text: str) -> list[tuple[int, str]]:
@@ -65,14 +94,15 @@ def _content_lines(text: str) -> list[tuple[int, str]]:
     return out
 
 
-def _header(lines: list[tuple[int, str]], keyword: str) -> int:
-    if not lines:
-        raise ParseError(f"empty input, expected `{keyword} <n>` header")
-    no, line = lines[0]
+def _header(lines: list[tuple[int, str]], at: int, keyword: str, sign: str = "-") -> int:
+    """The number on the `<keyword> <n>` line at position `at` of `lines`."""
+    if len(lines) <= at:
+        raise ParseError(f"expected `{keyword} <n>`, got {'end of' if lines else 'empty'} input")
+    no, line = lines[at]
     parts = line.split()
-    if len(parts) != 2 or parts[0] != keyword or not parts[1].lstrip("-").isdigit():
-        raise ParseError(f"expected `{keyword} <n>` header, got {line!r}", no)
-    return _int(parts[1], no, f"`{keyword}` header")
+    if len(parts) != 2 or parts[0] != keyword:
+        raise ParseError(f"expected `{keyword} <n>`, got {line!r}", no)
+    return _int(parts[1], no, f"`{keyword}` line", sign)
 
 
 # --- braid words -----------------------------------------------------------
@@ -80,18 +110,19 @@ def _header(lines: list[tuple[int, str]], keyword: str) -> int:
 
 def parse_braid_word(text: str) -> BraidWord:
     lines = _content_lines(text)
-    m = _header(lines, "strands")
-    tokens: list[str] = []
-    for _no, line in lines[1:]:
-        tokens.extend(line.split())
+    m = _header(lines, 0, "strands")
+    no, letters = lines[0][0], []
     try:
-        return BraidWord(m, parse_letters(tokens))
-    except ValueError as exc:
-        raise ParseError(str(exc)) from exc
+        BraidWord(m)  # the strand count, on the header line
+        for no, line in lines[1:]:  # a letter out of range, on its line
+            letters += BraidWord(m, _letters(line.split(), "sS", no)).letters
+        return BraidWord(m, tuple(letters))
+    except BraidError as exc:
+        raise ParseError(str(exc), no) from exc
 
 
 def format_braid_word(w: BraidWord) -> str:
-    body = format_letters(w.letters)
+    body = _spell(w.letters, "sS")
     return f"strands {w.strands}\n{body}\n" if body else f"strands {w.strands}\n"
 
 
@@ -133,8 +164,9 @@ def _parse_factor(m: int, no: int, line: str) -> Factor:
         raise ParseError(
             "factor needs conj=, exp= and exactly one of base=/block=", no
         )
+    letters = _letters(conj_tokens, "sS", no)
     try:
-        conj = BraidWord(m, parse_letters(conj_tokens))
+        conj = BraidWord(m, letters)
         if base is not None:
             return StructuredFactor(conj, HalfTwist(m, base[0], base[1]), exp)
         return BlockFactor(conj, block[0], block[1], exp)
@@ -144,14 +176,8 @@ def _parse_factor(m: int, no: int, line: str) -> Factor:
 
 def parse_factorization(text: str) -> Factorization:
     lines = _content_lines(text)
-    m = _header(lines, "strands")
-    if len(lines) < 2:
-        raise ParseError("expected `factors <n>` after the strands header")
-    count_no, count_line = lines[1]
-    parts = count_line.split()
-    if len(parts) != 2 or parts[0] != "factors" or not parts[1].isdigit():
-        raise ParseError(f"expected `factors <n>`, got {count_line!r}", count_no)
-    n = _int(parts[1], count_no, "`factors` line")
+    m = _header(lines, 0, "strands")
+    n = _header(lines, 1, "factors", sign="")
     body = lines[2:]
     if len(body) != n:
         raise ParseError(
@@ -169,7 +195,7 @@ def format_factorization(fact: Factorization, header_comments: Iterable[str] = (
     out.append(f"strands {fact.strands}")
     out.append(f"factors {len(fact.factors)}")
     for f in fact.factors:
-        conj = format_letters(f.conjugator.letters)
+        conj = _spell(f.conjugator.letters, "sS")
         conj_field = f"conj= {conj}" if conj else "conj="
         if isinstance(f, StructuredFactor):
             out.append(
@@ -186,20 +212,19 @@ def format_factorization(fact: Factorization, header_comments: Iterable[str] = (
 
 
 def _parse_rational(token: str, no: int) -> Fraction:
-    """An ASCII integer or `p/q` fraction, `-?[0-9]+(/[0-9]+)?`; `Fraction`
-    alone would also take decimals and exponents, and expand `1e99999999`."""
+    """An integer or `p/q` fraction, read by `_int`; `Fraction` alone would
+    also take decimals and exponents, and expand `1e99999999`."""
     num, slash, den = token.partition("/")
     try:
-        if not _digits(num.removeprefix("-")) or slash and not _digits(den):
-            raise ValueError(token)
-        return Fraction(token)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise ParseError(f"bad rational {token!r}", no) from exc
+        return Fraction(_int(num, no, "rational"),
+                        _int(den, no, "rational", sign="") if slash else 1)
+    except (ParseError, ZeroDivisionError):
+        raise ParseError(f"bad rational {token!r}", no) from None
 
 
 def parse_arrangement(text: str) -> LineArrangement:
     lines = _content_lines(text)
-    m = _header(lines, "arrangement")
+    m = _header(lines, 0, "arrangement")
     body = lines[1:]
     if len(body) != m:
         raise ParseError(f"declared {m} lines but found {len(body)}")
@@ -227,26 +252,18 @@ def format_arrangement(arr: LineArrangement) -> str:
 
 def parse_presentation(text: str) -> Presentation:
     lines = _content_lines(text)
-    m = _header(lines, "gens")
-    relators = []
-    for no, line in lines[1:]:
-        letters = []
-        for tok in line.split():
-            if len(tok) < 2 or tok[0] not in "xX" or not tok[1:].isdigit():
-                raise ParseError(f"bad generator token {tok!r}", no)
-            k = _int(tok[1:], no, f"generator token {tok!r}")
-            letters.append(k if tok[0] == "x" else -k)
-        relators.append(FreeWord.reduce(letters))
+    m = _header(lines, 0, "gens")
+    relators = tuple(FreeWord.reduce(_letters(line.split(), "xX", no))
+                     for no, line in lines[1:])
     try:
-        return Presentation(m, tuple(relators))
+        return Presentation(m, relators)
     except ValueError as exc:
         raise ParseError(str(exc)) from exc
 
 
 def format_presentation(pres: Presentation) -> str:
     out = [f"gens {pres.generator_count}"]
-    for rel in pres.relators:
-        out.append(" ".join(f"x{l}" if l > 0 else f"X{-l}" for l in rel.letters))
+    out.extend(_spell(rel.letters, "xX") for rel in pres.relators)
     return "\n".join(out) + "\n"
 
 
@@ -257,13 +274,13 @@ def parse_rules(text: str) -> dict[int, Rule]:
     out: dict[int, Rule] = {}
     for no, line in _content_lines(text):
         parts = line.split()
-        if len(parts) != 2 or not parts[0].isdigit():
+        if len(parts) != 2:
             raise ParseError(f"expected `<index> I|II|III|pass`, got {line!r}", no)
         try:
             rule = Rule(parts[1])
         except ValueError as exc:
             raise ParseError(f"unknown rule {parts[1]!r}", no) from exc
-        idx = _int(parts[0], no, "rule index")
+        idx = _int(parts[0], no, "rule index", sign="")
         if idx in out:
             raise ParseError(f"repeated rule for factor {idx}", no)
         out[idx] = rule

@@ -8,6 +8,11 @@
 * Only the command line talks to the user: no module but `cli.py` and
   `__main__.py` imports `sys` or `warnings` or calls `print`.  The library
   returns what it found, and the CLI decides what to print.
+* Only `textio.py` reads a number from text: no other module calls `int`
+  or `.isdigit()` / `.isascii()`, so the files' grammar has one owner.
+  Its public functions are all `parse_*` or `format_*`: the bench's span
+  tracer wraps each one and takes `len()` of what a non-`parse_*` one
+  returns.
 """
 
 import ast
@@ -19,6 +24,7 @@ SRC = Path(__file__).resolve().parent.parent / "src" / "braidmono"
 MODULES = sorted(SRC.glob("*.py"))
 RECORD_ATTRIBUTES = {"_conj_raw", "_element_raws", "_strands"}
 CONSOLE_NAMES = {"sys", "warnings", "print"}
+DIGIT_TESTS = {"isdigit", "isascii"}
 
 
 def tree(path: Path) -> ast.Module:
@@ -62,6 +68,23 @@ def console_uses(module: ast.Module) -> list[str]:
     return out
 
 
+def number_reads(module: ast.Module) -> list[str]:
+    """Calls of `int`, and every use of `.isdigit` or `.isascii`."""
+    out = []
+    for node in ast.walk(module):
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "int":
+            out.append(f"line {node.lineno}: int")
+        elif isinstance(node, ast.Attribute) and node.attr in DIGIT_TESTS:
+            out.append(f"line {node.lineno}: .{node.attr}")
+    return out
+
+
+def public_functions(module: ast.Module) -> list[str]:
+    return [node.name for node in module.body
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+            and not node.name.startswith("_")]
+
+
 def test_modules_found():
     names = {p.name for p in MODULES}
     assert {"garside.py", "factorization.py", "arrangements.py", "regeneration.py"} <= names
@@ -88,6 +111,18 @@ def test_only_the_cli_talks_to_the_user(path):
     assert console_uses(tree(path)) == []
 
 
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_only_textio_reads_numbers(path):
+    if path.name == "textio.py":
+        return
+    assert number_reads(tree(path)) == []
+
+
+def test_textio_functions_parse_or_format():
+    names = public_functions(tree(SRC / "textio.py"))
+    assert names and [n for n in names if not n.startswith(("parse_", "format_"))] == []
+
+
 def test_the_checks_see_what_they_forbid():
     """The checks find the forbidden shapes in a made-up module."""
     bad = ast.parse(
@@ -101,6 +136,15 @@ def test_the_checks_see_what_they_forbid():
         "from warnings import warn\n"
         "print(x)\n"
         "log.print(x)\n"
+        "n = int(token)\n"
+        "ok = token[1:].isascii() and token.isdigit()\n"
+        "digits = filter(str.isdigit, text)\n"
+        "x = np.int(3)\n"
+        "def read_int(token): pass\n"
+        "def parse_word(text): pass\n"
+        "def _int(token): pass\n"
+        "class Reader:\n"
+        "    def read(self): pass\n"
     )
     assert private_garside_imports(bad) == ["_pid", "_strip_ids"]
     assert record_attribute_uses(bad) == [
@@ -109,3 +153,7 @@ def test_the_checks_see_what_they_forbid():
     assert console_uses(bad) == [
         "line 6: warnings", "line 7: sys", "line 8: warnings", "line 9: print",
     ]
+    assert sorted(number_reads(bad)) == [
+        "line 11: int", "line 12: .isascii", "line 12: .isdigit", "line 13: .isdigit",
+    ]
+    assert public_functions(bad) == ["read_int", "parse_word"]

@@ -17,7 +17,7 @@ from braidmono import (
     permutation_of,
     power,
 )
-from braidmono.braid import format_letters, parse_letters
+from braidmono.textio import ParseError, _letters, _spell
 
 
 def word(m, *letters):
@@ -182,25 +182,27 @@ class TestConjugate:
 
 
 class TestTokens:
+    """The generator tokens of braid words, read and written by `textio`."""
+
     def test_parse_format_roundtrip(self):
         letters = (1, -2, 3, -1)
-        assert parse_letters(format_letters(letters).split()) == letters
+        assert _letters(_spell(letters, "sS").split(), "sS", None) == letters
 
     def test_bad_token(self):
-        with pytest.raises(BraidError):
-            parse_letters(["q2"])
-        with pytest.raises(BraidError):
-            parse_letters(["s"])
+        with pytest.raises(ParseError):
+            _letters(["q2"], "sS", None)
+        with pytest.raises(ParseError):
+            _letters(["s"], "sS", None)
 
     @pytest.mark.parametrize("token", ["s\u0663", "S\u00b2", "s1_0", "s+1", "s-1", "s 1", "\uff53\uff11"])
     def test_only_ascii_digits(self, token):
-        with pytest.raises(BraidError, match=re.escape(repr(token))):
-            parse_letters([token])
+        with pytest.raises(ParseError, match=re.escape(repr(token))):
+            _letters([token], "sS", None)
 
     def test_index_past_the_int_digit_limit(self):
         token = "s" + "1" * 5000
-        with pytest.raises(BraidError, match="bad generator index in token"):
-            parse_letters([token])
+        with pytest.raises(ParseError, match="bad generator index in token"):
+            _letters([token], "sS", None)
 
 
 class TestValidation:

@@ -7,6 +7,7 @@ from braidmono import (
     Factorization,
     HalfTwist,
     IndexDoubling,
+    LineArrangement,
     RegenerationError,
     Rule,
     StructuredFactor,
@@ -169,6 +170,26 @@ class TestRegenerate:
         )
         with pytest.raises(RegenerationError):
             regenerate(F, {0: Rule.PASS})
+
+    @pytest.mark.parametrize("rules", [None, {0: Rule.PASS}, {0: Rule.NODE}, {0: Rule.TANGENCY}])
+    def test_block_gets_only_the_expand_blocks_error(self, rules):
+        # three concurrent lines and one generic line, blocks left unexpanded
+        arr = LineArrangement.from_pairs([(0, 0), (1, 0), (-1, 0), (2, -5)])
+        F = braid_monodromy(arr)
+        assert isinstance(F.factors[0], BlockFactor)
+        with pytest.raises(RegenerationError) as exc:
+            regenerate(F, rules)
+        assert str(exc.value) == (
+            "block factors must be expanded into node factors before "
+            "regeneration (expand_blocks)"
+        )
+
+    def test_pass_advice_works_when_followed(self):
+        F = Factorization(3, (sf(3, 1, 2, 2), sf(3, 1, 3, 3)))
+        with pytest.raises(RegenerationError, match="factor 1 .* assign Rule.PASS explicitly"):
+            regenerate(F)
+        R = regenerate(F, {1: Rule.PASS})
+        assert [f.exponent for f in R.factors] == [2, 2, 2, 2, 3]
 
     def test_generic_lines_all_nodes(self, rng):
         for n in (2, 3, 4):

@@ -1,5 +1,7 @@
+import random
 import re
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -14,6 +16,7 @@ from braidmono import (
     braid_monodromy,
     canonical_key,
 )
+from braidmono.cli import main
 from braidmono.textio import (
     ParseError,
     format_arrangement,
@@ -27,7 +30,7 @@ from braidmono.textio import (
     parse_presentation,
     parse_rules,
 )
-from braidmono.vankampen import FreeWord, Presentation
+from braidmono.vankampen import FreeWord, Presentation, presentation
 from conftest import random_generic_arrangement, standard_b3_factorization
 
 
@@ -63,6 +66,16 @@ class TestBraidWordFormat:
     def test_letter_out_of_range(self):
         with pytest.raises(ParseError):
             parse_braid_word("strands 2\ns5\n")
+
+    @pytest.mark.parametrize("text, line", [
+        ("strands 2\ns1\n# next\ns1 s5\n", 4),
+        ("strands 2\ns1\nS2\n", 3),
+        ("# a word\nstrands 0\ns1\n", 2),
+    ])
+    def test_errors_name_their_line(self, text, line):
+        with pytest.raises(ParseError) as exc:
+            parse_braid_word(text)
+        assert exc.value.line == line
 
 
 class TestFactorizationFormat:
@@ -251,3 +264,126 @@ class TestRulesFormat:
         with pytest.raises(ParseError, match="repeated rule for factor 0") as exc:
             parse_rules(text)
         assert exc.value.line == len(text.splitlines())
+
+
+# --- one grammar at every position that takes a token -----------------------
+
+GOLDEN = Path(__file__).parent / "golden"
+LONG = "1" * 5000  # past the digits that `int` converts
+BAD_NUMBERS = ["+2", "1_000", "٣", "²", LONG]
+BAD_LETTERS = ["s0", "x0", "s-1"]
+
+# (position, file suffix, text with the token at `{}`, the token's line);
+# `{}` on a letter position takes the whole generator token
+INTEGER_POSITIONS = [
+    ("strands header of a word", ".word", "strands {}\ns1\n", 1),
+    ("strands header of a factorization", ".fac", "strands {}\nfactors 0\n", 1),
+    ("gens header", ".pres", "gens {}\nx1\n", 1),
+    ("factors header", ".fac", "strands 3\nfactors {}\n", 2),
+    ("arrangement header", ".arr", "# lines\narrangement {}\nline 0 1\n", 2),
+    ("exp=", ".fac", "strands 3\nfactors 1\nconj= ; base= 1 2 ; exp= {}\n", 3),
+    ("base=", ".fac", "strands 3\nfactors 1\nconj= ; base= 1 {} ; exp= 1\n", 3),
+    ("block=", ".fac", "strands 3\nfactors 1\nconj= ; block= {} 3 ; exp= 2\n", 3),
+    ("rule index", ".rules", "0 II\n# next\n{} I\n", 3),
+    ("slope", ".arr", "arrangement 2\nline 0 1\nline {} 0\n", 3),
+    ("intercept", ".arr", "arrangement 2\nline 0 1\nline 1 {}\n", 3),
+]
+LETTER_POSITIONS = [
+    ("s", "word body", ".word", "strands 3\ns1\nS2 {}\n", 3),
+    ("s", "conj=", ".fac", "strands 3\nfactors 1\nconj= s1 {} ; base= 1 2 ; exp= 1\n", 3),
+    ("x", "relator", ".pres", "gens 2\nx1\nX2 {}\n", 3),
+]
+# counts take no sign
+COUNT_POSITIONS = {"factors header", "rule index"}
+
+PARSERS = {".word": parse_braid_word, ".fac": parse_factorization, ".arr": parse_arrangement,
+           ".pres": parse_presentation, ".rules": parse_rules}
+# the command that reads each file; no command reads a presentation
+COMMANDS = {".word": ["normal-form"], ".fac": ["check-delta2"], ".arr": ["monodromy"],
+            ".rules": ["regenerate", str(GOLDEN / "b3.fac"), "--rules"]}
+
+CASES = [
+    (where, suffix, template.format(token), line, token)
+    for where, suffix, template, line in INTEGER_POSITIONS
+    for token in BAD_NUMBERS + BAD_LETTERS + (["-1"] if where in COUNT_POSITIONS else [])
+] + [
+    (where, suffix, template.format(token), line, token)
+    for letter, where, suffix, template, line in LETTER_POSITIONS
+    for token in [letter + t for t in BAD_NUMBERS] + BAD_LETTERS
+]
+
+
+class TestGrammar:
+    @pytest.mark.parametrize("where, suffix, text, line, token", CASES,
+                             ids=[f"{c[0]}-{c[4][:8]}" for c in CASES])
+    def test_rejected_with_token_and_line(self, tmp_path, capsys, where, suffix, text, line,
+                                          token):
+        with pytest.raises(ParseError, match=re.escape(repr(token))) as exc:
+            PARSERS[suffix](text)
+        assert exc.value.line == line
+        if suffix in COMMANDS:
+            path = tmp_path / f"bad{suffix}"
+            path.write_text(text)
+            assert main([*COMMANDS[suffix], str(path)]) == 3
+            captured = capsys.readouterr()
+            assert captured.out == "" and captured.err.startswith("error: ")
+            assert f"(line {line})" in captured.err
+
+    @pytest.mark.parametrize("token", BAD_NUMBERS + BAD_LETTERS)
+    def test_budget(self, capsys, token):
+        assert main(["orbit", str(GOLDEN / "b3.fac"), "--budget", token]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == "" and repr(token) in captured.err
+
+
+# --- mutation fuzz of the parsers --------------------------------------------
+
+PIECES = ["-1", "0", "999999999999", LONG, "٣", "+2", "1_0", "1/0", ";", "=", "conj=",
+          "strands", "II"]
+FUZZ_INPUTS = sorted(p for p in GOLDEN.iterdir()
+                     if p.suffix in (".fac", ".arr", ".word", ".rules"))
+
+
+def mutants(text: str, seed: str, count: int):
+    """`count` copies of `text`, each with one space-separated token
+    dropped, duplicated, replaced or preceded by a piece, or cut short."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        tokens = text.split(" ")
+        k = rng.randrange(len(tokens))
+        op = rng.randrange(5)
+        if op == 0:
+            del tokens[k]
+        elif op == 1:
+            tokens.insert(k, tokens[k])
+        elif op == 2:
+            tokens[k] = rng.choice(PIECES)
+        elif op == 3:
+            tokens.insert(k, rng.choice(PIECES))
+        else:
+            yield text[: rng.randrange(len(text) + 1)]
+            continue
+        yield " ".join(tokens)
+
+
+def parse_or_parse_error(parse, text):
+    try:
+        parse(text)
+    except ParseError:
+        pass
+
+
+class TestMutationFuzz:
+    """Each parser returns a value or raises ParseError, on any text."""
+
+    @pytest.mark.parametrize("path", FUZZ_INPUTS, ids=lambda p: p.name)
+    def test_golden_inputs(self, path):
+        text = path.read_text(encoding="utf-8")
+        for mutant in mutants(text, path.name, 12):
+            parse_or_parse_error(PARSERS[path.suffix], mutant)
+
+    def test_presentation(self):
+        fact = parse_factorization((GOLDEN / "b3.fac").read_text(encoding="utf-8"))
+        text = format_presentation(presentation(fact))
+        for mutant in mutants(text, "b3.pres", 120):
+            parse_or_parse_error(parse_presentation, mutant)
