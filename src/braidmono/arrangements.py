@@ -20,18 +20,23 @@ contributes one factor to a factorization of the full twist:
 Factors are ordered leftmost point first, so that the left-to-right product
 over all points equals Delta^2 exactly; that identity is the module's
 master oracle and pins every orientation choice made above.  All geometry
-is exact rational arithmetic; floating point never enters.
+is exact and runs in integers: each line becomes D y = A x + B, each
+crossing a pair of reduced integer fractions, and points are ordered by
+cross-multiplication; `Fraction`s are built only for the coordinates a
+`SingularPoint` returns.  Floating point never enters.
 """
 
 from __future__ import annotations
 
 import dataclasses
 from fractions import Fraction
+from functools import cmp_to_key
+from math import gcd, lcm
 from typing import Iterable
 
-from .braid import BraidError, BraidWord, HalfTwist, delta_word
+from .braid import BraidError, HalfTwist, delta_word
 from .factorization import BlockFactor, Factor, Factorization, StructuredFactor
-from .factorization import _carrying, _conjugator_raw
+from .factorization import _unspelled, _with_core
 from .garside import raw_of_permutation
 
 
@@ -114,21 +119,32 @@ def singular_points(arr: LineArrangement) -> list[SingularPoint]:
     y), with each point's fiber block computed by the exact sweep."""
     if arr.m < 2:
         raise ArrangementError("need at least 2 lines")
-    points: dict[tuple[Fraction, Fraction], set[int]] = {}
-    for i in range(arr.m):
-        a1, b1 = arr.lines[i]
+    # Line i as D y = A x + B in integers.  Two such lines meet at
+    # x = (B D' - D B') / det, y = (A' B - A B') / det, det = D A' - A D'.
+    rows = []
+    for a, b in arr.lines:
+        d = lcm(a.denominator, b.denominator)
+        rows.append((a.numerator * (d // a.denominator), b.numerator * (d // b.denominator), d))
+    points: dict[tuple[int, int, int, int], set[int]] = {}
+    for i, (a1, b1, d1) in enumerate(rows):
         for j in range(i + 1, arr.m):
-            a2, b2 = arr.lines[j]
-            if a1 == a2:
+            a2, b2, d2 = rows[j]
+            det = d1 * a2 - a1 * d2
+            if not det:
                 continue
-            x = Fraction(b2 - b1, a1 - a2)
-            y = a1 * x + b1
-            points.setdefault((x, y), set()).update((i, j))
+            xn, yn = b1 * d2 - d1 * b2, a2 * b1 - a1 * b2
+            if det < 0:
+                det, xn, yn = -det, -xn, -yn
+            g, h = gcd(xn, det), gcd(yn, det)
+            points.setdefault((xn // g, det // g, yn // h, det // h), set()).update((i, j))
 
     order = _initial_order(arr)
     result: list[SingularPoint] = []
-    for x, y in sorted(points):
-        incident = points[(x, y)]
+    # (x, y) order by cross-multiplication: the denominators are positive
+    by_xy = cmp_to_key(lambda p, q: p[0] * q[1] - q[0] * p[1] or p[2] * q[3] - q[2] * p[3])
+    for key in sorted(points, key=by_xy):
+        incident = points[key]
+        x = Fraction(key[0], key[1])
         positions = sorted(order.index(i) + 1 for i in incident)
         low, high = positions[0], positions[-1]
         if positions != list(range(low, high + 1)):
@@ -140,7 +156,7 @@ def singular_points(arr: LineArrangement) -> list[SingularPoint]:
         result.append(
             SingularPoint(
                 x=x,
-                y=y,
+                y=Fraction(key[2], key[3]),
                 line_indices=tuple(sorted(incident)),
                 block=(low, high),
                 multiplicity=len(incident),
@@ -167,19 +183,15 @@ def expand_block_factor(factor: BlockFactor) -> list[StructuredFactor]:
     taken with t ascending and s ascending within t.  The identity is exact
     in the subgroup, so the expansion leaves any surrounding product
     unchanged; each node factor inherits the block factor's conjugator,
-    with its raw form.
+    with its raw form, unspelled if the block's is.
     """
     if factor.exponent != 2:
         raise BraidError("only full twists (exponent 2) expand into nodes")
-    conj = _conjugator_raw(factor)
-    out = []
-    for t in range(factor.low + 1, factor.high + 1):
-        for s in range(factor.low, t):
-            node = StructuredFactor(
-                factor.conjugator, HalfTwist(factor.strands, s, t), exponent=2
-            )
-            out.append(_carrying(node, conj))
-    return out
+    return [
+        _with_core(factor, StructuredFactor, base=HalfTwist(factor.strands, s, t), exponent=2)
+        for t in range(factor.low + 1, factor.high + 1)
+        for s in range(factor.low, t)
+    ]
 
 
 def braid_monodromy(arr: LineArrangement, expand_blocks: bool = False) -> Factorization:
@@ -202,23 +214,21 @@ def braid_monodromy(arr: LineArrangement, expand_blocks: bool = False) -> Factor
     # each conjugator extends the one of the point to its right by that
     # point's block half-twist.  Two lines cross at most once, so every
     # conjugator is one permutation braid, of the running order with each
-    # block reversed.
-    letters: tuple[int, ...] = ()
+    # block reversed.  Its word, a prefix of the one list of block
+    # half-twists, is spelled only when read.
+    deltas: list[tuple[int, ...]] = []
     images = list(range(1, m + 1))
     records: list[Factor] = []
     for p in reversed(singular_points(arr)):
         low, high = p.block
-        conj = BraidWord(m, letters)
+        raw, spelling = raw_of_permutation(m, images), (deltas, len(deltas))
         if high == low + 1:
-            factor = StructuredFactor(conj, HalfTwist(m, low, high), exponent=2)
+            records.append(_unspelled(StructuredFactor, m, raw, spelling,
+                                      base=HalfTwist(m, low, high), exponent=2))
         else:
-            factor = BlockFactor(conj, low, high, exponent=2)
-        _carrying(factor, raw_of_permutation(m, images))
-        if expand_blocks and high > low + 1:
-            records.extend(reversed(expand_block_factor(factor)))
-        else:
-            records.append(factor)
-        letters += delta_word(m, low, high).letters
+            block = _unspelled(BlockFactor, m, raw, spelling, low=low, high=high, exponent=2)
+            records.extend(reversed(expand_block_factor(block)) if expand_blocks else [block])
+        deltas.append(delta_word(m, low, high).letters)
         images[low - 1 : high] = reversed(images[low - 1 : high])
     return Factorization(m, tuple(reversed(records)))
 

@@ -31,14 +31,15 @@ no conjugator word is spelled inside a search.  `hurwitz_move`,
 record carries only its conjugator's raw form: it spells the word, as the
 canonical word of that form, on the first read of `conjugator` (directly
 or through eq, hash, repr, `dataclasses.replace` or the text format), so a
-walk that reads only the final records spells each word once.
+walk that reads only the final records spells each word once.  A sweep
+record spells its word, a run of block half-twists, on first read too.
 
 Raw forms `(delta_power, factor_ids)` live on the factor records and die
-with them: the conjugator's form, handed over through `_carrying` by whoever
-built the record (a Hurwitz move, the sweep, regeneration) or filled on
-first use, and the element's (form, inverse) pair, which both move
-directions reuse.  The searches use their per-call `_MoveTable`; the one
-module-level table is `_CORE_RAWS`, never evicted, like the kernel's.
+with them: the conjugator's form, handed over by whoever built the record
+(a Hurwitz move, the sweep, regeneration) or filled on first use, and the
+element's (form, inverse) pair, which both move directions reuse.  The
+searches use their per-call `_MoveTable`; the one module-level table is
+`_CORE_RAWS`, never evicted, like the kernel's.
 """
 
 from __future__ import annotations
@@ -46,6 +47,7 @@ from __future__ import annotations
 import dataclasses
 import enum
 from collections import deque
+from itertools import chain
 from typing import Iterable, Union
 
 from .braid import (
@@ -78,14 +80,17 @@ class _CarriedRaws:
     first use.  Not dataclass fields: eq, hash, repr and `replace` ignore
     them.
 
-    A record built by a Hurwitz move holds its strand count but no
-    `conjugator` until that is first read (by eq, hash, repr, `replace` or
-    any caller); `__getattr__` then spells it from the carried form, once.
+    A record built by a Hurwitz move or by the sweep holds its strand count
+    but no `conjugator` until that is first read (by eq, hash, repr,
+    `replace` or any caller); `__getattr__` then spells it, once, from its
+    `_spelling` source (words, n) as the first n words concatenated; with
+    no source, the one word is the canonical word of the carried form.
     """
 
     _conj_raw: _Raw | None = None
     _element_raws: tuple[_Raw, _Raw] | None = None
     _strands: int = 0
+    _spelling: tuple[list, int] | None = None
 
     def __getattr__(self, name: str):
         m = self._strands
@@ -93,7 +98,8 @@ class _CarriedRaws:
             raise AttributeError(
                 f"{type(self).__name__!r} object has no attribute {name!r}"
             )
-        word = BraidWord(m, raw_to_letters(m, self._conj_raw))
+        words, n = self._spelling or ((raw_to_letters(m, self._conj_raw),), 1)
+        word = BraidWord(m, tuple(chain.from_iterable(words[:n])))
         object.__setattr__(self, "conjugator", word)
         return word
 
@@ -188,6 +194,23 @@ def _carrying(factor: Factor, raw: _Raw) -> Factor:
     """`factor`, now carrying `raw` as its conjugator's canonical form."""
     object.__setattr__(factor, "_conj_raw", raw)
     return factor
+
+
+def _unspelled(kind: type, m: int, raw: _Raw, spelling, **core) -> Factor:
+    """A `kind` record with the core fields `core`, not validated, and a
+    conjugator of form `raw`, spelled on first read from `spelling` or `raw`."""
+    record = object.__new__(kind)
+    record.__dict__.update(core, _strands=m, _conj_raw=raw, _spelling=spelling)
+    return record
+
+
+def _with_core(factor: Factor, kind: type, **core) -> Factor:
+    """A `kind` record with the core fields `core` and `factor`'s
+    conjugator: its word if spelled, else its form and spelling source."""
+    record = _unspelled(kind, factor.strands, _conjugator_raw(factor), factor._spelling, **core)
+    if "conjugator" in vars(factor):
+        record.__dict__["conjugator"] = factor.conjugator
+    return record
 
 
 def _conjugator_raw(factor: Factor) -> _Raw:
@@ -327,14 +350,12 @@ def _move(fact: Factorization, k: int, forward: bool) -> Factorization:
     by, old = (_factor_raws(a)[0], b) if forward else (_factor_raws(b)[1], a)
     conj = raw_multiply(m, by, _conjugator_raw(old))
     # The core fields were validated when `old` was built, so the record is
-    # copied without __post_init__, dropping the old conjugator's word and forms.
+    # copied without __post_init__, dropping the old conjugator's word,
+    # forms and spelling source.
     moved = object.__new__(type(old))
-    state = moved.__dict__
-    state.update(old.__dict__)
-    state.pop("conjugator", None)
-    state.pop("_element_raws", None)
-    state["_strands"] = m
-    _carrying(moved, conj)
+    moved.__dict__.update(old.__dict__, _strands=m, _conj_raw=conj,
+                          _element_raws=None, _spelling=None)
+    moved.__dict__.pop("conjugator", None)
     pair = (moved, a) if forward else (b, moved)
     out = object.__new__(Factorization)  # all factors have m strands: no check
     out.__dict__.update(strands=m, factors=fact.factors[: k - 1] + pair + fact.factors[k + 1 :])

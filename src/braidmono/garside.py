@@ -42,8 +42,9 @@ to the front.  Costs, for m strands:
   conjugator against its inverse;
 * a `slide` cache hit is one dict lookup.  A miss reads the descent masks
   of the two factors from the per-id tables, so it costs O(1) when no
-  crossing can move; otherwise it costs O(m + crossings moved), with a few
-  list operations per moved crossing.
+  crossing can move; otherwise it costs O(m) plus two comparisons per
+  moved crossing, and one C-level `del` and `insert` per list for each
+  strand that moves, however far.
 
 Memory: one policy, in two shapes besides the slide cache (one entry per
 distinct pair ever slid).  Facts about one permutation braid (`tau`, the
@@ -202,13 +203,15 @@ def _slide_ids(fa: int, fb: int) -> tuple[int, int]:
     matter.
 
     The masks of the letters that start b and end a come from the per-id
-    tables, so a miss where no crossing can move costs O(1).  Otherwise the
-    movable positions go on a stack.  A transfer at i swaps entries i, i+1
-    of a and of b^-1, which can only make i-1 or i+1 movable: i-1 is
-    checked at once and i+1 is pushed, and a popped position is checked
-    again before it moves.  Both lists carry the sentinels 0 and m+1 at
-    their ends, which never form a descent, so the loop needs no range
-    check.  The final b^-1 fills the new b's `_PADINV` entry.
+    tables, so a miss where no crossing can move costs O(1).  Otherwise
+    position i holds the item (a(i), b^-1(i)), a transfer at i swaps items
+    i and i+1, and the fixpoint is an insertion sort.  The movable pairs
+    come from the mask, lowest first; the right item of each slides left
+    past every item it can swap with, in one scan, and moves by one `del`
+    and one `insert` per list.  The prefix up to it is then settled, the
+    pair it leaves behind is new and checked next, and the pairs right of
+    that are as the mask says.  The sentinels 0 and m+1 at both ends stop
+    every scan.  The final b^-1 fills the new b's `_PADINV` entry.
     """
     hit = _slide_cache.get((fa, fb))
     if hit is not None:
@@ -219,22 +222,22 @@ def _slide_ids(fa: int, fb: int) -> tuple[int, int]:
     else:
         al = [0, *_PERM_TUPLES[fa], len(_PERM_TUPLES[fa]) + 1]
         bl = list(_padded_inverse(fb))
-        todo = []
-        push = todo.append
-        while d:
-            low = d & -d
-            push(low.bit_length() - 1)
-            d ^= low
-        pop = todo.pop
-        while todo:
-            i = pop()
-            j = i + 1
-            while bl[i] > bl[j] and al[i] < al[j]:
-                al[i], al[j] = al[j], al[i]
-                bl[i], bl[j] = bl[j], bl[i]
-                push(j)
-                j = i
-                i -= 1
+        i = (d & -d).bit_length() - 1
+        while True:
+            x, y = al[i + 1], bl[i + 1]
+            k = i
+            while bl[k] > y and al[k] < x:
+                k -= 1
+            if k < i:
+                del al[i + 1], bl[i + 1]
+                al.insert(k + 1, x)
+                bl.insert(k + 1, y)
+                i += 1
+                continue
+            d &= -2 << i  # the pairs at i and below are settled
+            if not d:
+                break
+            i = (d & -d).bit_length() - 1
         b2 = _pid(_inverse_tuple(bl[1:-1]))
         _PADINV[b2] = tuple(bl)
         out = (_pid(tuple(al[1:-1])), b2)

@@ -34,7 +34,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterable
 
-from .braid import BraidError, BraidWord, HalfTwist
+from .braid import BraidWord, HalfTwist
 from .factorization import BlockFactor, Factor, Factorization, StructuredFactor
 from .arrangements import LineArrangement
 from .regeneration import Rule
@@ -94,6 +94,14 @@ def _content_lines(text: str) -> list[tuple[int, str]]:
     return out
 
 
+def _on_line(no: int | None, build, *args):
+    """`build(*args)`, with a `ValueError` it raises reported on line `no`."""
+    try:
+        return build(*args)
+    except ValueError as exc:
+        raise ParseError(str(exc), no) from exc
+
+
 def _header(lines: list[tuple[int, str]], at: int, keyword: str, sign: str = "-") -> int:
     """The number on the `<keyword> <n>` line at position `at` of `lines`."""
     if len(lines) <= at:
@@ -111,14 +119,11 @@ def _header(lines: list[tuple[int, str]], at: int, keyword: str, sign: str = "-"
 def parse_braid_word(text: str) -> BraidWord:
     lines = _content_lines(text)
     m = _header(lines, 0, "strands")
-    no, letters = lines[0][0], []
-    try:
-        BraidWord(m)  # the strand count, on the header line
-        for no, line in lines[1:]:  # a letter out of range, on its line
-            letters += BraidWord(m, _letters(line.split(), "sS", no)).letters
-        return BraidWord(m, tuple(letters))
-    except BraidError as exc:
-        raise ParseError(str(exc), no) from exc
+    _on_line(lines[0][0], BraidWord, m)  # the strand count, on the header line
+    letters = []
+    for no, line in lines[1:]:  # a letter out of range, on its line
+        letters += _on_line(no, BraidWord, m, _letters(line.split(), "sS", no)).letters
+    return BraidWord(m, tuple(letters))
 
 
 def format_braid_word(w: BraidWord) -> str:
@@ -164,30 +169,24 @@ def _parse_factor(m: int, no: int, line: str) -> Factor:
         raise ParseError(
             "factor needs conj=, exp= and exactly one of base=/block=", no
         )
-    letters = _letters(conj_tokens, "sS", no)
-    try:
-        conj = BraidWord(m, letters)
-        if base is not None:
-            return StructuredFactor(conj, HalfTwist(m, base[0], base[1]), exp)
-        return BlockFactor(conj, block[0], block[1], exp)
-    except ValueError as exc:
-        raise ParseError(str(exc), no) from exc
+    conj = _on_line(no, BraidWord, m, _letters(conj_tokens, "sS", no))
+    if base is not None:
+        return _on_line(no, StructuredFactor, conj, _on_line(no, HalfTwist, m, *base), exp)
+    return _on_line(no, BlockFactor, conj, *block, exp)
 
 
 def parse_factorization(text: str) -> Factorization:
     lines = _content_lines(text)
     m = _header(lines, 0, "strands")
+    _on_line(lines[0][0], BraidWord, m)  # the strand count, on the header line
     n = _header(lines, 1, "factors", sign="")
     body = lines[2:]
     if len(body) != n:
         raise ParseError(
             f"declared {n} factors but found {len(body)} factor lines"
         )
-    factors = tuple(_parse_factor(m, no, line) for no, line in body)
-    try:
-        return Factorization(m, factors)
-    except ValueError as exc:
-        raise ParseError(str(exc)) from exc
+    # every factor was built on m >= 1 strands, so the factorization is valid
+    return Factorization(m, tuple(_parse_factor(m, no, line) for no, line in body))
 
 
 def format_factorization(fact: Factorization, header_comments: Iterable[str] = ()) -> str:
@@ -234,10 +233,7 @@ def parse_arrangement(text: str) -> LineArrangement:
         if len(parts) != 3 or parts[0] != "line":
             raise ParseError(f"expected `line <slope> <intercept>`, got {line!r}", no)
         pairs.append((_parse_rational(parts[1], no), _parse_rational(parts[2], no)))
-    try:
-        return LineArrangement.from_pairs(pairs)
-    except ValueError as exc:
-        raise ParseError(str(exc)) from exc
+    return _on_line(None, LineArrangement.from_pairs, pairs)
 
 
 def format_arrangement(arr: LineArrangement) -> str:
@@ -253,12 +249,12 @@ def format_arrangement(arr: LineArrangement) -> str:
 def parse_presentation(text: str) -> Presentation:
     lines = _content_lines(text)
     m = _header(lines, 0, "gens")
-    relators = tuple(FreeWord.reduce(_letters(line.split(), "xX", no))
-                     for no, line in lines[1:])
-    try:
-        return Presentation(m, relators)
-    except ValueError as exc:
-        raise ParseError(str(exc)) from exc
+    _on_line(lines[0][0], Presentation, m, ())  # the count, on the header line
+    relators = []
+    for no, line in lines[1:]:  # a letter out of range, on its line
+        relator = FreeWord.reduce(_letters(line.split(), "xX", no))
+        relators += _on_line(no, Presentation, m, (relator,)).relators
+    return Presentation(m, tuple(relators))
 
 
 def format_presentation(pres: Presentation) -> str:

@@ -1,7 +1,9 @@
+import random
 from fractions import Fraction
 
 import pytest
 
+import braidmono.arrangements as am
 from braidmono import (
     ArrangementError,
     BlockFactor,
@@ -20,6 +22,7 @@ from braidmono import (
     singular_points,
     to_wiring_diagram,
 )
+from braidmono.arrangements import SingularPoint
 from braidmono.garside import raw_of_word
 from conftest import random_generic_arrangement
 
@@ -61,6 +64,82 @@ class TestSingularPoints:
     def test_single_line_rejected(self):
         with pytest.raises(ArrangementError):
             singular_points(arrangement((1, 0)))
+
+
+def fraction_singular_points(arr, order):
+    """`singular_points` as it was computed in `Fraction`s: every pairwise
+    crossing solved, grouped and sorted as (x, y) pairs of Fractions, then
+    swept from the initial bottom-to-top `order`."""
+    points = {}
+    for i in range(arr.m):
+        a1, b1 = arr.lines[i]
+        for j in range(i + 1, arr.m):
+            a2, b2 = arr.lines[j]
+            if a1 == a2:
+                continue
+            x = Fraction(b2 - b1, a1 - a2)
+            y = a1 * x + b1
+            points.setdefault((x, y), set()).update((i, j))
+    result = []
+    for x, y in sorted(points):
+        incident = points[(x, y)]
+        positions = sorted(order.index(i) + 1 for i in incident)
+        low, high = positions[0], positions[-1]
+        if positions != list(range(low, high + 1)):
+            raise ArrangementError(
+                f"lines {sorted(incident)} do not occupy consecutive fiber "
+                f"positions at x={x}; two same-x points overlap. "
+                "Perturb one intercept by a small rational to separate them."
+            )
+        result.append(SingularPoint(x, y, tuple(sorted(incident)), (low, high), len(incident)))
+        order[low - 1 : high] = reversed(order[low - 1 : high])
+    return result
+
+
+def geometry_inputs():
+    rng = random.Random(19)
+    arrs = [random_generic_arrangement(rng, m) for m in range(2, 13) for _ in range(2)]
+    arrs.append(arrangement(*[(i, i * i) for i in range(1, 13)]))  # tangent family
+    pencil = [(Fraction(s, 3), Fraction(-2 * s, 3) + Fraction(1, 2)) for s in range(-3, 3)]
+    arrs.append(LineArrangement.from_pairs(pencil + [(Fraction(7, 2), 1), (-5, Fraction(-9, 4))]))
+    arrs.append(arrangement((0, 0), (0, 1), (1, 0), (2, 5), (-1, 3), (2, -7)))  # parallels
+    for _ in range(6):  # integer input, negative slopes and intercepts
+        pairs = {(rng.randint(-9, 9), rng.randint(-40, 40)) for _ in range(rng.randint(2, 9))}
+        if len(pairs) > 1:
+            arrs.append(arrangement(*pairs))
+    return arrs
+
+
+class TestIntegerGeometry:
+    """The crossings are solved, grouped and ordered in integers; the
+    points, their Fraction coordinates and their blocks are those of the
+    Fraction computation."""
+
+    def test_points_match_the_fraction_computation(self):
+        for arr in geometry_inputs():
+            pts = singular_points(arr)
+            assert pts == fraction_singular_points(arr, am._initial_order(arr))
+            assert all(type(p.x) is Fraction and type(p.y) is Fraction for p in pts)
+
+    def test_overlap_error_text_is_unchanged(self, monkeypatch):
+        """A wrong initial order makes incident lines non-adjacent, the one
+        way to reach the overlap error; its text names the same x."""
+        rng = random.Random(4)
+        initial_order, seen = am._initial_order, 0
+        for arr in geometry_inputs():
+            order = initial_order(arr)
+            rng.shuffle(order)
+            monkeypatch.setattr(am, "_initial_order", lambda arr: list(order))
+            try:
+                want = fraction_singular_points(arr, list(order))
+            except ArrangementError as exc:
+                with pytest.raises(ArrangementError) as got:
+                    singular_points(arr)
+                assert str(got.value) == str(exc)
+                seen += "/" in str(exc)
+            else:
+                assert singular_points(arr) == want
+        assert seen
 
 
 class TestWiringDiagram:

@@ -2,9 +2,10 @@
 
 * The kernel's private names (permutation-id interning, per-id tables) stay
   inside `garside.py`: no other module imports a `_`-name from it.
-* The raw forms a factor record carries are read and set only in
-  `factorization.py`: other modules hand a record its form through
-  `factorization._carrying` and read it through the functions there.
+* The raw forms a factor record carries, and the source its conjugator
+  is spelled from, are read and set only in `factorization.py`: other
+  modules hand a record its form through the helpers there
+  (`_carrying`, `_unspelled`, `_with_core`) and read it through them.
 * Only the command line talks to the user: no module but `cli.py` and
   `__main__.py` imports `sys` or `warnings` or calls `print`.  The library
   returns what it found, and the CLI decides what to print.
@@ -13,6 +14,8 @@
   Its public functions are all `parse_*` or `format_*`: the bench's span
   tracer wraps each one and takes `len()` of what a non-`parse_*` one
   returns.
+* The exact geometry and the kernel stay exact: `arrangements.py` and
+  `garside.py` call no `float` and hold no float literal.
 """
 
 import ast
@@ -22,7 +25,7 @@ import pytest
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "braidmono"
 MODULES = sorted(SRC.glob("*.py"))
-RECORD_ATTRIBUTES = {"_conj_raw", "_element_raws", "_strands"}
+RECORD_ATTRIBUTES = {"_conj_raw", "_element_raws", "_strands", "_spelling"}
 CONSOLE_NAMES = {"sys", "warnings", "print"}
 DIGIT_TESTS = {"isdigit", "isascii"}
 
@@ -79,6 +82,17 @@ def number_reads(module: ast.Module) -> list[str]:
     return out
 
 
+def float_uses(module: ast.Module) -> list[str]:
+    """Calls of `float`, and float or complex literals."""
+    out = []
+    for node in ast.walk(module):
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "float":
+            out.append(f"line {node.lineno}: float")
+        elif isinstance(node, ast.Constant) and isinstance(node.value, (float, complex)):
+            out.append(f"line {node.lineno}: {node.value!r}")
+    return out
+
+
 def public_functions(module: ast.Module) -> list[str]:
     return [node.name for node in module.body
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
@@ -118,6 +132,11 @@ def test_only_textio_reads_numbers(path):
     assert number_reads(tree(path)) == []
 
 
+@pytest.mark.parametrize("name", ["arrangements.py", "garside.py"])
+def test_exact_modules_use_no_floats(name):
+    assert float_uses(tree(SRC / name)) == []
+
+
 def test_textio_functions_parse_or_format():
     names = public_functions(tree(SRC / "textio.py"))
     assert names and [n for n in names if not n.startswith(("parse_", "format_"))] == []
@@ -145,10 +164,14 @@ def test_the_checks_see_what_they_forbid():
         "def _int(token): pass\n"
         "class Reader:\n"
         "    def read(self): pass\n"
+        "y = float(n) + 0.5 * x ** 2\n"
+        "z = (1e-3, 2j, np.float(3), 3 // 2, '0.5')\n"
+        "object.__setattr__(h, '_spelling', None)\n"
     )
     assert private_garside_imports(bad) == ["_pid", "_strip_ids"]
     assert record_attribute_uses(bad) == [
         "line 3: ._conj_raw", "line 4: ._element_raws", "line 5: '_strands'",
+        "line 22: '_spelling'",
     ]
     assert console_uses(bad) == [
         "line 6: warnings", "line 7: sys", "line 8: warnings", "line 9: print",
@@ -157,3 +180,6 @@ def test_the_checks_see_what_they_forbid():
         "line 11: int", "line 12: .isascii", "line 12: .isdigit", "line 13: .isdigit",
     ]
     assert public_functions(bad) == ["read_int", "parse_word"]
+    assert sorted(float_uses(bad)) == [
+        "line 20: 0.5", "line 20: float", "line 21: 0.001", "line 21: 2j",
+    ]

@@ -273,11 +273,31 @@ class TestSlideTables:
     """A slide miss reads its masks and b^-1 from the per-id tables, and
     fills `_PADINV` of the b it creates from the loop's own list."""
 
-    @pytest.mark.parametrize("m", [16, 24])
+    @pytest.mark.parametrize("m", [*range(2, 9), 16, 24])
     def test_slide_matches_reference(self, rng, m):
         for _ in range(250):
             fa, fb = random_pid(rng, m), random_pid(rng, m)
             assert uncached_slide(fa, fb) == slide_reference(fa, fb)
+
+    @pytest.mark.parametrize("m", range(2, 9))
+    def test_full_transfers_and_delta(self, rng, m):
+        """b a prefix of the right complement of a: a b is simple, so every
+        crossing of b moves; b the whole complement makes Delta."""
+        ident, w0, _, _ = garside._strands(m)
+
+        def simple(letters):
+            """The id of a positive word that spells a permutation braid."""
+            p, fids = garside.raw_of_word(m, letters)
+            return w0 if p else fids[0] if fids else ident
+
+        for _ in range(80):
+            fa = random_pid(rng, m)
+            word = garside._lift_letters(garside._rcomp_id(fa))
+            k = rng.choice([len(word), rng.randint(0, len(word))])
+            got = uncached_slide(fa, simple(word[:k]))
+            assert got == slide_reference(fa, simple(word[:k]))
+            assert got == (simple(garside._lift_letters(fa) + word[:k]), ident)
+            assert (got[0] == w0) == (k == len(word))
 
     @pytest.mark.parametrize("m", [16, 24])
     def test_pairs_of_ids_interned_by_a_slide(self, m):

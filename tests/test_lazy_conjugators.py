@@ -1,11 +1,14 @@
-"""Records built by Hurwitz moves spell their conjugator words only when
-read.  A moved record carries its conjugator's raw forms; its first read of
-`conjugator`, directly or through eq, hash, repr, `dataclasses.replace` or
-the text format, spells the word once from the carried form, and the result
-is the record a move that spelled the word at once would have built."""
+"""Records built by Hurwitz moves or by the sweep spell their conjugator
+words only when read.  A moved record carries its conjugator's raw forms;
+its first read of `conjugator`, directly or through eq, hash, repr,
+`dataclasses.replace` or the text format, spells the word once from the
+carried form, and the result is the record a move that spelled the word at
+once would have built.  A sweep record spells, on its first read, the
+concatenation of block half-twists that the sweep used to spell at once."""
 
 import dataclasses
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -20,13 +23,15 @@ from braidmono import (
     apply_moves,
     braid_monodromy,
     canonical_key,
+    delta_word,
     hurwitz_move,
     hurwitz_move_inverse,
     is_delta2_factorization,
+    to_wiring_diagram,
 )
 from braidmono.garside import raw_to_letters
 from braidmono.textio import format_factorization
-from conftest import standard_b3_factorization
+from conftest import random_generic_arrangement, standard_b3_factorization
 
 
 def walk(fact, seed, moves=500):
@@ -42,6 +47,8 @@ def block_sweep():
     pencil = LineArrangement.from_pairs([(s, 0) for s in range(1, 5)] + [(-1, 7)])
     fact = braid_monodromy(pencil)
     assert any(isinstance(f, BlockFactor) for f in fact.factors)
+    for f in fact.factors:  # spelled, so that only moved records are lazy
+        f.conjugator
     return fact
 
 
@@ -151,6 +158,64 @@ def test_missing_attributes_still_raise():
         f.no_such_field
     g = block_sweep().factors[0]
     assert not hasattr(g, "base")
+
+
+def sweep_arrangements():
+    rng = random.Random(17)
+    arrs = [random_generic_arrangement(rng, m) for m in (2, 5, 9)]
+    arrs.append(LineArrangement.from_pairs([(i, i * i) for i in range(1, 11)]))
+    pencil = [(s, 0) for s in range(1, 5)] + [(-1, 7), (-2, Fraction(-5, 2))]
+    arrs.append(LineArrangement.from_pairs(pencil))
+    return arrs
+
+
+def spelled_at_once(arr, expand_blocks):
+    """The conjugator letters the sweep spelled at once: for the point of
+    event q, the block half-twists of the events right of it, nearest last,
+    repeated for each node of an expanded block."""
+    m, events = arr.m, to_wiring_diagram(arr).events
+    out = []
+    for idx, (low, high) in enumerate(events):
+        word = ()
+        for q in range(len(events) - 1, idx, -1):
+            word += delta_word(m, *events[q]).letters
+        width = high - low + 1
+        out += [word] * (width * (width - 1) // 2 if expand_blocks else 1)
+    return out
+
+
+@pytest.mark.parametrize("expand_blocks", [False, True])
+class TestSweepRecords:
+    def test_nothing_spelled_until_read(self, expand_blocks):
+        for arr in sweep_arrangements():
+            fact = braid_monodromy(arr, expand_blocks=expand_blocks)
+            assert is_delta2_factorization(fact) and canonical_key(fact)
+            assert all(is_lazy(f) for f in fact.factors)
+            head, *rest = fact.factors
+            head.conjugator
+            assert not is_lazy(head) and all(is_lazy(f) for f in rest)
+
+    def test_spelled_words_are_the_block_concatenation(self, expand_blocks):
+        for arr in sweep_arrangements():
+            fact = braid_monodromy(arr, expand_blocks=expand_blocks)
+            want = spelled_at_once(arr, expand_blocks)
+            assert [f.conjugator.letters for f in fact.factors] == want
+            assert [f.conjugator.letters for f in fact.factors] == want  # read again
+
+    def test_moved_records_spell_their_form(self, expand_blocks):
+        """A move drops the sweep's spelling source: the moved record spells
+        the canonical word of its new form, the others the sweep's words."""
+        arr = sweep_arrangements()[-1]
+        m, want = arr.m, spelled_at_once(arr, expand_blocks)
+        for k in range(1, len(want)):
+            for move, moved_at in ((hurwitz_move, k - 1), (hurwitz_move_inverse, k)):
+                fact = move(braid_monodromy(arr, expand_blocks=expand_blocks), k)
+                moved = fact.factors[moved_at]
+                assert is_lazy(moved)
+                assert moved.conjugator == BraidWord(m, raw_to_letters(m, moved._conj_raw))
+                # the other factor of the pair came from where the moved one is
+                kept = fact.factors[2 * k - 1 - moved_at]
+                assert kept.conjugator.letters == want[moved_at]
 
 
 class TestApplyMovesDirection:

@@ -120,6 +120,14 @@ class TestFactorizationFormat:
         with pytest.raises(ParseError, match=f"strand count must be positive, got {m}"):
             parse_factorization(f"strands {m}\nfactors 0\n")
 
+    @pytest.mark.parametrize("text", [
+        "strands 0\nfactors 1\nconj= ; base= 1 2 ; exp= 1\n",
+        "strands -2\nfactors 0\n",
+    ])
+    def test_strand_count_blames_the_header(self, text):
+        with pytest.raises(ParseError, match=r"strand count must be positive, got -?\d+ \(line 1\)"):
+            parse_factorization(text)
+
     def test_base_and_block_conflict(self):
         with pytest.raises(ParseError):
             parse_factorization(
@@ -210,6 +218,16 @@ class TestPresentationFormat:
     def test_generator_out_of_range(self):
         with pytest.raises(ParseError, match="relator letter 3 outside generators 1..2"):
             parse_presentation("gens 2\nx3\n")
+
+    @pytest.mark.parametrize("text, line", [
+        ("gens 2\nx1\nx3\n", 3),
+        ("gens 2\nx1 X2\n# next\n\nx2 x3 X1\n", 5),
+        ("# gens\ngens -1\n", 2),
+    ])
+    def test_errors_name_their_line(self, text, line):
+        with pytest.raises(ParseError) as exc:
+            parse_presentation(text)
+        assert exc.value.line == line
 
     def test_negative_generator_count(self):
         with pytest.raises(ParseError, match="generator count must not be negative"):
