@@ -30,13 +30,15 @@ from __future__ import annotations
 
 import dataclasses
 from fractions import Fraction
-from functools import cmp_to_key
+from functools import cmp_to_key, partial
+from itertools import chain
 from math import gcd, lcm
+from operator import attrgetter
 from typing import Iterable
 
-from .braid import BraidError, HalfTwist, delta_word
+from .braid import BraidError, BraidWord, HalfTwist, delta_word
 from .factorization import BlockFactor, Factor, Factorization, StructuredFactor
-from .factorization import _unspelled, _with_core
+from .factorization import _conjugator_raw, _record
 from .garside import raw_of_permutation
 
 
@@ -182,16 +184,22 @@ def expand_block_factor(factor: BlockFactor) -> list[StructuredFactor]:
     of the squared band half-twists Z_{s,t}^2 over pairs a <= s < t <= b,
     taken with t ascending and s ascending within t.  The identity is exact
     in the subgroup, so the expansion leaves any surrounding product
-    unchanged; each node factor inherits the block factor's conjugator,
-    with its raw form, unspelled if the block's is.
+    unchanged; each node factor inherits the block factor's conjugator: its
+    raw form, and on first read the block's word, one object for all nodes.
     """
     if factor.exponent != 2:
         raise BraidError("only full twists (exponent 2) expand into nodes")
+    m, raw, spelling = factor.strands, _conjugator_raw(factor), (attrgetter("conjugator"), factor)
     return [
-        _with_core(factor, StructuredFactor, base=HalfTwist(factor.strands, s, t), exponent=2)
+        _record(StructuredFactor, m, raw, spelling, {"base": HalfTwist(m, s, t), "exponent": 2})
         for t in range(factor.low + 1, factor.high + 1)
         for s in range(factor.low, t)
     ]
+
+
+def _prefix_word(m: int, deltas: list[tuple[int, ...]], n: int) -> BraidWord:
+    """The first n block half-twists of a sweep, concatenated."""
+    return BraidWord(m, tuple(chain.from_iterable(deltas[:n])))
 
 
 def braid_monodromy(arr: LineArrangement, expand_blocks: bool = False) -> Factorization:
@@ -214,19 +222,22 @@ def braid_monodromy(arr: LineArrangement, expand_blocks: bool = False) -> Factor
     # each conjugator extends the one of the point to its right by that
     # point's block half-twist.  Two lines cross at most once, so every
     # conjugator is one permutation braid, of the running order with each
-    # block reversed.  Its word, a prefix of the one list of block
-    # half-twists, is spelled only when read.
+    # block reversed.  Its word, the block half-twists of the n points to
+    # its right, is spelled only when read, as `prefix(n)` of the sweep's
+    # one `prefix`.
     deltas: list[tuple[int, ...]] = []
+    prefix = partial(_prefix_word, m, deltas)
     images = list(range(1, m + 1))
     records: list[Factor] = []
     for p in reversed(singular_points(arr)):
         low, high = p.block
-        raw, spelling = raw_of_permutation(m, images), (deltas, len(deltas))
+        raw, spelling = raw_of_permutation(m, images), (prefix, len(deltas))
         if high == low + 1:
-            records.append(_unspelled(StructuredFactor, m, raw, spelling,
-                                      base=HalfTwist(m, low, high), exponent=2))
+            records.append(_record(StructuredFactor, m, raw, spelling,
+                                   {"base": HalfTwist(m, low, high), "exponent": 2}))
         else:
-            block = _unspelled(BlockFactor, m, raw, spelling, low=low, high=high, exponent=2)
+            block = _record(BlockFactor, m, raw, spelling,
+                            {"low": low, "high": high, "exponent": 2})
             records.extend(reversed(expand_block_factor(block)) if expand_blocks else [block])
         deltas.append(delta_word(m, low, high).letters)
         images[low - 1 : high] = reversed(images[low - 1 : high])

@@ -31,15 +31,16 @@ no conjugator word is spelled inside a search.  `hurwitz_move`,
 record carries only its conjugator's raw form: it spells the word, as the
 canonical word of that form, on the first read of `conjugator` (directly
 or through eq, hash, repr, `dataclasses.replace` or the text format), so a
-walk that reads only the final records spells each word once.  A sweep
-record spells its word, a run of block half-twists, on first read too.
+walk that reads only the final records spells each word once.
 
 Raw forms `(delta_power, factor_ids)` live on the factor records and die
-with them: the conjugator's form, handed over by whoever built the record
-(a Hurwitz move, the sweep, regeneration) or filled on first use, and the
-element's (form, inverse) pair, which both move directions reuse.  The
-searches use their per-call `_MoveTable`; the one module-level table is
-`_CORE_RAWS`, never evicted, like the kernel's.
+with them: the conjugator's form, filled on first use or handed over by
+the record's producer, and the element's (form, inverse) pair, which both
+move directions reuse.  Each producer (a Hurwitz move, the sweep,
+`expand_block_factor`, regeneration) builds its records with `_record`,
+and may hand over a `(function, argument)` pair of its own that spells the
+word on first read.  The searches use their per-call `_MoveTable`; the one
+module-level table is `_CORE_RAWS`, never evicted, like the kernel's.
 """
 
 from __future__ import annotations
@@ -47,8 +48,7 @@ from __future__ import annotations
 import dataclasses
 import enum
 from collections import deque
-from itertools import chain
-from typing import Iterable, Union
+from typing import Callable, Iterable, Union
 
 from .braid import (
     BraidError,
@@ -80,17 +80,17 @@ class _CarriedRaws:
     first use.  Not dataclass fields: eq, hash, repr and `replace` ignore
     them.
 
-    A record built by a Hurwitz move or by the sweep holds its strand count
-    but no `conjugator` until that is first read (by eq, hash, repr,
-    `replace` or any caller); `__getattr__` then spells it, once, from its
-    `_spelling` source (words, n) as the first n words concatenated; with
-    no source, the one word is the canonical word of the carried form.
+    A record built by `_record` holds its strand count, and may hold no
+    `conjugator` until that is first read (by eq, hash, repr, `replace` or
+    any caller); `__getattr__` then spells it once, as `function(argument)`
+    for the `_spelling` source its producer handed over, or with no source
+    as the canonical word of the carried form.
     """
 
     _conj_raw: _Raw | None = None
     _element_raws: tuple[_Raw, _Raw] | None = None
     _strands: int = 0
-    _spelling: tuple[list, int] | None = None
+    _spelling: tuple[Callable, object] | None = None
 
     def __getattr__(self, name: str):
         m = self._strands
@@ -98,10 +98,16 @@ class _CarriedRaws:
             raise AttributeError(
                 f"{type(self).__name__!r} object has no attribute {name!r}"
             )
-        words, n = self._spelling or ((raw_to_letters(m, self._conj_raw),), 1)
-        word = BraidWord(m, tuple(chain.from_iterable(words[:n])))
+        if self._spelling is None:
+            word = BraidWord(m, raw_to_letters(m, self._conj_raw))
+        else:
+            word = self._spelling[0](self._spelling[1])
         object.__setattr__(self, "conjugator", word)
         return word
+
+    @property
+    def strands(self) -> int:
+        return self._strands or self.conjugator.strands
 
     def with_conjugator(self, conjugator: BraidWord) -> Factor:
         """The same core under another conjugator, validated, with no
@@ -132,10 +138,6 @@ class StructuredFactor(_CarriedRaws):
             raise BraidError("conjugator and base strand counts differ")
         if self.exponent < 1:
             raise BraidError(f"exponent must be positive, got {self.exponent}")
-
-    @property
-    def strands(self) -> int:
-        return self.base.strands
 
     def core_word(self) -> BraidWord:
         return power(half_twist_word(self.base), self.exponent)
@@ -168,10 +170,6 @@ class BlockFactor(_CarriedRaws):
             raise BraidError(f"exponent must be positive, got {self.exponent}")
 
     @property
-    def strands(self) -> int:
-        return self._strands or self.conjugator.strands
-
-    @property
     def width(self) -> int:
         return self.high - self.low + 1
 
@@ -190,26 +188,14 @@ def expand(factor: Factor) -> BraidWord:
     return compose(factor.conjugator, factor.core_word(), invert(factor.conjugator))
 
 
-def _carrying(factor: Factor, raw: _Raw) -> Factor:
-    """`factor`, now carrying `raw` as its conjugator's canonical form."""
-    object.__setattr__(factor, "_conj_raw", raw)
-    return factor
-
-
-def _unspelled(kind: type, m: int, raw: _Raw, spelling, **core) -> Factor:
-    """A `kind` record with the core fields `core`, not validated, and a
-    conjugator of form `raw`, spelled on first read from `spelling` or `raw`."""
+def _record(kind: type, m: int, raw: _Raw, spelling, fields: dict) -> Factor:
+    """A `kind` record in B_m with the fields `fields`, unvalidated, carrying
+    the conjugator form `raw`.  With no `conjugator` field it spells the word
+    on first read by the `(function, argument)` pair `spelling`, else by `raw`."""
     record = object.__new__(kind)
-    record.__dict__.update(core, _strands=m, _conj_raw=raw, _spelling=spelling)
-    return record
-
-
-def _with_core(factor: Factor, kind: type, **core) -> Factor:
-    """A `kind` record with the core fields `core` and `factor`'s
-    conjugator: its word if spelled, else its form and spelling source."""
-    record = _unspelled(kind, factor.strands, _conjugator_raw(factor), factor._spelling, **core)
-    if "conjugator" in vars(factor):
-        record.__dict__["conjugator"] = factor.conjugator
+    record.__dict__.update(fields, _strands=m, _conj_raw=raw)
+    if spelling is not None:
+        record.__dict__["_spelling"] = spelling
     return record
 
 
@@ -218,7 +204,7 @@ def _conjugator_raw(factor: Factor) -> _Raw:
     raw = factor._conj_raw
     if raw is None:
         raw = raw_of_word(factor.strands, free_reduce(factor.conjugator.letters))
-        _carrying(factor, raw)
+        object.__setattr__(factor, "_conj_raw", raw)
     return raw
 
 
@@ -326,10 +312,11 @@ def is_delta2_factorization(fact: Factorization) -> bool:
     factorization to arise as a braid monodromy factorization."""
     m = fact.strands
     # The exponent sum is a homomorphism to Z, so a degree other than
-    # deg Delta^2 = m(m-1) settles the question without multiplying.
-    if m < 2 or fact.degree() != m * (m - 1):
+    # deg Delta^2 = m(m-1) settles the question without multiplying.  In
+    # B_1, where no factor fits, the empty product is Delta^2 = 1.
+    if fact.degree() != m * (m - 1):
         return False
-    return _product_raw(fact) == _FULL_TWIST_RAW
+    return m == 1 or _product_raw(fact) == _FULL_TWIST_RAW
 
 
 def canonical_key(fact: Factorization) -> tuple:
@@ -349,13 +336,13 @@ def _move(fact: Factorization, k: int, forward: bool) -> Factorization:
     # a b a^-1 conjugates b's conjugator by a; b^-1 a b conjugates a's by b^-1.
     by, old = (_factor_raws(a)[0], b) if forward else (_factor_raws(b)[1], a)
     conj = raw_multiply(m, by, _conjugator_raw(old))
-    # The core fields were validated when `old` was built, so the record is
-    # copied without __post_init__, dropping the old conjugator's word,
-    # forms and spelling source.
-    moved = object.__new__(type(old))
-    moved.__dict__.update(old.__dict__, _strands=m, _conj_raw=conj,
-                          _element_raws=None, _spelling=None)
-    moved.__dict__.pop("conjugator", None)
+    # The core fields were validated when `old` was built, so they are
+    # copied unchecked; the old conjugator's word, forms and spelling source
+    # are dropped, so the moved record spells its own canonical word.
+    core = old.__dict__.copy()
+    for name in ("conjugator", "_element_raws", "_spelling"):
+        core.pop(name, None)
+    moved = _record(type(old), m, conj, None, core)
     pair = (moved, a) if forward else (b, moved)
     out = object.__new__(Factorization)  # all factors have m strands: no check
     out.__dict__.update(strands=m, factors=fact.factors[: k - 1] + pair + fact.factors[k + 1 :])

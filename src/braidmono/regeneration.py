@@ -48,8 +48,8 @@ from .factorization import (
     Factorization,
     StructuredFactor,
     _FULL_TWIST_RAW,
-    _carrying,
     _product_raw,
+    _record,
     is_delta2_factorization,
 )
 from .garside import RAW_IDENTITY, raw_inverse, raw_multiply, raw_of_word, raw_permutation
@@ -167,8 +167,8 @@ def _apply(rule: Rule, factor: Factor) -> tuple[StructuredFactor, ...]:
             letter = (twist * short,)
             word = BraidWord(m, free_reduce(conj.letters + letter))
             form = raw_multiply(m, raw, raw_of_word(m, letter))
-        row = StructuredFactor(word, base, out_exponent or factor.exponent)
-        out.append(_carrying(row, form))
+        out.append(_record(StructuredFactor, m, form, None, {
+            "conjugator": word, "base": base, "exponent": out_exponent or factor.exponent}))
     return tuple(out)
 
 

@@ -53,7 +53,7 @@ from operator import neg
 from typing import Iterable
 
 from .braid import BraidError, BraidWord, free_reduce
-from .factorization import Factorization
+from .factorization import Factorization, _core_key
 
 # A letter step of the trie walk rewrites one image as a b a^-1 or b^-1 a b
 # of two images, so a step at this length copies up to three times as many
@@ -215,13 +215,13 @@ def presentation(fact: Factorization) -> Presentation:
                                  f"of {MAX_IMAGE_LETTERS} letters of van Kampen's walk")
             if depth in resumed:
                 snapshots.append((depth, list(images)))
-        core = fact.factors[index].core_word()
-        if core.letters not in core_relators:
-            core_relators[core.letters] = [free_reduce(w.letters + (-i,)) for i, w in
-                                           enumerate(artin_images(core), 1) if w.letters != (i,)]
+        key = _core_key(fact.factors[index])
+        if key not in core_relators:
+            core_relators[key] = [free_reduce(w.letters + (-i,)) for i, w in enumerate(
+                artin_images(fact.factors[index].core_word()), 1) if w.letters != (i,)]
         factor_relators[index] = [free_reduce(chain.from_iterable(
             images[x - 1] if x > 0 else map(neg, reversed(images[-x - 1])) for x in r))
-            for r in core_relators[core.letters]]
+            for r in core_relators[key]]
     del snapshots, conjugators  # free the walk before the dedup, where the call peaks
     # dict keys keep the first-seen order
     unique = dict.fromkeys(chain.from_iterable(factor_relators))

@@ -3,9 +3,10 @@
 * The kernel's private names (permutation-id interning, per-id tables) stay
   inside `garside.py`: no other module imports a `_`-name from it.
 * The raw forms a factor record carries, and the source its conjugator
-  is spelled from, are read and set only in `factorization.py`: other
-  modules hand a record its form through the helpers there
-  (`_carrying`, `_unspelled`, `_with_core`) and read it through them.
+  is spelled from, are read and set only in `factorization.py`, and only
+  its one constructor `_record` builds a record that carries them: no
+  other module calls `object.__new__` or uses `.__dict__`.  Other modules
+  hand a record its form and spelling source through `_record`.
 * Only the command line talks to the user: no module but `cli.py` and
   `__main__.py` imports `sys` or `warnings` or calls `print`.  The library
   returns what it found, and the CLI decides what to print.
@@ -52,6 +53,18 @@ def record_attribute_uses(module: ast.Module) -> list[str]:
             out.append(f"line {node.lineno}: .{node.attr}")
         elif isinstance(node, ast.Constant) and node.value in RECORD_ATTRIBUTES:
             out.append(f"line {node.lineno}: {node.value!r}")
+    return out
+
+
+def record_constructions(module: ast.Module) -> list[str]:
+    """Calls of `object.__new__`, and every use of `.__dict__`."""
+    out = []
+    for node in ast.walk(module):
+        if isinstance(node, ast.Attribute) and node.attr == "__dict__":
+            out.append(f"line {node.lineno}: .__dict__")
+        elif (isinstance(node, ast.Attribute) and node.attr == "__new__"
+              and isinstance(node.value, ast.Name) and node.value.id == "object"):
+            out.append(f"line {node.lineno}: object.__new__")
     return out
 
 
@@ -119,6 +132,13 @@ def test_record_raw_forms_stay_in_factorization(path):
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_records_are_built_only_in_factorization(path):
+    if path.name == "factorization.py":
+        return
+    assert record_constructions(tree(path)) == []
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_only_the_cli_talks_to_the_user(path):
     if path.name in ("cli.py", "__main__.py"):
         return
@@ -167,12 +187,16 @@ def test_the_checks_see_what_they_forbid():
         "y = float(n) + 0.5 * x ** 2\n"
         "z = (1e-3, 2j, np.float(3), 3 // 2, '0.5')\n"
         "object.__setattr__(h, '_spelling', None)\n"
+        "r = object.__new__(StructuredFactor)\n"
+        "r.__dict__.update(base=b)\n"
+        "s = cls.__new__(cls)\n"
     )
     assert private_garside_imports(bad) == ["_pid", "_strip_ids"]
     assert record_attribute_uses(bad) == [
         "line 3: ._conj_raw", "line 4: ._element_raws", "line 5: '_strands'",
         "line 22: '_spelling'",
     ]
+    assert record_constructions(bad) == ["line 23: object.__new__", "line 24: .__dict__"]
     assert console_uses(bad) == [
         "line 6: warnings", "line 7: sys", "line 8: warnings", "line 9: print",
     ]

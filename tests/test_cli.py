@@ -113,6 +113,10 @@ class TestMonodromy:
             )
             assert code == 0 and out.splitlines()[1] == want
 
+    def test_check_delta2_one_strand(self, files, capsys):
+        code, out = run(capsys, "check-delta2", files("b1.fac", "strands 1\nfactors 0\n"))
+        assert code == 0 and out == "true\n"
+
     def test_check_delta2_false(self, files, capsys):
         fac = files("one.fac", "strands 2\nfactors 1\nconj= ; base= 1 2 ; exp= 1\n")
         code, out = run(capsys, "check-delta2", fac)
@@ -230,6 +234,11 @@ class TestVanKampen:
         assert code == 0
         assert "abelianization rank 1" in out
 
+
+    def test_one_strand_has_no_warning(self, files, capsys):
+        code, out = run(capsys, "vankampen", files("b1.fac", "strands 1\nfactors 0\n"))
+        assert code == 0
+        assert out == "# abelianization rank 1\ngens 1\n"
 
     def test_formal_presentation_warns(self, files, capsys):
         fac = files("one.fac", "strands 2\nfactors 1\nconj= ; base= 1 2 ; exp= 1\n")

@@ -91,6 +91,12 @@ class TestProduct:
         assert is_delta2_factorization(b3_factorization)
         assert b3_factorization.degree() == 6
 
+    def test_one_strand_empty_is_delta2(self):
+        """In B_1 the full twist is the identity and no factor fits (a
+        half-twist or block needs two strands), so the empty factorization
+        is the one factorization of Delta^2."""
+        assert is_delta2_factorization(Factorization(1))
+
     def test_single_node_not_delta2(self):
         assert not is_delta2_factorization(Factorization(2, (sf(2, 1, 2),)))
 

@@ -4,14 +4,18 @@ its first read of `conjugator`, directly or through eq, hash, repr,
 `dataclasses.replace` or the text format, spells the word once from the
 carried form, and the result is the record a move that spelled the word at
 once would have built.  A sweep record spells, on its first read, the
-concatenation of block half-twists that the sweep used to spell at once."""
+concatenation of block half-twists that the sweep used to spell at once;
+the nodes of an expanded block share their block's word.  Records pickle,
+and an unspelled record stays unspelled through a pickle round trip."""
 
 import dataclasses
+import pickle
 import random
 from fractions import Fraction
 
 import pytest
 
+import braidmono.arrangements as arrangements
 import braidmono.factorization as fz
 from braidmono import (
     BlockFactor,
@@ -27,6 +31,7 @@ from braidmono import (
     hurwitz_move,
     hurwitz_move_inverse,
     is_delta2_factorization,
+    regenerate,
     to_wiring_diagram,
 )
 from braidmono.garside import raw_to_letters
@@ -42,10 +47,14 @@ def walk(fact, seed, moves=500):
     return fact
 
 
+def pencil_and_line():
+    """A pencil of four lines through the origin, and one line off it."""
+    return LineArrangement.from_pairs([(s, 0) for s in range(1, 5)] + [(-1, 7)])
+
+
 def block_sweep():
     """An unexpanded sweep output: a pencil of four lines is a block factor."""
-    pencil = LineArrangement.from_pairs([(s, 0) for s in range(1, 5)] + [(-1, 7)])
-    fact = braid_monodromy(pencil)
+    fact = braid_monodromy(pencil_and_line())
     assert any(isinstance(f, BlockFactor) for f in fact.factors)
     for f in fact.factors:  # spelled, so that only moved records are lazy
         f.conjugator
@@ -216,6 +225,58 @@ class TestSweepRecords:
                 # the other factor of the pair came from where the moved one is
                 kept = fact.factors[2 * k - 1 - moved_at]
                 assert kept.conjugator.letters == want[moved_at]
+
+
+def test_block_nodes_share_one_spelled_word(monkeypatch):
+    """The six nodes of an expanded block read one word object, their
+    block's, and the sweep spells each point's word once."""
+    spelled = []
+
+    def counting(m, deltas, n):
+        spelled.append(n)
+        return prefix_word(m, deltas, n)
+
+    prefix_word = arrangements._prefix_word
+    monkeypatch.setattr(arrangements, "_prefix_word", counting)
+    fact = braid_monodromy(pencil_and_line(), expand_blocks=True)
+    assert spelled == []
+    by_letters = {}
+    for f in fact.factors:
+        by_letters.setdefault(f.conjugator.letters, []).append(f.conjugator)
+    assert sorted(map(len, by_letters.values())) == [1, 1, 1, 1, 6]
+    assert all(len(set(map(id, words))) == 1 for words in by_letters.values())
+    assert sorted(spelled) == list(range(5))
+
+
+def pickle_cases():
+    def sweep():
+        return braid_monodromy(pencil_and_line())
+
+    def expanded():
+        return braid_monodromy(pencil_and_line(), expand_blocks=True)
+
+    def moved():
+        return walk(braid_monodromy(pencil_and_line(), expand_blocks=True), 31, 60)
+
+    def regenerated():
+        return regenerate(braid_monodromy(sweep_arrangements()[2], expand_blocks=True))
+
+    return [pytest.param(case, id=case.__name__)
+            for case in (sweep, expanded, moved, regenerated)]
+
+
+@pytest.mark.parametrize("make", pickle_cases())
+def test_records_survive_pickle(make):
+    """A pickle round trip gives equal records; an unspelled record, sweep
+    or node or moved, is still unspelled after the load."""
+    fact = make()
+    fact.factors[0].conjugator  # one spelled record among the others
+    lazy = [is_lazy(f) for f in fact.factors]
+    assert any(lazy) or make.__name__ == "regenerated"  # rule rows are spelled
+    loaded = pickle.loads(pickle.dumps(fact))
+    assert [is_lazy(f) for f in loaded.factors] == lazy
+    assert loaded == fact
+    assert canonical_key(loaded) == canonical_key(fact)
 
 
 class TestApplyMovesDirection:

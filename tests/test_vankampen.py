@@ -5,12 +5,15 @@ import warnings
 
 import pytest
 
+import braidmono.factorization as fz
 from braidmono import (
+    BlockFactor,
     BraidError,
     BraidWord,
     Factorization,
     FreeWord,
     HalfTwist,
+    LineArrangement,
     Presentation,
     StructuredFactor,
     abelianization_rank,
@@ -149,6 +152,28 @@ class TestPresentation:
         pres = presentation(Factorization(4))
         assert pres.relators == ()
         assert abelianization_rank(pres) == (4, ())
+
+    def test_one_core_word_per_distinct_core(self, monkeypatch):
+        """A core's relators are built from its word once, however many
+        factors share that core."""
+        calls = []
+
+        def counting(core_word):
+            return lambda factor: calls.append(fz._core_key(factor)) or core_word(factor)
+
+        for kind in (StructuredFactor, BlockFactor):
+            monkeypatch.setattr(kind, "core_word", counting(kind.core_word))
+        pencil = LineArrangement.from_pairs([(s, 0) for s in range(1, 5)] + [(-1, 7)])
+        tangent = LineArrangement.from_pairs([(i, i * i) for i in range(10)])
+        facts = [braid_monodromy(pencil), braid_monodromy(pencil, expand_blocks=True),
+                 braid_monodromy(tangent)]
+        assert any(isinstance(f, BlockFactor) for f in facts[0].factors)
+        for fact in facts:
+            cores = {fz._core_key(f) for f in fact.factors}
+            calls.clear()
+            presentation(fact)
+            assert sorted(calls) == sorted(cores)
+        assert len(cores) < len(fact.factors) / 4
 
     def test_warns_on_non_delta2(self):
         """The library leaves the product to its caller: a factorization
