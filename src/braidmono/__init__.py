@@ -25,10 +25,6 @@ from .braid import (
 )
 from .garside import (
     NormalForm,
-    nf_conjugate,
-    nf_inverse,
-    nf_multiply,
-    nf_power,
     normal_form,
     words_equal,
 )

@@ -138,10 +138,6 @@ class BraidWord:
     def identity(m: int) -> BraidWord:
         return BraidWord(m, ())
 
-    @staticmethod
-    def generator(m: int, i: int) -> BraidWord:
-        return BraidWord(m, (i,))
-
     def __len__(self) -> int:
         return len(self.letters)
 

@@ -36,11 +36,14 @@ walk that reads only the final records spells each word once.
 Raw forms `(delta_power, factor_ids)` live on the factor records and die
 with them: the conjugator's form, filled on first use or handed over by
 the record's producer, and the element's (form, inverse) pair, which both
-move directions reuse.  Each producer (a Hurwitz move, the sweep,
-`expand_block_factor`, regeneration) builds its records with `_record`,
-and may hand over a `(function, argument)` pair of its own that spells the
-word on first read.  The searches use their per-call `_MoveTable`; the one
-module-level table is `_CORE_RAWS`, never evicted, like the kernel's.
+move directions reuse.  Their factor ids are numbered per process, so a
+pickled (or deep-copied) record carries its conjugator's form by
+permutation images and drops the element's pair.  Each producer (a
+Hurwitz move, the sweep, `expand_block_factor`, regeneration) builds its
+records with `_record`, and may hand over a `(function, argument)` pair of
+its own that spells the word on first read.  The searches use their
+per-call `_MoveTable`; the one module-level table is `_CORE_RAWS`, never
+evicted, like the kernel's.
 """
 
 from __future__ import annotations
@@ -65,6 +68,7 @@ from .garside import (
     RAW_IDENTITY,
     NormalForm,
     nf_from_raw,
+    nf_to_raw,
     raw_inverse,
     raw_multiply,
     raw_of_word,
@@ -85,6 +89,11 @@ class _CarriedRaws:
     any caller); `__getattr__` then spells it once, as `function(argument)`
     for the `_spelling` source its producer handed over, or with no source
     as the canonical word of the carried form.
+
+    Pickle and `copy.deepcopy` keep the carried form as an id-free
+    `NormalForm`, re-interned on load, and drop the element's pair, which
+    is refilled on first use; the spelling source travels as it is, so an
+    unspelled record stays unspelled.
     """
 
     _conj_raw: _Raw | None = None
@@ -104,6 +113,18 @@ class _CarriedRaws:
             word = self._spelling[0](self._spelling[1])
         object.__setattr__(self, "conjugator", word)
         return word
+
+    def __getstate__(self) -> dict:
+        state = self.__dict__.copy()
+        state.pop("_element_raws", None)
+        if self._conj_raw is not None:
+            state["_conj_raw"] = nf_from_raw(self.strands, self._conj_raw)
+        return state
+
+    def __setstate__(self, state: dict) -> None:
+        if state.get("_conj_raw") is not None:
+            state["_conj_raw"] = nf_to_raw(state["_conj_raw"])
+        self.__dict__.update(state)
 
     @property
     def strands(self) -> int:
@@ -321,7 +342,10 @@ def is_delta2_factorization(fact: Factorization) -> bool:
 
 def canonical_key(fact: Factorization) -> tuple:
     """Hashable key equal exactly when the factor tuples agree as sequences
-    of group elements (conjugator spelling is irrelevant)."""
+    of group elements (conjugator spelling is irrelevant).  It holds raw
+    forms, whose factor ids are numbered per process, so keys compare only
+    within one process; `nf_from_raw(m, raw).key()` of each entry is the
+    portable spelling."""
     return tuple(_factor_raws(f)[0] for f in fact.factors)
 
 
@@ -538,6 +562,8 @@ def hurwitz_equivalent(
 
 @dataclasses.dataclass(frozen=True)
 class OrbitResult:
+    """`keys` holds `canonical_key` tuples, comparable only in one process."""
+
     keys: frozenset
     exhausted: bool
     explored: int

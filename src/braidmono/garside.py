@@ -60,7 +60,7 @@ from __future__ import annotations
 
 import dataclasses
 
-from .braid import BraidWord, BraidError, Permutation, free_reduce
+from .braid import BraidWord, Permutation, _check_same_strands, free_reduce
 
 # --- permutation-braid interning -----------------------------------------
 
@@ -462,55 +462,7 @@ def normal_form(w: BraidWord) -> NormalForm:
 
 def words_equal(w1: BraidWord, w2: BraidWord) -> bool:
     """Solve the word problem: do the two words denote the same braid?"""
-    if w1.strands != w2.strands:
-        raise BraidError(
-            f"strand-count mismatch: {w1.strands} vs {w2.strands}"
-        )
+    _check_same_strands(w1, w2)
     return raw_of_word(w1.strands, free_reduce(w1.letters)) == raw_of_word(
         w2.strands, free_reduce(w2.letters)
     )
-
-
-# --- canonical-form arithmetic ---------------------------------------------
-
-
-def _check_nf_strands(a: NormalForm, b: NormalForm) -> None:
-    if a.strands != b.strands:
-        raise BraidError(
-            f"strand-count mismatch: {a.strands} vs {b.strands}"
-        )
-
-
-def nf_multiply(a: NormalForm, b: NormalForm) -> NormalForm:
-    """Canonical form of the product (a first, then b); costs one junction
-    re-weighting rather than a renormalization from letters."""
-    _check_nf_strands(a, b)
-    return nf_from_raw(
-        a.strands, raw_multiply(a.strands, nf_to_raw(a), nf_to_raw(b))
-    )
-
-
-def nf_inverse(a: NormalForm) -> NormalForm:
-    """Canonical form of the inverse, in closed form (no renormalization)."""
-    return nf_from_raw(a.strands, raw_inverse(a.strands, nf_to_raw(a)))
-
-
-def nf_power(a: NormalForm, e: int) -> NormalForm:
-    m = a.strands
-    raw = nf_to_raw(a)
-    if e < 0:
-        raw = raw_inverse(m, raw)
-        e = -e
-    out = RAW_IDENTITY
-    for _ in range(e):
-        out = raw_multiply(m, out, raw)
-    return nf_from_raw(m, out)
-
-
-def nf_conjugate(w: NormalForm, c: NormalForm) -> NormalForm:
-    """Canonical form of c w c^-1."""
-    _check_nf_strands(w, c)
-    m = w.strands
-    rc = nf_to_raw(c)
-    raw = raw_multiply(m, raw_multiply(m, rc, nf_to_raw(w)), raw_inverse(m, rc))
-    return nf_from_raw(m, raw)

@@ -9,10 +9,6 @@ from braidmono import (
     compose,
     full_twist,
     invert,
-    nf_conjugate,
-    nf_inverse,
-    nf_multiply,
-    nf_power,
     normal_form,
     permutation_of,
     power,
@@ -155,29 +151,36 @@ class TestSoundness:
             assert got == (p + q + shift, fids)
 
 
+def raw_of(w):
+    return garside.raw_of_word(w.strands, w.letters)
+
+
 class TestNormalFormAlgebra:
+    """Canonical-form arithmetic on the raw kernel, checked against words."""
+
     def test_multiply_matches_words(self, rng):
         for _ in range(400):
             m = rng.randint(2, 6)
             w1, w2 = random_word(rng, m, 30), random_word(rng, m, 30)
-            got = nf_multiply(normal_form(w1), normal_form(w2))
-            assert got == normal_form(compose(w1, w2))
-            assert_valid(got)
+            got = garside.raw_multiply(m, raw_of(w1), raw_of(w2))
+            assert got == raw_of(compose(w1, w2))
+            assert_valid(garside.nf_from_raw(m, got))
 
     def test_inverse_matches_words(self, rng):
         for _ in range(400):
             m = rng.randint(2, 6)
             w = random_word(rng, m, 30)
-            got = nf_inverse(normal_form(w))
-            assert got == normal_form(invert(w))
-            assert_valid(got)
+            got = garside.raw_inverse(m, raw_of(w))
+            assert got == raw_of(invert(w))
+            assert_valid(garside.nf_from_raw(m, got))
 
     def test_maximal_cancellation(self, rng):
         for _ in range(200):
             m = rng.randint(2, 6)
-            n = normal_form(random_word(rng, m, 40))
-            assert nf_multiply(n, nf_inverse(n)).is_identity()
-            assert nf_multiply(nf_inverse(n), n).is_identity()
+            n = raw_of(random_word(rng, m, 40))
+            inv = garside.raw_inverse(m, n)
+            assert garside.raw_multiply(m, n, inv) == garside.RAW_IDENTITY
+            assert garside.raw_multiply(m, inv, n) == garside.RAW_IDENTITY
 
     def test_power_and_conjugate(self, rng):
         from braidmono import conjugate
@@ -186,10 +189,15 @@ class TestNormalFormAlgebra:
             m = rng.randint(2, 5)
             w, c = random_word(rng, m, 20), random_word(rng, m, 20)
             e = rng.randint(-3, 4)
-            assert nf_power(normal_form(w), e) == normal_form(power(w, e))
-            assert nf_conjugate(normal_form(w), normal_form(c)) == normal_form(
-                conjugate(w, c)
-            )
+            step = raw_of(w) if e >= 0 else garside.raw_inverse(m, raw_of(w))
+            got = garside.RAW_IDENTITY
+            for _ in range(abs(e)):
+                got = garside.raw_multiply(m, got, step)
+            assert got == raw_of(power(w, e))
+            rc = raw_of(c)
+            got = garside.raw_multiply(m, garside.raw_multiply(m, rc, raw_of(w)),
+                                       garside.raw_inverse(m, rc))
+            assert got == raw_of(conjugate(w, c))
 
 
 class TestMirrorNote:

@@ -6,12 +6,17 @@ carried form, and the result is the record a move that spelled the word at
 once would have built.  A sweep record spells, on its first read, the
 concatenation of block half-twists that the sweep used to spell at once;
 the nodes of an expanded block share their block's word.  Records pickle,
+also into another process, whose kernel numbers its ids in another order,
 and an unspelled record stays unspelled through a pickle round trip."""
 
 import dataclasses
+import os
 import pickle
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -37,6 +42,8 @@ from braidmono import (
 from braidmono.garside import raw_to_letters
 from braidmono.textio import format_factorization
 from conftest import random_generic_arrangement, standard_b3_factorization
+
+TESTS = Path(__file__).resolve().parent
 
 
 def walk(fact, seed, moves=500):
@@ -277,6 +284,43 @@ def test_records_survive_pickle(make):
     assert [is_lazy(f) for f in loaded.factors] == lazy
     assert loaded == fact
     assert canonical_key(loaded) == canonical_key(fact)
+
+
+# Run in a fresh interpreter: it sweeps seven tangent lines first, so its
+# kernel numbers permutation ids in another order than the dumping process,
+# then loads each case's pickle and builds the same case afresh.
+LOADER = """
+import pickle, sys
+from braidmono import LineArrangement, braid_monodromy, canonical_key, is_delta2_factorization
+from test_lazy_conjugators import is_lazy, pickle_cases
+braid_monodromy(LineArrangement.from_pairs([(i, i * i) for i in range(1, 8)]))
+out = []
+for param, loaded in zip(pickle_cases(), pickle.load(sys.stdin.buffer)):
+    lazy = [is_lazy(f) for f in loaded.factors]
+    same = canonical_key(loaded) == canonical_key(param.values[0]())
+    out.append((lazy, is_delta2_factorization(loaded), same))
+pickle.dump(out, sys.stdout.buffer)
+"""
+
+
+def test_records_survive_pickle_across_processes():
+    """A record pickles by its conjugator's permutation images, not by the
+    kernel ids of the process that dumped it: loaded where other ids were
+    interned first, it keeps its answers and its unspelled conjugators."""
+    facts = [param.values[0]() for param in pickle_cases()]
+    for fact in facts:
+        fact.factors[0].conjugator
+        canonical_key(fact)  # fills the element forms that pickle drops
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join([str(TESTS.parent / "src"), str(TESTS),
+                                         env.get("PYTHONPATH", "")])
+    proc = subprocess.run([sys.executable, "-c", LOADER], env=env, capture_output=True,
+                          input=pickle.dumps(facts), timeout=60)
+    assert proc.returncode == 0, proc.stderr.decode()
+    for fact, (lazy, delta2, same) in zip(facts, pickle.loads(proc.stdout), strict=True):
+        assert lazy == [is_lazy(f) for f in fact.factors]
+        assert delta2 == is_delta2_factorization(fact)
+        assert same
 
 
 class TestApplyMovesDirection:
