@@ -27,8 +27,9 @@ All types are immutable values; all operations are pure functions.
 from __future__ import annotations
 
 import dataclasses
-from itertools import chain
-from typing import Iterable
+from itertools import chain, compress, count
+from operator import add, ne
+from typing import Callable, Iterable, Iterator, Sequence
 
 
 class BraidError(ValueError):
@@ -43,14 +44,41 @@ def _check_same_strands(w1: BraidWord, w2: BraidWord) -> None:
 
 
 def free_reduce(letters: Iterable[int]) -> tuple[int, ...]:
-    """Cancel adjacent inverse pairs until none remain."""
+    """Cancel adjacent inverse pairs until none remain.  Two nonzero letters
+    cancel when they sum to 0, so one C-speed scan passes a reduced word."""
+    word = tuple(letters)
+    if 0 not in map(add, word, word[1:]):
+        return word
     out: list[int] = []
-    for letter in letters:
+    for letter in word:
         if out and out[-1] == -letter:
             out.pop()
         else:
             out.append(letter)
     return tuple(out)
+
+
+def prefix_walk(words: Sequence[tuple[int, ...]], start, extend: Callable) -> Iterator[tuple]:
+    """(index, state after words[index]) for each word, in sorted order, from
+    one depth-first walk of their prefix trie from `start`.  States are kept
+    only at depths where a word resumes (at its C-speed common prefix with
+    the one before); `extend(state, letters)` returns, without changing its
+    argument, the state after one segment between them."""
+    order = sorted(range(len(words)), key=words.__getitem__)
+    ordered = [words[i] for i in order]
+    starts = [0] + [next(compress(count(), map(ne, p, q)), min(len(p), len(q)))
+                    for p, q in zip(ordered, ordered[1:])]
+    resumed = set(starts)
+    snapshots = [(0, start)]  # along the path of the word before
+    for index, word, begin in zip(order, ordered, starts):
+        while snapshots[-1][0] > begin:
+            snapshots.pop()
+        depth, state = snapshots[-1]
+        for stop in filter(resumed.__contains__, range(depth + 1, len(word) + 1)):
+            state = extend(state, word[depth:stop])
+            depth = stop
+            snapshots.append((depth, state))
+        yield index, state if depth == len(word) else extend(state, word[depth:])
 
 
 @dataclasses.dataclass(frozen=True)

@@ -34,14 +34,15 @@ or through eq, hash, repr, `dataclasses.replace` or the text format), so a
 walk that reads only the final records spells each word once.
 
 Raw forms `(delta_power, factor_ids)` live on the factor records and die
-with them: the conjugator's form, filled on first use or handed over by
-the record's producer, and the element's (form, inverse) pair, which both
-move directions reuse.  Their factor ids are numbered per process, so a
-pickled (or deep-copied) record carries its conjugator's form by
-permutation images and drops the element's pair.  Each producer (a
-Hurwitz move, the sweep, `expand_block_factor`, regeneration) builds its
-records with `_record`, and may hand over a `(function, argument)` pair of
-its own that spells the word on first read.  The searches use their
+with them: the conjugator's form, from the record's producer or else, for
+a spelled record, from one `braid.prefix_walk` per factorization, and the
+element's (form, inverse) pair, which both move directions reuse.  Their
+factor ids are numbered per process, so a pickled (or deep-copied) record
+carries its conjugator's form by permutation images and drops the
+element's pair.  Each producer (a Hurwitz move, the sweep,
+`expand_block_factor`, regeneration) builds its records with `_record`,
+and may hand over a `(function, argument)` pair of its own that spells
+the word on first read.  The searches use their
 per-call `_MoveTable`; the one module-level table is `_CORE_RAWS`, never
 evicted, like the kernel's.
 """
@@ -63,6 +64,7 @@ from .braid import (
     half_twist_word,
     invert,
     power,
+    prefix_walk,
 )
 from .garside import (
     RAW_IDENTITY,
@@ -80,9 +82,10 @@ _Raw = tuple[int, tuple[int, ...]]
 
 class _CarriedRaws:
     """The base of both factor records.  It holds a record's raw forms: its
-    conjugator's form, and its element's (form, inverse) pair, filled on
-    first use.  Not dataclass fields: eq, hash, repr and `replace` ignore
-    them.
+    conjugator's form, for a spelled record filled per factorization by one
+    prefix-trie walk (`_conjugator_raws`), and its element's (form, inverse)
+    pair, filled on first use.  Not dataclass fields: eq, hash, repr and
+    `replace` ignore them.
 
     A record built by `_record` holds its strand count, and may hold no
     `conjugator` until that is first read (by eq, hash, repr, `replace` or
@@ -220,13 +223,23 @@ def _record(kind: type, m: int, raw: _Raw, spelling, fields: dict) -> Factor:
     return record
 
 
+def _conjugator_raws(m: int, factors: tuple[Factor, ...]) -> None:
+    """Fill the conjugator form of each record among `factors`, in B_m, that
+    carries none, pushing each edge of their prefix trie once; records that
+    carry a form are neither recomputed nor spelled."""
+    bare = [f for f in factors if f._conj_raw is None]
+    if bare:
+        words = [free_reduce(f.conjugator.letters) for f in bare]
+        for i, raw in prefix_walk(words, RAW_IDENTITY, lambda raw, letters: raw_multiply(
+                m, raw, raw_of_word(m, letters))):
+            object.__setattr__(bare[i], "_conj_raw", raw)
+
+
 def _conjugator_raw(factor: Factor) -> _Raw:
     """Canonical form of a factor's conjugator."""
-    raw = factor._conj_raw
-    if raw is None:
-        raw = raw_of_word(factor.strands, free_reduce(factor.conjugator.letters))
-        object.__setattr__(factor, "_conj_raw", raw)
-    return raw
+    if factor._conj_raw is None:
+        _conjugator_raws(factor.strands, (factor,))
+    return factor._conj_raw
 
 
 _CORE_RAWS: dict[tuple, _Raw] = {}
@@ -309,6 +322,7 @@ def _product_raw(fact: Factorization) -> _Raw:
     # pushes every factor of c_i and of c_i^-1, which costs more when, as
     # for cabled conjugators, they have several canonical factors.
     m = fact.strands
+    _conjugator_raws(m, fact.factors)
     out = carried = RAW_IDENTITY
     for f in fact.factors:
         conj = _conjugator_raw(f)
@@ -346,6 +360,7 @@ def canonical_key(fact: Factorization) -> tuple:
     forms, whose factor ids are numbered per process, so keys compare only
     within one process; `nf_from_raw(m, raw).key()` of each entry is the
     portable spelling."""
+    _conjugator_raws(fact.strands, fact.factors)
     return tuple(_factor_raws(f)[0] for f in fact.factors)
 
 
@@ -453,6 +468,7 @@ class _MoveTable:
         return i
 
     def state(self, fact: Factorization) -> tuple[int, ...]:
+        _conjugator_raws(self.m, fact.factors)
         return tuple(self._intern(*_factor_raws(f)) for f in fact.factors)
 
     def move(self, a: int, b: int, direction: int) -> int:

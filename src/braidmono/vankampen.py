@@ -27,14 +27,14 @@ With phi the automorphism w |-> w.c^-1 and y = w.c, the factor's
 fixed-loop relator at w is (w.(c z c^-1)) w^-1 = phi((y.z) y^-1), and y
 runs over F with w.  So the core's relators (x_j.z) x_j^-1, with each x_k
 replaced by x_k.c^-1, generate the same normal subgroup.  The images
-x_k.c^-1 depend only on the prefix of the freely reduced c, and the sorted
-conjugators are a depth-first walk of their prefix trie: each walk resumes
-from the images at its common prefix with the one before, the top of a
-stack of snapshots taken only at the depths where some walk starts.  A
-factorization costs one letter step per trie edge and per letter of each
-distinct core, plus one substitution per factor.  A sweep's conjugators
-extend one another, so their trie is small: 119 edges for 7,140
-conjugator letters on a random 16-line arrangement.
+x_k.c^-1 depend only on the prefix of the freely reduced c, so they come
+from `braid.prefix_walk`, the prefix-trie walk that also fills the
+factors' conjugator forms, where each resumes from the images at its
+common prefix with the one before in sorted order.  A factorization costs
+one letter step per trie edge and per letter of each distinct core, plus
+one substitution per factor.  A sweep's conjugators extend one another,
+so their trie is small: 119 edges for 7,140 conjugator letters on a
+random 16-line arrangement.
 
 Abelianization of a presentation is computed exactly: the Smith normal form
 of the relators' exponent matrix over the integers gives the free rank and
@@ -52,7 +52,7 @@ from itertools import chain
 from operator import neg
 from typing import Iterable
 
-from .braid import BraidError, BraidWord, free_reduce
+from .braid import BraidError, BraidWord, free_reduce, prefix_walk
 from .factorization import Factorization, _core_key
 
 # A letter step of the trie walk rewrites one image as a b a^-1 or b^-1 a b
@@ -191,30 +191,20 @@ def presentation(fact: Factorization) -> Presentation:
     node, aba = bab for a cusp and (ab)^2 = (ba)^2 for a tangency.
     """
     m = fact.strands
-    conjugators = [free_reduce(f.conjugator.letters) for f in fact.factors]
-    order = sorted(range(len(conjugators)), key=conjugators.__getitem__)
-    starts = [0] + [_common_prefix(conjugators[p], conjugators[q])
-                    for p, q in zip(order, order[1:])]
-    resumed = set(starts)
-    # (depth, images after that many letters of c^-1) along the path of the
-    # previous conjugator; the walk of c resumes from the top one.
-    snapshots = [(0, [(i,) for i in range(1, m + 1)])]
-    core_relators = {}
-    factor_relators = [()] * len(conjugators)
-    for index, start in zip(order, starts):
-        c = conjugators[index]
-        while snapshots[-1][0] > start:
-            snapshots.pop()
-        top, images = snapshots[-1]
+
+    def extend(images: list, letters: tuple[int, ...]) -> list:
         images = list(images)
-        for depth in range(top + 1, len(c) + 1):
-            _act(images, (-c[depth - 1],))
-            k = abs(c[depth - 1]) - 1
-            if max(len(images[k]), len(images[k + 1])) > MAX_IMAGE_LETTERS:
+        for x in letters:
+            _act(images, (-x,))
+            if max(len(images[abs(x) - 1]), len(images[abs(x)])) > MAX_IMAGE_LETTERS:
                 raise BraidError(f"an image under a conjugator's inverse passed the cap "
                                  f"of {MAX_IMAGE_LETTERS} letters of van Kampen's walk")
-            if depth in resumed:
-                snapshots.append((depth, list(images)))
+        return images
+
+    conjugators = [free_reduce(f.conjugator.letters) for f in fact.factors]
+    core_relators = {}
+    factor_relators = [()] * len(conjugators)
+    for index, images in prefix_walk(conjugators, [(i,) for i in range(1, m + 1)], extend):
         key = _core_key(fact.factors[index])
         if key not in core_relators:
             core_relators[key] = [free_reduce(w.letters + (-i,)) for i, w in enumerate(
@@ -222,19 +212,9 @@ def presentation(fact: Factorization) -> Presentation:
         factor_relators[index] = [free_reduce(chain.from_iterable(
             images[x - 1] if x > 0 else map(neg, reversed(images[-x - 1])) for x in r))
             for r in core_relators[key]]
-    del snapshots, conjugators  # free the walk before the dedup, where the call peaks
     # dict keys keep the first-seen order
     unique = dict.fromkeys(chain.from_iterable(factor_relators))
     return Presentation(m, tuple(map(FreeWord, unique)))
-
-
-def _common_prefix(p: tuple[int, ...], q: tuple[int, ...]) -> int:
-    n = 0
-    for x, y in zip(p, q):
-        if x != y:
-            break
-        n += 1
-    return n
 
 
 def _smith_diagonal(matrix: list[list[int]]) -> list[int]:

@@ -23,6 +23,11 @@ def random_word(rng: random.Random, m: int, max_len: int = 40) -> BraidWord:
     return BraidWord(m, free_reduce(letters))
 
 
+def trie_edges(words) -> int:
+    """Edges of the words' prefix trie: their distinct nonempty prefixes."""
+    return len({w[:d] for w in words for d in range(1, len(w) + 1)})
+
+
 def random_generic_arrangement(rng: random.Random, m: int) -> LineArrangement:
     """m lines with pairwise distinct rational slopes, sweepable."""
     while True:

@@ -17,9 +17,12 @@
   returns.
 * The exact geometry and the kernel stay exact: `arrangements.py` and
   `garside.py` call no `float` and hold no float literal.
+* There is one prefix-trie walker, `braid.prefix_walk`: no other module
+  defines a common-prefix or trie-walk helper or calls `commonprefix`.
 """
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
@@ -29,6 +32,7 @@ MODULES = sorted(SRC.glob("*.py"))
 RECORD_ATTRIBUTES = {"_conj_raw", "_element_raws", "_strands", "_spelling"}
 CONSOLE_NAMES = {"sys", "warnings", "print"}
 DIGIT_TESTS = {"isdigit", "isascii"}
+PREFIX_HELPER = re.compile(r"common_?prefix|prefix_walk|(?:^|_)trie(?:_|$)", re.IGNORECASE)
 
 
 def tree(path: Path) -> ast.Module:
@@ -106,6 +110,19 @@ def float_uses(module: ast.Module) -> list[str]:
     return out
 
 
+def prefix_helpers(module: ast.Module) -> list[str]:
+    """Functions named like a common-prefix or trie-walk helper, at any
+    depth, and uses of `commonprefix` (as in `os.path.commonprefix`)."""
+    out = []
+    for node in ast.walk(module):
+        if (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                and PREFIX_HELPER.search(node.name)):
+            out.append(f"line {node.lineno}: def {node.name}")
+        elif "commonprefix" in (getattr(node, "attr", None), getattr(node, "id", None)):
+            out.append(f"line {node.lineno}: commonprefix")
+    return out
+
+
 def public_functions(module: ast.Module) -> list[str]:
     return [node.name for node in module.body
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
@@ -157,6 +174,15 @@ def test_exact_modules_use_no_floats(name):
     assert float_uses(tree(SRC / name)) == []
 
 
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_one_trie_walker(path):
+    found = prefix_helpers(tree(path))
+    if path.name == "braid.py":
+        assert [line.split(": ")[1] for line in found] == ["def prefix_walk"]
+    else:
+        assert found == []
+
+
 def test_textio_functions_parse_or_format():
     names = public_functions(tree(SRC / "textio.py"))
     assert names and [n for n in names if not n.startswith(("parse_", "format_"))] == []
@@ -190,6 +216,10 @@ def test_the_checks_see_what_they_forbid():
         "r = object.__new__(StructuredFactor)\n"
         "r.__dict__.update(base=b)\n"
         "s = cls.__new__(cls)\n"
+        "def _walk_trie(words): pass\n"
+        "n = len(os.path.commonprefix([p, q]))\n"
+        "def _prefix(w): pass\n"
+        "def _entries(w): pass\n"
     )
     assert private_garside_imports(bad) == ["_pid", "_strip_ids"]
     assert record_attribute_uses(bad) == [
@@ -207,3 +237,10 @@ def test_the_checks_see_what_they_forbid():
     assert sorted(float_uses(bad)) == [
         "line 20: 0.5", "line 20: float", "line 21: 0.001", "line 21: 2j",
     ]
+    assert prefix_helpers(bad) == ["line 26: def _walk_trie", "line 27: commonprefix"]
+    # a second walker's helper in a real module is seen
+    source = (SRC / "vankampen.py").read_text(encoding="utf-8")
+    assert prefix_helpers(ast.parse(source)) == []
+    lines = source.count("\n")
+    made_up = source + "def _common_prefix(p, q):\n    return 0\n"
+    assert prefix_helpers(ast.parse(made_up)) == [f"line {lines + 1}: def _common_prefix"]

@@ -1,3 +1,4 @@
+import random
 import re
 
 import pytest
@@ -11,13 +12,16 @@ from braidmono import (
     compose,
     conjugate,
     exponent_sum,
+    free_reduce,
     full_twist,
     half_twist_word,
     invert,
     permutation_of,
     power,
 )
+from braidmono.braid import prefix_walk
 from braidmono.textio import ParseError, _letters, _spell
+from conftest import trie_edges
 
 
 def word(m, *letters):
@@ -221,3 +225,82 @@ class TestValidation:
     def test_permutation_must_be_bijection(self):
         with pytest.raises(BraidError):
             Permutation((1, 1, 3))
+
+
+def loop_free_reduce(letters):
+    """The reduction loop on its own, the reference for `free_reduce`."""
+    out = []
+    for letter in letters:
+        if out and out[-1] == -letter:
+            out.pop()
+        else:
+            out.append(letter)
+    return tuple(out)
+
+
+class TestFreeReduce:
+    def test_generator_input(self):
+        assert free_reduce(x for x in (1, 2, -2, 3)) == (1, 3)
+        assert free_reduce(x for x in (1, -2, 3)) == (1, -2, 3)
+        assert free_reduce(x for x in ()) == ()
+
+    def test_reduced_word_is_returned_as_it_is(self):
+        positive = (1, 2, 1, 3, 3, 2)
+        assert free_reduce(positive) is positive
+        assert free_reduce([2, -1, -1]) == (2, -1, -1)
+
+    def test_cancellation_at_either_end(self):
+        assert free_reduce((1, -1, 2, 3)) == (2, 3)
+        assert free_reduce((2, 3, -3)) == (2,)
+        assert free_reduce((-4, 4)) == ()
+
+    def test_nested_cancellation(self):
+        assert free_reduce((1, 2, -2, -1)) == ()
+        assert free_reduce((3, 1, 2, -2, -1, 4)) == (3, 4)
+
+    def test_random_words_match_the_loop(self):
+        rng = random.Random(22)
+        for _ in range(3000):
+            w = tuple(rng.choice((-3, -2, -1, 1, 2, 3)) for _ in range(rng.randint(0, 14)))
+            assert free_reduce(w) == free_reduce(iter(w)) == loop_free_reduce(w), w
+
+
+WALK_CASES = [
+    pytest.param([], id="no-words"),
+    pytest.param([(1, 2, 3), (1, 2, 4), (1, 3)], id="resume-at-decreasing-depths"),
+    pytest.param([(2, 1), (), (2, 1), (2, 1, 3), ()], id="duplicates-empty-prefix"),
+    pytest.param([(1, -1, 2), (1, -1), (-3, -2, 1), (-3, 2)], id="unreduced-negative"),
+    pytest.param([(1, 2, 3, 4), (1, 2, 3), (1, 2), (1,)], id="chain"),
+    pytest.param([tuple(random.Random(i).choices((1, 2, -1), k=i % 7)) for i in range(40)],
+                 id="random"),
+]
+
+
+def walk_by_concatenation(words):
+    """(the walk's yields, the segments it handed `extend`), with the
+    letters walked so far as the state."""
+    passed = []
+
+    def extend(state, letters):
+        passed.append(letters)
+        return state + letters
+
+    return list(prefix_walk(words, (), extend)), passed
+
+
+class TestPrefixWalk:
+    @pytest.mark.parametrize("words", WALK_CASES)
+    def test_each_trie_edge_passed_once(self, words):
+        """Each word comes back, in sorted order, and `extend` is handed
+        each trie edge exactly once."""
+        walked, passed = walk_by_concatenation(words)
+        assert [i for i, _ in walked] == sorted(range(len(words)), key=words.__getitem__)
+        assert all(state == words[i] for i, state in walked)
+        assert sum(map(len, passed)) == trie_edges(words)
+        assert () not in passed
+
+    def test_third_word_resumes_where_only_the_first_walked(self):
+        """(1, 3) resumes at depth 1, inside the first word's walk, so the
+        state there was kept although the second word did not pass it."""
+        _, passed = walk_by_concatenation([(1, 2, 3), (1, 2, 4), (1, 3)])
+        assert passed == [(1,), (2,), (3,), (4,), (3,)]

@@ -2,16 +2,19 @@
 
 Each `StructuredFactor` / `BlockFactor` carries its conjugator's form,
 handed over by its producer (the sweep, `expand_block_factor`, a Hurwitz
-move, every regeneration row) or filled on first use, and its element's
-form with that form's inverse.  These tests check every handed-over form
-against the spelled word, that the forms never leak into identity or into
-a rebuilt record, and that they die with their record.
+move, every regeneration row) or filled per factorization by one walk of
+the conjugators' prefix trie, and its element's form with that form's
+inverse.  These tests check every handed-over or filled form against the
+spelled word, that the walk pushes each trie edge once, that the forms
+never leak into identity or into a rebuilt record, and that they die with
+their record.
 """
 
 import gc
 import random
 import weakref
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -37,7 +40,9 @@ from braidmono import regeneration as rg
 from braidmono.arrangements import expand_block_factor
 from braidmono.garside import raw_inverse, raw_of_word
 from braidmono.textio import format_factorization, parse_factorization
-from conftest import random_generic_arrangement, standard_b3_factorization
+from conftest import random_generic_arrangement, standard_b3_factorization, trie_edges
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
 def walk(fact, rng, moves):
@@ -132,6 +137,67 @@ class TestMovedForms:
         assert fz._conjugator_raw(g) != fz._conjugator_raw(f)
         want = raw_of_word(3, free_reduce(w.letters + f.core_word().letters + invert(w).letters))
         assert fz._factor_raws(g)[0] == want
+
+
+def spelled(m, *words):
+    """Spelled records with no carried form, one per conjugator word."""
+    return Factorization(m, tuple(
+        StructuredFactor(BraidWord(m, w), HalfTwist(m, 1 + i % (m - 1), m), 1)
+        for i, w in enumerate(words)))
+
+
+class TestWalkFill:
+    """Records with no carried form get it from one prefix-trie walk over
+    the factorization; every filled form is that of the reduced word."""
+
+    @staticmethod
+    def assert_filled(fact):
+        assert all(f._conj_raw is None for f in fact.factors)
+        canonical_key(fact)
+        m = fact.strands
+        for f in fact.factors:
+            assert f._conj_raw == raw_of_word(m, free_reduce(f.conjugator.letters))
+
+    @pytest.mark.parametrize("name", ["sweep16.fac", "sweep5walk.fac", "b3walk.fac",
+                                      "regen6.fac"])
+    def test_parsed_golden_files(self, name):
+        self.assert_filled(parse_factorization((GOLDEN / name).read_text()))
+
+    @pytest.mark.parametrize("words", [
+        pytest.param([(1, 2, 3), (1, 2, 4), (1, 3)], id="resume-at-decreasing-depths"),
+        pytest.param([(2, 1), (), (2, 1), (2, 1, 3, -4), ()], id="duplicates-empty-prefix"),
+        pytest.param([(1, -1, 2), (1, 2, -1), (-3, -2, 1), (-3, 2, 2, -2)], id="unreduced"),
+        pytest.param([(-4, -3, -2, -1), (-4, -3, 1), (-4, 2, -1), (4, 4)], id="negative"),
+    ])
+    def test_tries_in_b5(self, words):
+        self.assert_filled(spelled(5, *words))
+
+    def test_only_missing_forms_are_filled(self):
+        fact = spelled(5, (1, 2, 3), (1, 2, 4), (1, 3))
+        kept = fz._conjugator_raw(fact.factors[1])
+        fz._conjugator_raws(5, fact.factors)
+        assert fact.factors[1]._conj_raw is kept
+        assert fact.factors[2]._conj_raw == raw_of_word(5, (1, 3))
+
+
+def test_sweep16_check_pushes_each_trie_edge_once(monkeypatch):
+    """The `Delta^2` check of the parsed 16-line sweep normalizes each edge
+    of its conjugators' trie once, plus each distinct core: 149 letters,
+    where a word-by-word fill pushed 7,170."""
+    letters = []
+
+    def counting(m, word):
+        letters.append(len(word))
+        return raw_of_word(m, word)
+
+    fact = parse_factorization((GOLDEN / "sweep16.fac").read_text())
+    words = [f.conjugator.letters for f in fact.factors]
+    cores = {fz._core_key(f): len(f.core_word()) for f in fact.factors}
+    assert (sum(map(len, words)), trie_edges(words), sum(cores.values())) == (7140, 119, 30)
+    monkeypatch.setattr(fz, "raw_of_word", counting)
+    monkeypatch.setattr(fz, "_CORE_RAWS", {})
+    assert is_delta2_factorization(fact)
+    assert sum(letters) == 119 + 30 <= 150
 
 
 def regeneration_inputs():

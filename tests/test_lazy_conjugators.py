@@ -39,7 +39,7 @@ from braidmono import (
     regenerate,
     to_wiring_diagram,
 )
-from braidmono.garside import raw_to_letters
+from braidmono.garside import raw_of_word, raw_to_letters
 from braidmono.textio import format_factorization
 from conftest import random_generic_arrangement, standard_b3_factorization
 
@@ -217,6 +217,24 @@ class TestSweepRecords:
             want = spelled_at_once(arr, expand_blocks)
             assert [f.conjugator.letters for f in fact.factors] == want
             assert [f.conjugator.letters for f in fact.factors] == want  # read again
+
+    def test_walk_reads_only_records_with_no_form(self, expand_blocks):
+        """Among unspelled sweep records, the `with_conjugator` records get
+        their forms from one trie walk over their own words; no sweep record
+        is spelled, and none has its carried form recomputed."""
+        for arr in sweep_arrangements():
+            m, words = arr.m, spelled_at_once(arr, expand_blocks)
+            sweep = braid_monodromy(arr, expand_blocks=expand_blocks).factors
+            other = braid_monodromy(arr, expand_blocks=expand_blocks).factors
+            mixed = tuple(g.with_conjugator(BraidWord(m, w)) if i % 2 else f
+                          for i, (f, g, w) in enumerate(zip(sweep, other, words)))
+            forms = [f._conj_raw for f in mixed]
+            assert is_delta2_factorization(Factorization(m, mixed))
+            for i, (f, form, w) in enumerate(zip(mixed, forms, words)):
+                if i % 2:
+                    assert form is None and f._conj_raw == raw_of_word(m, w)
+                else:
+                    assert is_lazy(f) and f._conj_raw is form
 
     def test_moved_records_spell_their_form(self, expand_blocks):
         """A move drops the sweep's spelling source: the moved record spells

@@ -2,10 +2,12 @@ import itertools
 import math
 import signal
 import warnings
+from pathlib import Path
 
 import pytest
 
 import braidmono.factorization as fz
+import braidmono.vankampen as vk
 from braidmono import (
     BlockFactor,
     BraidError,
@@ -29,8 +31,11 @@ from braidmono import (
     permutation_of,
     presentation,
 )
+from braidmono.textio import parse_factorization
 from braidmono.vankampen import _conjugate, _conjugate_by, _smith_diagonal
 from conftest import random_generic_arrangement, random_word, standard_b3_factorization
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
 class TestArtinAction:
@@ -174,6 +179,42 @@ class TestPresentation:
             presentation(fact)
             assert sorted(calls) == sorted(cores)
         assert len(cores) < len(fact.factors) / 4
+
+    def test_sweep16_steps_each_trie_edge_once(self, monkeypatch):
+        """The conjugators' inverses are walked as one prefix trie: one
+        letter step per trie edge, 119 for 7,140 conjugator letters, plus
+        the letters of each distinct core's word."""
+        steps = []
+
+        def counting(images, letters):
+            letters = tuple(letters)
+            steps.append(len(letters))
+            act(images, letters)
+
+        act = vk._act
+        fact = parse_factorization((GOLDEN / "sweep16.fac").read_text())
+        cores = {fz._core_key(f): len(f.core_word()) for f in fact.factors}
+        monkeypatch.setattr(vk, "_act", counting)
+        presentation(fact)
+        assert sum(steps) - sum(cores.values()) == 119
+
+    def test_image_cap_fires_on_the_letter_that_passes_it(self, monkeypatch):
+        conj = (1, 2, 1, -2, 1, 1, 2, 2, -1, 2, 1, 1)
+        images, lengths = [(1,), (2,), (3,)], []
+        for x in conj:
+            vk._act(images, (-x,))
+            lengths.append(max(map(len, images)))
+        cap = 9
+        first = next(i for i, n in enumerate(lengths) if n > cap)
+        assert 0 < first < len(conj) - 1
+        steps = []
+        act = vk._act
+        monkeypatch.setattr(vk, "_act", lambda im, ls: steps.append(1) or act(im, ls))
+        monkeypatch.setattr(vk, "MAX_IMAGE_LETTERS", cap)
+        fact = Factorization(3, (StructuredFactor(BraidWord(3, conj), HalfTwist(3, 1, 2), 1),))
+        with pytest.raises(BraidError, match="passed the cap of 9 letters"):
+            presentation(fact)
+        assert len(steps) == first + 1
 
     def test_warns_on_non_delta2(self):
         """The library leaves the product to its caller: a factorization
