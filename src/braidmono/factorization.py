@@ -52,6 +52,8 @@ from __future__ import annotations
 import dataclasses
 import enum
 from collections import deque
+from functools import partial, reduce
+from itertools import groupby
 from typing import Callable, Iterable, Union
 
 from .braid import (
@@ -315,19 +317,18 @@ def product(fact: Factorization) -> BraidWord:
 
 def _product_raw(fact: Factorization) -> _Raw:
     # Telescoped: prod c_i z_i c_i^-1 = c_1 z_1 (c_1^-1 c_2) z_2 ... z_n c_n^-1.
-    # Consecutive conjugators of a sweep or a regeneration mostly share a
-    # long prefix, so c_{i-1}^-1 c_i is short and the running product moves
-    # far fewer crossings than when it takes each whole element c_i z_i c_i^-1.
-    # The grouping ((P c_i) z_i) c_i^-1 would skip the short step, but it
-    # pushes every factor of c_i and of c_i^-1, which costs more when, as
-    # for cabled conjugators, they have several canonical factors.
+    # Consecutive conjugators of a sweep mostly share a long prefix, so the
+    # step c_{i-1}^-1 c_i is short, where the grouping ((P c_i) z_i) c_i^-1
+    # pushes every factor of c_i and of c_i^-1, several for a cabled one.
+    # Factors under one conjugator, as a regenerated node's rows, form a run:
+    # c z_1 c^-1 c z_2 c^-1 = c (z_1 z_2) c^-1, so its short cores are
+    # multiplied first and enter the running product once, with no step.
     m = fact.strands
     _conjugator_raws(m, fact.factors)
     out = carried = RAW_IDENTITY
-    for f in fact.factors:
-        conj = _conjugator_raw(f)
+    for conj, run in groupby(fact.factors, _conjugator_raw):
         out = raw_multiply(m, out, raw_multiply(m, carried, conj))
-        out = raw_multiply(m, out, _core_raw(f))
+        out = raw_multiply(m, out, reduce(partial(raw_multiply, m), map(_core_raw, run)))
         carried = raw_inverse(m, conj)
     return raw_multiply(m, out, carried)
 

@@ -30,7 +30,7 @@ pass of slides (the left-greedy step of Epstein et al., *Word Processing in
 Groups*, ch. 9).  `raw_multiply` runs it once on the right operand's
 factors; `raw_of_word` runs it once on the word's letters, sigma_i or the
 positive part Delta sigma_i^-1 of sigma_i^-1, with every Delta^-1 moved
-to the front.  Costs, for m strands:
+to the front, and `raw_cable` on the doubled factors.  Costs, for m strands:
 
 * a push costs one slide per pair it changes and drops trailing identities,
   so a word whose canonical length stays bounded (a sweep conjugator is a
@@ -44,7 +44,9 @@ to the front.  Costs, for m strands:
   of the two factors from the per-id tables, so it costs O(1) when no
   crossing can move; otherwise it costs O(m) plus two comparisons per
   moved crossing, and one C-level `del` and `insert` per list for each
-  strand that moves, however far.
+  strand that moves, however far;
+* `raw_cable` of a form with no negative Delta power slides nothing: its
+  factors are appended as they come.
 
 Memory: one policy, in two shapes besides the slide cache (one entry per
 distinct pair ever slid).  Facts about one permutation braid (`tau`, the
@@ -387,6 +389,19 @@ def raw_of_permutation(m: int, images) -> tuple[int, tuple[int, ...]]:
     """Raw form of the permutation braid of `images`, a permutation of
     1..m: Delta itself, the identity, or one factor."""
     return _strip_ids([_pid(tuple(images))], m)
+
+
+def raw_cable(n: int, raw: tuple[int, tuple[int, ...]]) -> tuple[int, tuple[int, ...]]:
+    """The 2-cable j -> (2j-1, 2j) of a raw form in B_n, in B_2n: each
+    factor's doubled permutation, after cable(Delta_n)^p.  cable(Delta_n) is
+    D, the doubled reversal: Delta_2n = D E, where E = prod_j sigma_{2j-1}
+    is D's images reversed and tau(E) = E, so D^-1 = Delta^-1 E.  For p >= 0
+    the factors are left-weighted as they come."""
+    p, fids = raw
+    doubled = [_pid(tuple(x for v in _PERM_TUPLES[f] for x in (2 * v - 1, 2 * v))) for f in fids]
+    reversal = tuple(x for v in range(n, 0, -1) for x in (2 * v - 1, 2 * v))
+    lead = _pid(reversal if p >= 0 else reversal[::-1])
+    return _push_all(2 * n, [], [lead] * abs(p) + doubled, p >= 0, min(p, 0))
 
 
 def raw_to_letters(m: int, raw: tuple[int, tuple[int, ...]]) -> tuple[int, ...]:

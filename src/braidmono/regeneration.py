@@ -48,11 +48,20 @@ from .factorization import (
     Factorization,
     StructuredFactor,
     _FULL_TWIST_RAW,
+    _conjugator_raw,
+    _conjugator_raws,
     _product_raw,
     _record,
     is_delta2_factorization,
 )
-from .garside import RAW_IDENTITY, raw_inverse, raw_multiply, raw_of_word, raw_permutation
+from .garside import (
+    RAW_IDENTITY,
+    raw_cable,
+    raw_inverse,
+    raw_multiply,
+    raw_of_word,
+    raw_permutation,
+)
 
 
 class RegenerationError(ValueError):
@@ -156,9 +165,8 @@ def _apply(rule: Rule, factor: Factor) -> tuple[StructuredFactor, ...]:
     conj = IndexDoubling(_unblocked(factor).strands).word(factor.conjugator)
     m = conj.strands
     short = 2 * factor.base.high - 1  # Z_{jj'} is the generator joining j and j'
-    # Every row is handed its conjugator's form: the cabled word's, times
-    # Z_{jj'}^{+-1} in a twist row.
-    raw = raw_of_word(m, conj.letters)
+    # Each row gets its conjugator's form: the cable's, times Z_{jj'}^{+-1} in a twist row.
+    raw = raw_cable(factor.strands, _conjugator_raw(factor))
     out = []
     for low_prime, high_prime, out_exponent, twist in rows:
         base = double_halftwist(factor.base, low_prime, high_prime)
@@ -211,6 +219,7 @@ def regenerate(
         raise RegenerationError(
             f"rule for factor {stray[0]}, but the factorization has only {count} factor(s)"
         )
+    _conjugator_raws(n, fact.factors)
     out: list[Factor] = []
     for idx, factor in enumerate(fact.factors):
         exp = _unblocked(factor).exponent

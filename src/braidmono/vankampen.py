@@ -170,13 +170,13 @@ class Presentation:
             raise BraidError(
                 f"generator count must not be negative, got {self.generator_count}"
             )
-        for rel in self.relators:
-            for letter in rel.letters:
+        # The distinct letters are checked at C speed; the loop names a bad one.
+        used = set().union(*(rel.letters for rel in self.relators))
+        if 0 in used or max(map(abs, used), default=0) > self.generator_count:
+            for letter in chain.from_iterable(rel.letters for rel in self.relators):
                 if not (1 <= abs(letter) <= self.generator_count):
-                    raise BraidError(
-                        f"relator letter {letter} outside generators "
-                        f"1..{self.generator_count}"
-                    )
+                    raise BraidError(f"relator letter {letter} outside generators "
+                                     f"1..{self.generator_count}")
 
 
 def presentation(fact: Factorization) -> Presentation:

@@ -14,6 +14,7 @@ import gc
 import random
 import weakref
 from fractions import Fraction
+from itertools import groupby
 from pathlib import Path
 
 import pytest
@@ -38,7 +39,7 @@ from braidmono import (
 )
 from braidmono import regeneration as rg
 from braidmono.arrangements import expand_block_factor
-from braidmono.garside import raw_inverse, raw_of_word
+from braidmono.garside import raw_inverse, raw_multiply, raw_of_word
 from braidmono.textio import format_factorization, parse_factorization
 from conftest import random_generic_arrangement, standard_b3_factorization, trie_edges
 
@@ -239,25 +240,43 @@ class TestRegenerationHandOver:
                         assert len(plain) == 1  # the other two are twist rows
         assert rules_seen == set(rg.Rule)
 
-    def test_the_cabled_word_is_normalized_once(self, monkeypatch):
-        """A factor's rows normalize its cabled word once; a twist row adds
-        one letter, and the product reads every row's carried form."""
-        seen = []
+    @pytest.mark.parametrize("name, edges, runs", [("sweep16.fac", 119, 120), (None, 3, 3)],
+                             ids=["sweep16", "tangency"])
+    def test_only_trie_edges_twists_and_cores_are_normalized(self, monkeypatch, name, edges,
+                                                            runs):
+        """Regeneration normalizes each edge of the B_n conjugators' trie
+        once and one letter per twist row, never a cabled word.  The product
+        that `complete_deficit` checks normalizes each distinct core once,
+        and per run of rows under one conjugator it makes one step
+        c_{i-1}^-1 c_i, one push of it, the run's core products and one
+        push of theirs."""
+        letters, products = [], []
 
-        def counting(m, letters):
-            seen.append(len(letters))
-            return raw_of_word(m, letters)
+        def counting(m, word):
+            letters.append(len(word))
+            return raw_of_word(m, word)
 
-        fact = regeneration_inputs()[-1]
-        cabled = [rg.IndexDoubling(3).word(f.conjugator) for f in fact.factors]
+        def counting_multiply(m, a, b):
+            products.append(m)
+            return raw_multiply(m, a, b)
+
+        fact = (parse_factorization((GOLDEN / name).read_text()) if name
+                else regeneration_inputs()[-1])
+        assert trie_edges([f.conjugator.letters for f in fact.factors]) == edges
+        twists = sum(row[3] != 0 for f in fact.factors
+                     for row in rg._RULES[rg._RULE_BY_EXPONENT[f.exponent]][1])
         monkeypatch.setattr(rg, "raw_of_word", counting)
         monkeypatch.setattr(fz, "raw_of_word", counting)
-        fz._CORE_RAWS.clear()
+        monkeypatch.setattr(fz, "_CORE_RAWS", {})
         out = regenerate(fact)
-        assert seen == [len(cabled[0]), len(cabled[1]), 1, 1]
-        seen.clear()
-        canonical_key(out)
-        assert len(seen) == len({fz._core_key(f) for f in out.factors})
+        assert sum(letters) == edges + twists
+        letters.clear()
+        monkeypatch.setattr(fz, "raw_multiply", counting_multiply)
+        fz._product_raw(out)
+        cores = {fz._core_key(f): len(f.core_word()) for f in out.factors}
+        assert sum(letters) == sum(cores.values())
+        assert runs == len(list(groupby(fz._conjugator_raw(f) for f in out.factors)))
+        assert len(products) <= len(out.factors) + 2 * runs + 1 < 3 * len(out.factors)
 
 
 class TestIdentity:

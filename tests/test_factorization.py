@@ -1,4 +1,6 @@
+import importlib.util
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -33,7 +35,15 @@ from braidmono import (
     regenerate,
     words_equal,
 )
+from braidmono.textio import parse_factorization
 from conftest import random_generic_arrangement, random_word, standard_b3_factorization
+
+ROOT = Path(__file__).resolve().parent.parent
+GOLDEN = ROOT / "tests" / "golden"
+# The bench's Burau oracle, which imports nothing of braidmono.
+_spec = importlib.util.spec_from_file_location("burau_oracle", ROOT / "bench" / "oracle.py")
+oracle = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(oracle)
 
 
 def sf(m, a, b, exp=1, conj=()):
@@ -421,6 +431,46 @@ class TestTelescopedProduct:
         for _ in range(3):
             fact = random_walk(rng, start, 50)
             assert fz._product_raw(fact) == element_fold(fact) == (2, ())
+
+    @pytest.mark.parametrize("name", ["regen3.fac", "regen4.fac", "regen5.fac", "regen6.fac"])
+    def test_golden_regenerations(self, name):
+        """A node's four rows share one conjugator, so their cores enter the
+        product as one run; the Burau images of the product and of the
+        factors' words agree."""
+        fact = parse_factorization((GOLDEN / name).read_text())
+        got = fz._product_raw(fact)
+        assert got == element_fold(fact)
+        words = [x for f in fact.factors for x in oracle.factor_letters(f)]
+        assert oracle.words_agree(fact.strands, words, garside.raw_to_letters(fact.strands, got))
+
+    @pytest.mark.parametrize("m", [4, 5])
+    def test_runs_of_separate_records(self, rng, m):
+        """Runs of records that each spell an equal conjugator word."""
+        for _ in range(10):
+            factors = []
+            for _ in range(rng.randint(1, 6)):
+                conj = random_word(rng, m, 10).letters
+                for _ in range(rng.randint(1, 4)):
+                    a = rng.randint(1, m - 1)
+                    factors.append(sf(m, a, rng.randint(a + 1, m), rng.randint(1, 4), conj))
+            fact = Factorization(m, tuple(factors))
+            assert fz._product_raw(fact) == element_fold(fact)
+
+    @pytest.mark.parametrize("m", [4, 5])
+    def test_runs_that_multiply_to_the_full_twist(self, rng, m):
+        """(s_1 ... s_{m-1})^m cut into runs, each conjugated by a power of
+        its own product, which leaves the product Delta^2."""
+        gens = list(range(1, m)) * m
+        for _ in range(10):
+            cuts = sorted(rng.sample(range(1, len(gens)), rng.randint(1, 5)))
+            factors = []
+            for lo, hi in zip([0, *cuts], [*cuts, len(gens)]):
+                run, k = tuple(gens[lo:hi]), rng.choice((-1, 1, 2))
+                conj = run * k if k > 0 else tuple(-x for x in reversed(run))
+                factors += [sf(m, i, i + 1, 1, conj) for i in run]
+            fact = Factorization(m, tuple(factors))
+            assert fz._product_raw(fact) == element_fold(fact) == (2, ())
+            assert oracle.is_full_twist(m, fact.factors)
 
     def test_empty_and_single(self, rng):
         assert fz._product_raw(Factorization(4)) == garside.RAW_IDENTITY

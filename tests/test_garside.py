@@ -6,6 +6,7 @@ import pytest
 from braidmono import (
     BraidError,
     BraidWord,
+    IndexDoubling,
     compose,
     full_twist,
     invert,
@@ -350,3 +351,29 @@ class TestSlideTables:
                 filled[2] += 1
                 assert garside._PADINV[f] == (0, *inv, len(p) + 1)
         assert min(filled) > 0
+
+
+class TestCable:
+    """`raw_cable` against the form of the cabled word, j -> (2j-1, 2j)."""
+
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_matches_the_cabled_word(self, rng, n):
+        """The empty word, Delta^p for p of both signs and parities, and
+        random words behind a random power of Delta."""
+        delta = tuple(j for i in range(1, n) for j in range(i, 0, -1))
+
+        def twist(p):
+            return delta * p if p > 0 else tuple(-x for x in reversed(delta)) * -p
+
+        words = [twist(p) for p in range(-3, 4)]
+        words += [twist(rng.randint(-3, 3)) + random_word(rng, n, 20).letters for _ in range(40)]
+        for w in words:
+            got = garside.raw_cable(n, garside.raw_of_word(n, w))
+            cabled = IndexDoubling(n).word(BraidWord(n, w)).letters
+            assert got == garside.raw_of_word(2 * n, cabled)
+
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_delta_is_the_cabled_delta_times_the_pair_crossings(self, n):
+        """Delta_2n = cable(Delta_n) prod_j sigma_{2j-1}."""
+        pairs = garside.raw_of_word(2 * n, tuple(range(1, 2 * n, 2)))
+        assert garside.raw_multiply(2 * n, garside.raw_cable(n, (1, ())), pairs) == (1, ())

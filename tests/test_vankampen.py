@@ -262,6 +262,16 @@ class TestPresentation:
         with pytest.raises(Exception):
             Presentation(2, (FreeWord((3,)),))
 
+    @pytest.mark.parametrize("relators, letter", [
+        (((1, -2), (2, 3, -5), (0,)), 3),
+        (((1, 2), (-1, 0, 3)), 0),
+        (((2, -3, 1),), -3),
+    ])
+    def test_error_names_the_first_bad_letter(self, relators, letter):
+        message = rf"^relator letter {letter} outside generators 1\.\.2$"
+        with pytest.raises(BraidError, match=message):
+            Presentation(2, tuple(map(FreeWord, relators)))
+
     def test_generator_count_not_negative(self):
         with pytest.raises(BraidError, match="generator count must not be negative, got -1"):
             Presentation(-1, ())
