@@ -36,13 +36,13 @@ walk that reads only the final records spells each word once.
 Raw forms `(delta_power, factor_ids)` live on the factor records and die
 with them: the conjugator's form, from the record's producer or else, for
 a spelled record, from one `braid.prefix_walk` per factorization, and the
-element's (form, inverse) pair, which both move directions reuse.  Their
-factor ids are numbered per process, so a pickled (or deep-copied) record
+element's form, whose inverse a move takes in closed form.  Their factor
+ids are numbered per process, so a pickled (or deep-copied) record
 carries its conjugator's form by permutation images and drops the
-element's pair.  Each producer (a Hurwitz move, the sweep,
-`expand_block_factor`, regeneration) builds its records with `_record`,
-and may hand over a `(function, argument)` pair of its own that spells
-the word on first read.  The searches use their
+element's form.  Every record stores its strand count.  Each producer (a
+Hurwitz move, the sweep, `expand_block_factor`, regeneration) builds its
+records with `_record`, and may hand over a `(function, argument)` pair
+of its own that spells the word on first read.  The searches use their
 per-call `_MoveTable`; the one module-level table is `_CORE_RAWS`, never
 evicted, like the kernel's.
 """
@@ -85,29 +85,30 @@ _Raw = tuple[int, tuple[int, ...]]
 class _CarriedRaws:
     """The base of both factor records.  It holds a record's raw forms: its
     conjugator's form, for a spelled record filled per factorization by one
-    prefix-trie walk (`_conjugator_raws`), and its element's (form, inverse)
-    pair, filled on first use.  Not dataclass fields: eq, hash, repr and
-    `replace` ignore them.
+    prefix-trie walk (`_conjugator_raws`), and its element's form, filled
+    on first use.  Not dataclass fields: eq, hash, repr and `replace`
+    ignore them.
 
-    A record built by `_record` holds its strand count, and may hold no
-    `conjugator` until that is first read (by eq, hash, repr, `replace` or
-    any caller); `__getattr__` then spells it once, as `function(argument)`
-    for the `_spelling` source its producer handed over, or with no source
-    as the canonical word of the carried form.
+    Every record stores its strand count, `strands`: `_record` from its
+    producer, `__post_init__` from the validated conjugator.  A record
+    built by `_record` may hold no `conjugator` until that is first read
+    (by eq, hash, repr, `replace` or any caller); `__getattr__` then spells
+    it once, as `function(argument)` for the `_spelling` source its
+    producer handed over, or with no source as the canonical word of the
+    carried form.
 
-    Pickle and `copy.deepcopy` keep the carried form as an id-free
-    `NormalForm`, re-interned on load, and drop the element's pair, which
-    is refilled on first use; the spelling source travels as it is, so an
-    unspelled record stays unspelled.
+    Pickle and `copy.deepcopy` keep the strand count, the carried form as
+    an id-free `NormalForm`, re-interned on load, and the spelling source
+    as it is, so an unspelled record stays unspelled.  They drop the
+    element's form, which is refilled on first use.
     """
 
     _conj_raw: _Raw | None = None
-    _element_raws: tuple[_Raw, _Raw] | None = None
-    _strands: int = 0
+    _element_raw: _Raw | None = None
     _spelling: tuple[Callable, object] | None = None
 
     def __getattr__(self, name: str):
-        m = self._strands
+        m = self.__dict__.get("strands")
         if name != "conjugator" or not m:
             raise AttributeError(
                 f"{type(self).__name__!r} object has no attribute {name!r}"
@@ -121,7 +122,7 @@ class _CarriedRaws:
 
     def __getstate__(self) -> dict:
         state = self.__dict__.copy()
-        state.pop("_element_raws", None)
+        state.pop("_element_raw", None)
         if self._conj_raw is not None:
             state["_conj_raw"] = nf_from_raw(self.strands, self._conj_raw)
         return state
@@ -130,10 +131,6 @@ class _CarriedRaws:
         if state.get("_conj_raw") is not None:
             state["_conj_raw"] = nf_to_raw(state["_conj_raw"])
         self.__dict__.update(state)
-
-    @property
-    def strands(self) -> int:
-        return self._strands or self.conjugator.strands
 
     def with_conjugator(self, conjugator: BraidWord) -> Factor:
         """The same core under another conjugator, validated, with no
@@ -164,6 +161,7 @@ class StructuredFactor(_CarriedRaws):
             raise BraidError("conjugator and base strand counts differ")
         if self.exponent < 1:
             raise BraidError(f"exponent must be positive, got {self.exponent}")
+        object.__setattr__(self, "strands", self.base.strands)
 
     def core_word(self) -> BraidWord:
         return power(half_twist_word(self.base), self.exponent)
@@ -187,13 +185,12 @@ class BlockFactor(_CarriedRaws):
     exponent: int = 2
 
     def __post_init__(self) -> None:
-        if not (1 <= self.low < self.high <= self.conjugator.strands):
-            raise BraidError(
-                f"block [{self.low}, {self.high}] invalid for "
-                f"{self.conjugator.strands} strands"
-            )
+        m = self.conjugator.strands
+        if not (1 <= self.low < self.high <= m):
+            raise BraidError(f"block [{self.low}, {self.high}] invalid for {m} strands")
         if self.exponent < 1:
             raise BraidError(f"exponent must be positive, got {self.exponent}")
+        object.__setattr__(self, "strands", m)
 
     @property
     def width(self) -> int:
@@ -219,7 +216,7 @@ def _record(kind: type, m: int, raw: _Raw, spelling, fields: dict) -> Factor:
     the conjugator form `raw`.  With no `conjugator` field it spells the word
     on first read by the `(function, argument)` pair `spelling`, else by `raw`."""
     record = object.__new__(kind)
-    record.__dict__.update(fields, _strands=m, _conj_raw=raw)
+    record.__dict__.update(fields, strands=m, _conj_raw=raw)
     if spelling is not None:
         record.__dict__["_spelling"] = spelling
     return record
@@ -273,17 +270,16 @@ def _core_cycle_type(factor_core: tuple) -> tuple[int, ...]:
     return (2,) * pairs + (1,) * (strands - 2 * pairs)
 
 
-def _factor_raws(factor: Factor) -> tuple[_Raw, _Raw]:
-    """(canonical form, inverse canonical form) of the factor's element."""
-    pair = factor._element_raws
-    if pair is None:
+def _element_raw(factor: Factor) -> _Raw:
+    """Canonical form of the factor's element."""
+    element = factor._element_raw
+    if element is None:
         m = factor.strands
         conj = _conjugator_raw(factor)
         element = raw_multiply(m, conj, _core_raw(factor))
         element = raw_multiply(m, element, raw_inverse(m, conj))
-        pair = (element, raw_inverse(m, element))
-        object.__setattr__(factor, "_element_raws", pair)
-    return pair
+        object.__setattr__(factor, "_element_raw", element)
+    return element
 
 
 @dataclasses.dataclass(frozen=True)
@@ -362,7 +358,7 @@ def canonical_key(fact: Factorization) -> tuple:
     within one process; `nf_from_raw(m, raw).key()` of each entry is the
     portable spelling."""
     _conjugator_raws(fact.strands, fact.factors)
-    return tuple(_factor_raws(f)[0] for f in fact.factors)
+    return tuple(map(_element_raw, fact.factors))
 
 
 def _move(fact: Factorization, k: int, forward: bool) -> Factorization:
@@ -374,13 +370,13 @@ def _move(fact: Factorization, k: int, forward: bool) -> Factorization:
     m = fact.strands
     a, b = fact.factors[k - 1], fact.factors[k]
     # a b a^-1 conjugates b's conjugator by a; b^-1 a b conjugates a's by b^-1.
-    by, old = (_factor_raws(a)[0], b) if forward else (_factor_raws(b)[1], a)
+    by, old = (_element_raw(a), b) if forward else (raw_inverse(m, _element_raw(b)), a)
     conj = raw_multiply(m, by, _conjugator_raw(old))
     # The core fields were validated when `old` was built, so they are
     # copied unchecked; the old conjugator's word, forms and spelling source
     # are dropped, so the moved record spells its own canonical word.
     core = old.__dict__.copy()
-    for name in ("conjugator", "_element_raws", "_spelling"):
+    for name in ("conjugator", "_element_raw", "_spelling"):
         core.pop(name, None)
     moved = _record(type(old), m, conj, None, core)
     pair = (moved, a) if forward else (b, moved)
@@ -458,19 +454,17 @@ class _MoveTable:
         self._inverses: list[_Raw] = []
         self._moves: dict[tuple[int, int], tuple[int, int]] = {}
 
-    def _intern(self, raw: _Raw, inverse: _Raw | None = None) -> int:
+    def _intern(self, raw: _Raw) -> int:
         i = self._ids.get(raw)
         if i is None:
             i = self._ids[raw] = len(self._raws)
             self._raws.append(raw)
-            self._inverses.append(
-                raw_inverse(self.m, raw) if inverse is None else inverse
-            )
+            self._inverses.append(raw_inverse(self.m, raw))
         return i
 
     def state(self, fact: Factorization) -> tuple[int, ...]:
         _conjugator_raws(self.m, fact.factors)
-        return tuple(self._intern(*_factor_raws(f)) for f in fact.factors)
+        return tuple(self._intern(_element_raw(f)) for f in fact.factors)
 
     def move(self, a: int, b: int, direction: int) -> int:
         pair = self._moves.get((a, b))
@@ -505,9 +499,10 @@ def hurwitz_equivalent(
 
     Returns EQUIVALENT with a replayable move sequence from f1 to f2,
     NOT_EQUIVALENT with the separating invariant (or orbit exhaustion), or
-    INCONCLUSIVE when `budget` stored states were reached first.  Expansion
-    order is deterministic: lower positions first, forward before inverse,
-    smaller frontier expanded first.
+    INCONCLUSIVE when a new state would pass `budget` stored states; the
+    two starting states are always stored.  Expansion order is
+    deterministic: lower positions first, forward before inverse, smaller
+    frontier expanded first.
     """
     if f1.strands != f2.strands:
         return EquivalenceResult(
@@ -555,6 +550,8 @@ def hurwitz_equivalent(
             for move, nkey in table.neighbors(key):
                 if nkey in mine:
                     continue
+                if stored >= budget:
+                    return EquivalenceResult(Verdict.INCONCLUSIVE, explored=stored)
                 mine[nkey] = (key, move)
                 stored += 1
                 if nkey in theirs:
@@ -565,10 +562,6 @@ def hurwitz_equivalent(
                         explored=stored,
                     )
                 frontier.append(nkey)
-                if stored >= budget:
-                    return EquivalenceResult(
-                        Verdict.INCONCLUSIVE, explored=stored
-                    )
     # One side's orbit closed without meeting the other: disjoint orbits.
     return EquivalenceResult(
         Verdict.NOT_EQUIVALENT,

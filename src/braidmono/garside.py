@@ -46,16 +46,20 @@ to the front, and `raw_cable` on the doubled factors.  Costs, for m strands:
   moved crossing, and one C-level `del` and `insert` per list for each
   strand that moves, however far;
 * `raw_cable` of a form with no negative Delta power slides nothing: its
-  factors are appended as they come.
+  factors are appended as they come;
+* `raw_to_letters` lifts each factor afresh, in O(m + inversions), and
+  Delta only for a nonzero power.
 
 Memory: one policy, in two shapes besides the slide cache (one entry per
-distinct pair ever slid).  Facts about one permutation braid (`tau`, the
-right complement, the slide inputs, a minimal word) live in per-id lists
-parallel to the interned tuples, one entry per id, -1 or None until first
-use; a whole id list is twisted with one C-level map through `_TAU`.
-Constants of one strand count live in one row, `_STRANDS[m]`, built on
-first use and read once per product or word.  Nothing is evicted: the
-tables grow with the permutation braids and pairs a process meets.
+distinct pair ever slid).  Facts about one permutation braid that a
+product reads (`tau`, the right complement, the slide inputs) live in
+per-id lists parallel to the interned tuples, one entry per id, -1 or None
+until first use; a whole id list is twisted with one C-level map through
+`_TAU`.  A minimal word is not stored: only the text and API boundary
+spells one.  Constants of one strand count live in one row,
+`_STRANDS[m]`, built on first use and read once per product or word.
+Nothing is evicted: the tables grow with the permutation braids and pairs
+a process meets.
 """
 
 from __future__ import annotations
@@ -70,16 +74,16 @@ _PERM_IDS: dict[tuple[int, ...], int] = {}
 _PERM_TUPLES: list[tuple[int, ...]] = []
 
 
-# Per-id tables parallel to _PERM_TUPLES, -1 (None) until first used.
-# _ENDS, _STARTS and _PADINV feed a slide miss: the descent masks of p and
+# Per-id tables parallel to _PERM_TUPLES, -1 (None) until first used, all
+# read by products: _TAU and _RCOMP by the push loop and `raw_inverse`, and
+# _ENDS, _STARTS and _PADINV by a slide miss, as the descent masks of p and
 # of p^-1, and p^-1 padded with the sentinels 0 and m+1 so the slide loop
-# needs no range check.  _LIFT holds a minimal positive word of p.
+# needs no range check.
 _TAU: list[int] = []
 _RCOMP: list[int] = []
 _ENDS: list[int] = []
 _STARTS: list[int] = []
 _PADINV: list[tuple[int, ...] | None] = []
-_LIFT: list[tuple[int, ...] | None] = []
 
 
 def _pid(t: tuple[int, ...]) -> int:
@@ -93,7 +97,6 @@ def _pid(t: tuple[int, ...]) -> int:
         _ENDS.append(-1)
         _STARTS.append(-1)
         _PADINV.append(None)
-        _LIFT.append(None)
     return i
 
 
@@ -248,22 +251,21 @@ def _slide_ids(fa: int, fb: int) -> tuple[int, int]:
 
 
 def _lift_letters(f: int) -> tuple[int, ...]:
-    """A minimal positive word for a permutation braid (peeled from the
-    left: repeatedly strip a sigma_i with i a descent of p^-1)."""
-    w = _LIFT[f]
-    if w is None:
-        p = _PERM_TUPLES[f]
-        word = []
-        inv = list(_inverse_tuple(p))
-        n = len(p)
-        while True:
-            i = next((i for i in range(1, n) if inv[i - 1] > inv[i]), None)
-            if i is None:
-                break
+    """A minimal positive word for a permutation braid, peeled from the
+    left: repeatedly strip sigma_i for the least descent i of p^-1.  A swap
+    at i can make only i - 1 the new least descent, so the scan resumes
+    there: O(m + inversions) per call."""
+    inv = list(_inverse_tuple(_PERM_TUPLES[f]))
+    word = []
+    i = 1
+    while i < len(inv):
+        if inv[i - 1] > inv[i]:
             word.append(i)
             inv[i - 1], inv[i] = inv[i], inv[i - 1]
-        w = _LIFT[f] = tuple(word)
-    return w
+            i = max(i - 1, 1)
+        else:
+            i += 1
+    return tuple(word)
 
 
 # --- kernel operations on raw forms ---------------------------------------
@@ -276,13 +278,14 @@ RAW_IDENTITY = (0, ())
 
 
 def _strip_ids(factors: list[int], m: int) -> tuple[int, tuple[int, ...]]:
-    """Strip leading Deltas into a power carry, drop trailing identities."""
+    """Drop trailing identities, strip leading Deltas into a power carry.
+    In B_1 the identity is also Delta, so the identities go first."""
     ident, w0, _, _ = _strands(m)
     lo, hi = 0, len(factors)
-    while lo < hi and factors[lo] == w0:
-        lo += 1
     while lo < hi and factors[hi - 1] == ident:
         hi -= 1
+    while lo < hi and factors[lo] == w0:
+        lo += 1
     return lo, tuple(factors[lo:hi])
 
 
@@ -406,7 +409,7 @@ def raw_cable(n: int, raw: tuple[int, tuple[int, ...]]) -> tuple[int, tuple[int,
 
 def raw_to_letters(m: int, raw: tuple[int, tuple[int, ...]]) -> tuple[int, ...]:
     p, fids = raw
-    d = _lift_letters(_strands(m)[1])
+    d = _lift_letters(_strands(m)[1]) if p else ()
     if p < 0:
         d = tuple(-l for l in reversed(d))
     letters = list(d * abs(p))

@@ -89,11 +89,6 @@ class IndexDoubling:
     def strands(self) -> int:
         return 2 * self.n
 
-    def pair(self, j: int) -> tuple[int, int]:
-        if not (1 <= j <= self.n):
-            raise RegenerationError(f"strand {j} out of range 1..{self.n}")
-        return (2 * j - 1, 2 * j)
-
     def word(self, w: BraidWord) -> BraidWord:
         """2-cabling: sigma_k maps to the positive pair crossing
         sigma_{2k} sigma_{2k+1} sigma_{2k-1} sigma_{2k}."""

@@ -29,7 +29,7 @@ import pytest
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "braidmono"
 MODULES = sorted(SRC.glob("*.py"))
-RECORD_ATTRIBUTES = {"_conj_raw", "_element_raws", "_strands", "_spelling"}
+RECORD_ATTRIBUTES = {"_conj_raw", "_element_raw", "_spelling"}
 CONSOLE_NAMES = {"sys", "warnings", "print"}
 DIGIT_TESTS = {"isdigit", "isascii"}
 PREFIX_HELPER = re.compile(r"common_?prefix|prefix_walk|(?:^|_)trie(?:_|$)", re.IGNORECASE)
@@ -194,8 +194,8 @@ def test_the_checks_see_what_they_forbid():
         "from .garside import RAW_IDENTITY, _pid\n"
         "from braidmono.garside import _strip_ids\n"
         "x = f._conj_raw\n"
-        "g._element_raws = None\n"
-        "object.__setattr__(h, '_strands', 3)\n"
+        "g._element_raw = None\n"
+        "object.__setattr__(h, '_element_raw', 3)\n"
         "import warnings\n"
         "import os, sys\n"
         "from warnings import warn\n"
@@ -223,7 +223,7 @@ def test_the_checks_see_what_they_forbid():
     )
     assert private_garside_imports(bad) == ["_pid", "_strip_ids"]
     assert record_attribute_uses(bad) == [
-        "line 3: ._conj_raw", "line 4: ._element_raws", "line 5: '_strands'",
+        "line 3: ._conj_raw", "line 4: ._element_raw", "line 5: '_element_raw'",
         "line 22: '_spelling'",
     ]
     assert record_constructions(bad) == ["line 23: object.__new__", "line 24: .__dict__"]

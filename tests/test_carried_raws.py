@@ -124,20 +124,20 @@ class TestMovedForms:
     def test_key_survives_a_text_round_trip(self):
         fact = walk(standard_b3_factorization(), random.Random(5), 500)
         reread = parse_factorization(format_factorization(fact))
-        assert all(f._conj_raw is None and f._element_raws is None for f in reread.factors)
+        assert all(f._conj_raw is None and f._element_raw is None for f in reread.factors)
         assert canonical_key(reread) == canonical_key(fact)
         assert is_delta2_factorization(reread)
 
     def test_with_conjugator_starts_afresh(self):
         f = walk(standard_b3_factorization(), random.Random(2), 40).factors[0]
-        fz._factor_raws(f)
+        fz._element_raw(f)
         w = BraidWord(3, (1, -2, 1))
         g = f.with_conjugator(w)
-        assert g._conj_raw is None and g._element_raws is None
+        assert g._conj_raw is None and g._element_raw is None
         assert fz._conjugator_raw(g) == raw_of_word(3, w.letters)
         assert fz._conjugator_raw(g) != fz._conjugator_raw(f)
         want = raw_of_word(3, free_reduce(w.letters + f.core_word().letters + invert(w).letters))
-        assert fz._factor_raws(g)[0] == want
+        assert fz._element_raw(g) == want
 
 
 def spelled(m, *words):
@@ -283,8 +283,8 @@ class TestIdentity:
     def test_forms_stay_out_of_eq_hash_repr(self):
         moved = walk(standard_b3_factorization(), random.Random(4), 30).factors[2]
         bare = moved.with_conjugator(moved.conjugator)
-        fz._factor_raws(moved)
-        assert moved._element_raws is not None and bare._element_raws is None
+        fz._element_raw(moved)
+        assert moved._element_raw is not None and bare._element_raw is None
         assert moved == bare and hash(moved) == hash(bare)
         assert repr(moved) == repr(bare)
 

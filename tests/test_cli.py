@@ -19,6 +19,7 @@ from braidmono.textio import format_factorization
 from braidmono.vankampen import MAX_IMAGE_LETTERS
 from conftest import random_generic_arrangement, standard_b3_factorization
 
+GOLDEN = Path(__file__).resolve().parent / "golden"
 THREE_GENERIC = "arrangement 3\nline 0 0\nline 1 0\nline 2 -1\n"
 
 B3_PAPER = format_factorization(standard_b3_factorization())
@@ -143,6 +144,14 @@ class TestEquivalence:
         code, out = run(capsys, "hurwitz-equiv", f1, f2, "--budget", "3")
         assert code == 2
         assert "verdict INCONCLUSIVE\n" in out
+
+    @pytest.mark.parametrize("budget", ["1", "2"])
+    def test_budget_caps_the_stored_states(self, capsys, budget):
+        """The two roots are stored before any budget check; no third."""
+        code, out = run(capsys, "hurwitz-equiv", str(GOLDEN / "sweep4.fac"),
+                        str(GOLDEN / "sweep4walk.fac"), "--budget", budget)
+        assert code == 2
+        assert out == "verdict INCONCLUSIVE\nexplored 2\n"
 
     def test_not_equivalent(self, files, capsys):
         f1 = files(

@@ -238,7 +238,7 @@ def test_with_conjugator_and_class_label(factor, label):
     assert type(fresh) is type(factor) and fresh.conjugator == w
     assert fresh == factor.with_conjugator(w)
     assert fresh.core_word() == factor.core_word()
-    assert fresh._conj_raw is None and fresh._element_raws is None
+    assert fresh._conj_raw is None and fresh._element_raw is None
     assert factor.class_label() == moved.class_label() == fresh.class_label() == label
     with pytest.raises(BraidError):
         factor.with_conjugator(BraidWord.identity(2))
@@ -363,7 +363,7 @@ def element_fold(fact):
     """The product as the left fold over the factors' element forms."""
     out = garside.RAW_IDENTITY
     for f in fact.factors:
-        out = garside.raw_multiply(fact.strands, out, fz._factor_raws(f)[0])
+        out = garside.raw_multiply(fact.strands, out, fz._element_raw(f))
     return out
 
 
@@ -399,7 +399,7 @@ class TestTelescopedProduct:
             for expand_blocks in (False, True):
                 fact = braid_monodromy(arr, expand_blocks=expand_blocks)
                 got = fz._product_raw(fact)
-                assert all(f._element_raws is None for f in fact.factors)
+                assert all(f._element_raw is None for f in fact.factors)
                 assert got == element_fold(fact) == (2, ())
 
     def test_regenerations(self, rng):
@@ -478,7 +478,7 @@ class TestTelescopedProduct:
             conj = random_word(rng, 4, 12).letters
             f = sf(4, 1, rng.randint(2, 4), rng.randint(1, 4), conj)
             fact = Factorization(4, (f,))
-            assert fz._product_raw(fact) == element_fold(fact) == fz._factor_raws(f)[0]
+            assert fz._product_raw(fact) == element_fold(fact) == fz._element_raw(f)
 
     def test_tangent_family_32(self):
         assert is_delta2_factorization(braid_monodromy(tangent_family(32)))

@@ -68,6 +68,12 @@ class TestKnownForms:
         with pytest.raises(BraidError):
             words_equal(BraidWord(2, (1,)), BraidWord(3, (1,)))
 
+    def test_identity_permutation_in_b1(self):
+        """In B_1 the identity permutation braid is also Delta; its form is
+        the identity, as the word path gives it."""
+        assert garside.raw_of_permutation(1, (1,)) == (0, ())
+        assert normal_form(BraidWord(1, ())) == garside.nf_from_raw(1, (0, ()))
+
 
 class TestRoundTrips:
     def test_to_word(self, rng):
@@ -377,3 +383,35 @@ class TestCable:
         """Delta_2n = cable(Delta_n) prod_j sigma_{2j-1}."""
         pairs = garside.raw_of_word(2 * n, tuple(range(1, 2 * n, 2)))
         assert garside.raw_multiply(2 * n, garside.raw_cable(n, (1, ())), pairs) == (1, ())
+
+
+def lift_reference(images):
+    """The left-peeled word by the rescanning loop: strip sigma_i for the
+    least descent i of p^-1, scanning again from 1 after every swap."""
+    inv = [0] * len(images)
+    for i, v in enumerate(images, start=1):
+        inv[v - 1] = i
+    word = []
+    while True:
+        i = next((i for i in range(1, len(inv)) if inv[i - 1] > inv[i]), None)
+        if i is None:
+            return tuple(word)
+        word.append(i)
+        inv[i - 1], inv[i] = inv[i], inv[i - 1]
+
+
+class TestLift:
+    """`_lift_letters` resumes its scan one place left of each swap and
+    gives the rescanning loop's word."""
+
+    @pytest.mark.parametrize("m", range(1, 8))
+    def test_every_permutation(self, m):
+        for images in itertools.permutations(range(1, m + 1)):
+            assert garside._lift_letters(garside._pid(images)) == lift_reference(images)
+
+    @pytest.mark.parametrize("m", [16, 24, 32, 64])
+    def test_random_permutations(self, rng, m):
+        perms = [tuple(range(m, 0, -1))]
+        perms += [tuple(rng.sample(range(1, m + 1), m)) for _ in range(60)]
+        for images in perms:
+            assert garside._lift_letters(garside._pid(images)) == lift_reference(images)

@@ -204,8 +204,8 @@ def swap_at(x, i):
 
 
 class TestStrandRows:
-    """One row per strand count holds its constants; the minimal words are a
-    per-id list like the other tables."""
+    """One row per strand count holds its constants; the per-id tables stay
+    parallel to the interned tuples, and a minimal word is computed per call."""
 
     @pytest.mark.parametrize("m", range(2, 17))
     def test_row_and_twisted_generators(self, m):
@@ -224,11 +224,12 @@ class TestStrandRows:
 
     def test_tables_after_a_sweep_and_a_walk(self, rng):
         from braidmono import braid_monodromy, hurwitz_move, hurwitz_move_inverse
-        from braidmono import is_delta2_factorization
+        from braidmono import canonical_key, is_delta2_factorization
         from braidmono.braid import delta_word
         from conftest import random_generic_arrangement, standard_b3_factorization
 
-        assert is_delta2_factorization(braid_monodromy(random_generic_arrangement(rng, 16)))
+        sweep = braid_monodromy(random_generic_arrangement(rng, 16))
+        assert is_delta2_factorization(sweep)
         fact = standard_b3_factorization()
         for _ in range(200):
             k = rng.randint(1, len(fact.factors) - 1)
@@ -237,15 +238,13 @@ class TestStrandRows:
         assert all(f.conjugator.strands == 3 for f in fact.factors)
 
         tables = (garside._TAU, garside._RCOMP, garside._ENDS, garside._STARTS,
-                  garside._PADINV, garside._LIFT)
+                  garside._PADINV)
         assert all(len(t) == len(garside._PERM_TUPLES) for t in tables)
-        lifted = 0
-        for f, word in enumerate(garside._LIFT):
+        # The factor ids of every element the sweep and the walk met.
+        met = {f for g in (sweep, fact) for raw in canonical_key(g) for f in raw[1]}
+        assert met
+        for f in met:
             m = len(garside._PERM_TUPLES[f])
-            if word is None or f in garside._strands(m)[:2]:
-                continue
-            lifted += 1
-            assert raw_of_word(m, word) == (0, (f,))
-        assert lifted > 0
+            assert raw_of_word(m, garside._lift_letters(f)) == (0, (f,))
         for m in range(2, 41):
             assert garside.raw_to_letters(m, (1, ())) == delta_word(m).letters

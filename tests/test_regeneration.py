@@ -35,11 +35,6 @@ def sf(m, a, b, exp, conj=()):
 
 
 class TestIndexDoubling:
-    def test_pairs_partition(self):
-        d = IndexDoubling(3)
-        pairs = [d.pair(j) for j in (1, 2, 3)]
-        assert pairs == [(1, 2), (3, 4), (5, 6)]
-
     def test_cabling_is_a_homomorphism(self):
         d = IndexDoubling(3)
         assert words_equal(d.word(BraidWord(3, (1, 2, 1))), d.word(BraidWord(3, (2, 1, 2))))
