@@ -49,6 +49,10 @@ to the front, and `raw_cable` on the doubled factors.  Costs, for m strands:
   factors are appended as they come;
 * `raw_to_letters` lifts each factor afresh, in O(m + inversions), and
   Delta only for a nonzero power.
+* `words_equal` normalizes only the middles of the two reduced words,
+  after C-speed scans for their common prefix and suffix and a C-speed
+  exponent-sum check: a pair that differs in a few letters pushes only
+  those, and a pair whose sums differ pushes none.
 
 Memory: one policy, in two shapes besides the slide cache (one entry per
 distinct pair ever slid).  Facts about one permutation braid that a
@@ -65,6 +69,8 @@ a process meets.
 from __future__ import annotations
 
 import dataclasses
+from itertools import compress, count
+from operator import ne
 
 from .braid import BraidWord, Permutation, _check_same_strands, free_reduce
 
@@ -479,8 +485,15 @@ def normal_form(w: BraidWord) -> NormalForm:
 
 
 def words_equal(w1: BraidWord, w2: BraidWord) -> bool:
-    """Solve the word problem: do the two words denote the same braid?"""
+    """Solve the word problem: do the two words denote the same braid?
+    P X Q = P Y Q iff X = Y, and the exponent sum is a homomorphism to Z, so
+    only the middles of the reduced words are normalized, if their sums agree."""
     _check_same_strands(w1, w2)
-    return raw_of_word(w1.strands, free_reduce(w1.letters)) == raw_of_word(
-        w2.strands, free_reduce(w2.letters)
-    )
+    u, v = free_reduce(w1.letters), free_reduce(w2.letters)
+    head = next(compress(count(), map(ne, u, v)), min(len(u), len(v)))
+    u, v = u[head:], v[head:]
+    tail = next(compress(count(), map(ne, reversed(u), reversed(v))), min(len(u), len(v)))
+    x, y = u[:len(u) - tail], v[:len(v) - tail]
+    if len(x) - len(y) != 2 * (sum(map((0).__gt__, x)) - sum(map((0).__gt__, y))):
+        return False  # exponent sums differ: len - 2 * (negative letters)
+    return raw_of_word(w1.strands, x) == raw_of_word(w2.strands, y)

@@ -23,6 +23,17 @@ def random_word(rng: random.Random, m: int, max_len: int = 40) -> BraidWord:
     return BraidWord(m, free_reduce(letters))
 
 
+def reduced_word(rng: random.Random, m: int, length: int) -> tuple[int, ...]:
+    """The letters of a freely reduced word of exactly `length` letters in
+    B_m, m >= 2."""
+    letters: list[int] = []
+    while len(letters) < length:
+        x = rng.choice([i for i in range(1 - m, m) if i])
+        if not letters or letters[-1] != -x:
+            letters.append(x)
+    return tuple(letters)
+
+
 def trie_edges(words) -> int:
     """Edges of the words' prefix trie: their distinct nonempty prefixes."""
     return len({w[:d] for w in words for d in range(1, len(w) + 1)})

@@ -11,13 +11,13 @@ from pathlib import Path
 
 import pytest
 
-from braidmono import (Factorization, LineArrangement, braid_monodromy, degree_check,
+from braidmono import (BraidWord, Factorization, LineArrangement, braid_monodromy, degree_check,
                        hurwitz_move, hurwitz_move_inverse)
 from braidmono import cli
 from braidmono.cli import main
-from braidmono.textio import format_factorization
+from braidmono.textio import format_braid_word, format_factorization
 from braidmono.vankampen import MAX_IMAGE_LETTERS
-from conftest import random_generic_arrangement, standard_b3_factorization
+from conftest import random_generic_arrangement, reduced_word, standard_b3_factorization
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 THREE_GENERIC = "arrangement 3\nline 0 0\nline 1 0\nline 2 -1\n"
@@ -64,6 +64,15 @@ class TestWords:
         w2 = files("b.word", "strands 3\ns2\n")
         code, out = run(capsys, "equal", w1, w2)
         assert code == 1 and out.strip() == "false"
+
+    @pytest.mark.parametrize("edit, code, answer", [("relation", 0, "true"), ("flip", 1, "false")])
+    def test_equal_long_words_differing_in_the_middle(self, files, capsys, edit, code, answer):
+        word = reduced_word(random.Random(25), 4, 600)
+        middle = (1, 2, 1, -2, -1, -2) if edit == "relation" else (-word[300],)
+        other = word[:300] + middle + word[300 + (edit == "flip"):]
+        w1 = files("a.word", format_braid_word(BraidWord(4, word)))
+        w2 = files("b.word", format_braid_word(BraidWord(4, other)))
+        assert run(capsys, "equal", w1, w2) == (code, answer + "\n")
 
 
 class TestMonodromy:

@@ -8,6 +8,7 @@ from braidmono import (
     BraidWord,
     IndexDoubling,
     compose,
+    free_reduce,
     full_twist,
     invert,
     normal_form,
@@ -16,7 +17,7 @@ from braidmono import (
     words_equal,
 )
 import braidmono.garside as garside
-from conftest import random_word
+from conftest import random_word, reduced_word
 
 
 def naive_normalize(fids, m):
@@ -415,3 +416,101 @@ class TestLift:
         perms += [tuple(rng.sample(range(1, m + 1), m)) for _ in range(60)]
         for images in perms:
             assert garside._lift_letters(garside._pid(images)) == lift_reference(images)
+
+
+def whole_word_equal(w1, w2):
+    """The whole-word reference: both reduced words normalized in full."""
+    return garside.raw_of_word(w1.strands, free_reduce(w1.letters)) == garside.raw_of_word(
+        w2.strands, free_reduce(w2.letters))
+
+
+def relators(m):
+    """Words equal to the identity in B_m: each braid relation, as a relator."""
+    out = [(i, i + 1, i, -(i + 1), -i, -(i + 1)) for i in range(1, m - 1)]
+    out += [(i, j, -i, -j) for i in range(1, m) for j in range(i + 2, m)]
+    return out
+
+
+def any_word(rng, m):
+    """`random_word`, and in B_1, where there are no letters, the empty word."""
+    return random_word(rng, m) if m > 1 else BraidWord(1, ())
+
+
+def edited(rng, letters, edit, m):
+    """`letters` after one edit; `edit` names its kind."""
+    cut = rng.randint(0, len(letters))
+    if edit == "flip" and letters:
+        k = rng.randrange(len(letters))
+        return letters[:k] + (-letters[k],) + letters[k + 1:]
+    if edit == "relation" and relators(m):
+        return letters[:cut] + rng.choice(relators(m)) + letters[cut:]
+    if edit == "pair" and m > 1:
+        i = rng.randint(1, m - 1) * rng.choice((1, -1))
+        return letters[:cut] + (i, -i) + letters[cut:]
+    if edit == "unrelated":
+        return any_word(rng, m).letters
+    if edit == "prefix":
+        return letters[:cut] if rng.random() < 0.5 else letters + any_word(rng, m).letters
+    return letters
+
+
+class TestWordsEqual:
+    """`words_equal` normalizes only the middles between the common prefix
+    and suffix, after an exponent-sum check, and answers as the whole-word
+    reference does."""
+
+    @pytest.mark.parametrize("edit", ["flip", "relation", "pair", "unrelated", "prefix"])
+    def test_agrees_with_the_whole_word_reference(self, edit):
+        rng = random.Random(f"words_equal {edit}")
+        answers = set()
+        for m in range(1, 9):
+            for _ in range(60):
+                w1 = any_word(rng, m)
+                w2 = BraidWord(m, edited(rng, w1.letters, edit, m))
+                want = whole_word_equal(w1, w2)
+                assert words_equal(w1, w2) == want == words_equal(w2, w1)
+                answers.add(want)
+        # A flip leaves an empty word as it is, so each edit but the two
+        # insertions of a relator meets both answers.
+        assert answers == ({True} if edit in ("relation", "pair") else {False, True})
+
+    @pytest.mark.parametrize("u, v, want", [
+        ((1, 2, 1), (1, 2, 1, 2, 1), False),  # prefix and suffix would overlap
+        ((1, 2, 1), (1, 2, 1, 1, 2, 1), False),
+        ((1, 2, 1, 2), (1, 2, 2, 1, 2, 2), False),
+        ((1, 2, 1), (2, 1, 2), True),
+        ((1, 2, 1, 2), (2, 1, 2, 2), True),
+        ((), (), True),
+        ((), (1, -1), True),
+        ((), (1, 2, 1, -2, -1, -2), True),
+        ((), (1,), False),
+        ((), (1, 2, -1, -2), False),  # same exponent sum, not the identity
+        ((2, 1, -2), (-1, 2, 1), True),
+    ])
+    def test_known_pairs(self, u, v, want):
+        w1, w2 = BraidWord(3, u), BraidWord(3, v)
+        assert words_equal(w1, w2) == words_equal(w2, w1) == whole_word_equal(w1, w2) == want
+
+    @pytest.fixture
+    def letters_normalized(self, monkeypatch):
+        passed = []
+        normalize = garside.raw_of_word
+
+        def counted(m, letters):
+            passed.append(len(letters))
+            return normalize(m, letters)
+
+        monkeypatch.setattr(garside, "raw_of_word", counted)
+        return passed
+
+    def test_only_the_middles_are_normalized(self, letters_normalized):
+        word = reduced_word(random.Random(400), 3, 400)
+        relation = (1, 2, 1, -2, -1, -2)
+        assert words_equal(BraidWord(3, word), BraidWord(3, word[:200] + relation + word[200:]))
+        assert sum(letters_normalized) <= 6
+
+    def test_unequal_exponent_sums_normalize_nothing(self, letters_normalized):
+        word = reduced_word(random.Random(400), 3, 400)
+        flipped = word[:200] + (-word[200],) + word[201:]
+        assert not words_equal(BraidWord(3, word), BraidWord(3, flipped))
+        assert letters_normalized == []
