@@ -312,19 +312,22 @@ def product(fact: Factorization) -> BraidWord:
 
 
 def _product_raw(fact: Factorization) -> _Raw:
-    # Telescoped: prod c_i z_i c_i^-1 = c_1 z_1 (c_1^-1 c_2) z_2 ... z_n c_n^-1.
-    # Consecutive conjugators of a sweep mostly share a long prefix, so the
-    # step c_{i-1}^-1 c_i is short, where the grouping ((P c_i) z_i) c_i^-1
-    # pushes every factor of c_i and of c_i^-1, several for a cabled one.
-    # Factors under one conjugator, as a regenerated node's rows, form a run:
-    # c z_1 c^-1 c z_2 c^-1 = c (z_1 z_2) c^-1, so its short cores are
-    # multiplied first and enter the running product once, with no step.
+    # Telescoped: prod c_i z_i c_i^-1 = c_1 z_1 (c_1^-1 c_2) z_2 ... z_n c_n^-1,
+    # where the grouping ((P c_i) z_i) c_i^-1 would push every factor of c_i
+    # and of c_i^-1, several for a cabled one.  Factors under one conjugator,
+    # as a regenerated node's rows, form a run: c z_1 c^-1 c z_2 c^-1 =
+    # c (z_1 z_2) c^-1, so the run enters with one step.  In a sweep the step
+    # c_{i-1}^-1 c_i is H_i^-1, H_i the point's block half-twist: a short braid
+    # whose normal form is Delta^-1 times a factor with nearly every crossing.
+    # Pushed alone it twists the running product and slides that near-Delta
+    # factor across it; the step times the core H_i^2 is H_i, one short
+    # positive factor, so the step meets its run's cores first.
     m = fact.strands
     _conjugator_raws(m, fact.factors)
     out = carried = RAW_IDENTITY
     for conj, run in groupby(fact.factors, _conjugator_raw):
-        out = raw_multiply(m, out, raw_multiply(m, carried, conj))
-        out = raw_multiply(m, out, reduce(partial(raw_multiply, m), map(_core_raw, run)))
+        step = raw_multiply(m, carried, conj)
+        out = raw_multiply(m, out, reduce(partial(raw_multiply, m), map(_core_raw, run), step))
         carried = raw_inverse(m, conj)
     return raw_multiply(m, out, carried)
 

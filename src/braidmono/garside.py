@@ -45,6 +45,9 @@ to the front, and `raw_cable` on the doubled factors.  Costs, for m strands:
   crossing can move; otherwise it costs O(m) plus two comparisons per
   moved crossing, and one C-level `del` and `insert` per list for each
   strand that moves, however far;
+* each strand a slide moves costs one `del` and one `insert`, so sliding
+  a factor with nearly every crossing costs O(m) moves, each an O(m)
+  scan: a product should not push a near-Delta factor it can avoid;
 * `raw_cable` of a form with no negative Delta power slides nothing: its
   factors are appended as they come;
 * `raw_to_letters` lifts each factor afresh, in O(m + inversions), and

@@ -1,5 +1,6 @@
 import importlib.util
 from fractions import Fraction
+from itertools import groupby
 from pathlib import Path
 
 import pytest
@@ -7,6 +8,7 @@ import pytest
 import braidmono.factorization as fz
 import braidmono.garside as garside
 from braidmono import (
+    ArrangementError,
     BlockFactor,
     BraidError,
     BraidWord,
@@ -33,9 +35,10 @@ from braidmono import (
     product,
     product_nf,
     regenerate,
+    singular_points,
     words_equal,
 )
-from braidmono.textio import parse_factorization
+from braidmono.textio import ParseError, parse_factorization
 from conftest import random_generic_arrangement, random_word, standard_b3_factorization
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -387,6 +390,41 @@ def random_walk(rng, fact, moves):
     return fact
 
 
+def parsed_golden_factorizations():
+    names = []
+    for path in sorted(GOLDEN.glob("*.fac")):
+        try:
+            parse_factorization(path.read_text())
+        except ParseError:
+            continue
+        names.append(path.name)
+    return names
+
+
+def assert_exact(fact):
+    """The product is the left fold over the factors' elements, and the
+    `Delta^2` answer is the fold's."""
+    m = fact.strands
+    fold = element_fold(fact)
+    assert fz._product_raw(fact) == fold
+    expected = fact.degree() == m * (m - 1) and (m == 1 or fold == (2, ()))
+    assert is_delta2_factorization(fact) == expected
+    return expected
+
+
+def small_integer_arrangement(rng, m):
+    """m lines with distinct small integer slopes, so that several often
+    meet in one point."""
+    while True:
+        arr = LineArrangement.from_pairs(
+            zip(rng.sample(range(-6, 7), m), (rng.randint(-3, 3) for _ in range(m))))
+        try:
+            singular_points(arr)
+        except ArrangementError:
+            continue
+        return arr
+
+
 class TestTelescopedProduct:
     """`_product_raw` multiplies c_1 z_1 (c_1^-1 c_2) z_2 ... z_n c_n^-1; it
     must give the fold over the whole elements c_i z_i c_i^-1."""
@@ -482,3 +520,73 @@ class TestTelescopedProduct:
 
     def test_tangent_family_32(self):
         assert is_delta2_factorization(braid_monodromy(tangent_family(32)))
+
+    def test_golden_records(self):
+        names = parsed_golden_factorizations()
+        assert {"b3walk.fac", "sweep4walk.fac", "sweep5walk.fac", "regen3.fac",
+                "regen4.fac", "regen5.fac", "regen6.fac", "pencil.fac"} <= set(names)
+        answers = {
+            name: assert_exact(parse_factorization((GOLDEN / name).read_text()))
+            for name in names
+        }
+        assert {name for name, full in answers.items() if not full} == {
+            "regen3.fac", "regen4.fac", "regen5.fac", "regen6.fac", "tangency.fac"}
+
+    @pytest.mark.parametrize("expand_blocks", [False, True])
+    def test_random_sweeps(self, rng, expand_blocks):
+        blocks = 0
+        for m in range(2, 11):
+            for arr in (random_generic_arrangement(rng, m), small_integer_arrangement(rng, m)):
+                fact = braid_monodromy(arr, expand_blocks=expand_blocks)
+                blocks += any(isinstance(f, BlockFactor) for f in fact.factors)
+                assert assert_exact(fact)
+        assert bool(blocks) != expand_blocks
+
+    def test_regenerated_sweep4(self):
+        fact = regenerate(parse_factorization((GOLDEN / "sweep4.fac").read_text()))
+        runs = [len(list(run)) for _, run in groupby(fact.factors, fz._conjugator_raw)]
+        assert runs == [4] * 6
+        assert not assert_exact(fact)
+
+    def test_shared_conjugators_apart(self):
+        """sigma_1 sigma_2 repeated three times, where every sigma_1 sits
+        under sigma_1 and every sigma_2 is sigma_1 under Delta, spelled two
+        ways, so equal conjugators recur but never side by side."""
+        delta_words = [(1, 2, 1), (2, 1, 2)]
+        factors = []
+        for k in range(3):
+            factors += [sf(3, 1, 2, 1, (1,)), sf(3, 1, 2, 1, delta_words[k % 2])]
+        fact = Factorization(3, tuple(factors))
+        runs = [conj for conj, _ in groupby(fact.factors, fz._conjugator_raw)]
+        assert len(runs) == 6 and len(set(runs)) == 2
+        assert assert_exact(fact)
+
+    @pytest.mark.parametrize("m", [3, 5])
+    def test_random_shared_conjugators_apart(self, rng, m):
+        for _ in range(10):
+            conjs = [random_word(rng, m, 10).letters for _ in range(3)]
+            factors = []
+            for k in range(rng.randint(3, 8)):
+                a = rng.randint(1, m - 1)
+                factors.append(sf(m, a, rng.randint(a + 1, m), rng.randint(1, 4), conjs[k % 3]))
+            assert_exact(Factorization(m, tuple(factors)))
+
+    def test_tangent_family_check_slides_few_per_factor(self, monkeypatch):
+        """The check of the 24-line tangent family slides at most 3 times per
+        factor, plus 24 for the cores normalized on first use.  Each step H^-1
+        is Delta^-1 times a near-Delta factor; pushed alone, each slides that
+        factor across the running product, 1,394 slides for the 276 factors."""
+        slides = 0
+
+        def counting(fa, fb):
+            nonlocal slides
+            slides += 1
+            return slide(fa, fb)
+
+        slide = garside._slide_ids
+        fact = braid_monodromy(tangent_family(24))
+        monkeypatch.setattr(garside, "_slide_ids", counting)
+        monkeypatch.setattr(fz, "_CORE_RAWS", {})
+        assert is_delta2_factorization(fact)
+        assert len(fact.factors) == 276
+        assert slides <= 3 * len(fact.factors) + 24
