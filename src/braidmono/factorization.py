@@ -24,14 +24,18 @@ The searches (`hurwitz_equivalent`, `orbit_enumerate`) run the classical
 Hurwitz action on tuples of group elements, not on factor records: each
 call interns the factors' canonical forms as small integer ids and
 memoizes the pair move (a, b) -> a b a^-1 or b^-1 a b in a table that
-lives for that call only.  A search state is a tuple of ids, an orbit is
-a set of such tuples, and a certificate is a list of move positions, so
-no conjugator word is spelled inside a search.  `hurwitz_move`,
-`hurwitz_move_inverse` and `apply_moves` return factor records, but a moved
-record carries only its conjugator's raw form: it spells the word, as the
-canonical word of that form, on the first read of `conjugator` (directly
-or through eq, hash, repr, `dataclasses.replace` or the text format), so a
-walk that reads only the final records spells each word once.
+lives for that call only.  A move keeps its pair's product, which the
+table records for both new pairs with their move back, so a pair first
+met as a new pair costs at most one product, not three.  A search state
+is a tuple of ids, an orbit a set of such tuples, a state's parent the
+signed position of the move that reached it, and a certificate a list of
+move positions, so no conjugator word is spelled inside a search.
+`hurwitz_move`, `hurwitz_move_inverse` and `apply_moves` return factor
+records, but a moved record carries only its conjugator's raw form: it
+spells the word, as the canonical word of that form, on the first read of
+`conjugator` (directly or through eq, hash, repr, `dataclasses.replace`
+or the text format), so a walk that reads only the final records spells
+each word once.
 
 Raw forms `(delta_power, factor_ids)` live on the factor records and die
 with them: the conjugator's form, from the record's producer or else, for
@@ -442,10 +446,14 @@ class _MoveTable:
 
     `move(a, b, +1)` is the id of a b a^-1 and `move(a, b, -1)` the id of
     b^-1 a b, the new factor of a forward and of an inverse Hurwitz move.
-    A new pair costs three products, one for both directions: a b, then
-    (a b) a^-1 and b^-1 (a b), interned in that order, and one
-    `raw_inverse` per element not seen before.  The table belongs to one
-    call and grows with the states that call stores.
+    A move keeps the pair's product x = a b, and the move back from its
+    new pairs (x a^-1, a) and (b, b^-1 x) gives b and a.  An entry is
+    (x, forward id, inverse id), None where not yet known; x is None once
+    the pair is complete: both results known, and both new pairs holding
+    x and their move back.  So a pair never met costs three products (x,
+    then x a^-1 and b^-1 x, interned in that order), one met as a new
+    pair at most one, and an element not seen before one `raw_inverse`.
+    The table belongs to one call and grows with the states it stores.
     """
 
     __slots__ = ("m", "_ids", "_raws", "_inverses", "_moves")
@@ -455,7 +463,7 @@ class _MoveTable:
         self._ids: dict[_Raw, int] = {}
         self._raws: list[_Raw] = []
         self._inverses: list[_Raw] = []
-        self._moves: dict[tuple[int, int], tuple[int, int]] = {}
+        self._moves: dict[tuple[int, int], tuple] = {}
 
     def _intern(self, raw: _Raw) -> int:
         i = self._ids.get(raw)
@@ -469,25 +477,36 @@ class _MoveTable:
         _conjugator_raws(self.m, fact.factors)
         return tuple(self._intern(_element_raw(f)) for f in fact.factors)
 
-    def move(self, a: int, b: int, direction: int) -> int:
-        pair = self._moves.get((a, b))
-        if pair is None:
-            m, raws, invs = self.m, self._raws, self._inverses
-            ab = raw_multiply(m, raws[a], raws[b])
-            forward = self._intern(raw_multiply(m, ab, invs[a]))
-            pair = self._moves[a, b] = (forward, self._intern(raw_multiply(m, invs[b], ab)))
-        return pair[0] if direction > 0 else pair[1]
+    def _complete(self, a: int, b: int) -> tuple:
+        """The entry of (a, b) with both results known and its new pairs recorded."""
+        m, raws, invs, moves = self.m, self._raws, self._inverses, self._moves
+        x, f, g = moves.get((a, b)) or (raw_multiply(m, raws[a], raws[b]), None, None)
+        f = self._intern(raw_multiply(m, x, invs[a])) if f is None else f
+        g = self._intern(raw_multiply(m, invs[b], x)) if g is None else g
+        for pair, side, back in (((f, a), 2, b), ((b, g), 1, a)):
+            old = moves.get(pair, (x, None, None))
+            if old[0] is not None:
+                moves[pair] = old[:side] + (back,) + old[side + 1 :]
+        entry = moves[a, b] = (None, f, g)
+        return entry
 
-    def neighbors(
-        self, state: tuple[int, ...]
-    ) -> Iterable[tuple[tuple[int, int], tuple[int, ...]]]:
-        """(move, next state) in expansion order: lower positions first,
-        forward before inverse."""
+    def move(self, a: int, b: int, direction: int) -> int:
+        side = 1 if direction > 0 else 2
+        known = self._moves.get((a, b), (None, None, None))[side]
+        return self._complete(a, b)[side] if known is None else known
+
+    def neighbors(self, state: tuple[int, ...]) -> Iterable[tuple[int, tuple[int, ...]]]:
+        """(move code, next state) in expansion order: lower positions
+        first, forward (+k, at position k) before inverse (-k)."""
+        moves = self._moves
         for k in range(1, len(state)):
             a, b = state[k - 1], state[k]
+            entry = moves.get((a, b))
+            if entry is None or entry[0] is not None:
+                entry = self._complete(a, b)
             head, tail = state[: k - 1], state[k + 1 :]
-            yield (k, 1), head + (self.move(a, b, 1), a) + tail
-            yield (k, -1), head + (b, self.move(a, b, -1)) + tail
+            yield k, head + (entry[1], a) + tail
+            yield -k, head + (b, entry[2]) + tail
 
     def keys(self, states: Iterable[tuple[int, ...]]) -> frozenset:
         """The states as `canonical_key` tuples."""
@@ -532,17 +551,23 @@ def hurwitz_equivalent(
     if k1 == k2:
         return EquivalenceResult(Verdict.EQUIVALENT, moves=(), explored=0)
 
-    # parent maps: state -> (parent state, move applied at the parent, in
-    # that side's own forward orientation), None at the root.
-    seen = ({k1: None}, {k2: None})
+    # parent maps: state -> the move that reached it, as a signed position
+    # in that side's own forward orientation (+k forward, -k inverse), 0 at
+    # the root; path_to_root rebuilds each parent from its child, no product.
+    seen = ({k1: 0}, {k2: 0})
     frontiers = (deque([k1]), deque([k2]))
     stored = 2
 
     def path_to_root(parents: dict, key: tuple) -> list[tuple[int, int]]:
         moves = []
-        while parents[key] is not None:
-            key, move = parents[key]
-            moves.append(move)
+        while code := parents[key]:
+            # (f, a) came from (a, b) = (a, move(f, a, -1)), and (b, g) from
+            # (move(b, g, +1), b), each a known result: no product is taken.
+            k = abs(code)
+            p, q = key[k - 1], key[k]
+            back = (q, table.move(p, q, -1)) if code > 0 else (table.move(p, q, 1), p)
+            key = key[: k - 1] + back + key[k + 1 :]
+            moves.append((k, 1 if code > 0 else -1))
         return moves
 
     while frontiers[0] and frontiers[1]:
@@ -550,12 +575,12 @@ def hurwitz_equivalent(
         mine, theirs, frontier = seen[side], seen[1 - side], frontiers[side]
         for _ in range(len(frontier)):
             key = frontier.popleft()
-            for move, nkey in table.neighbors(key):
+            for code, nkey in table.neighbors(key):
                 if nkey in mine:
                     continue
                 if stored >= budget:
                     return EquivalenceResult(Verdict.INCONCLUSIVE, explored=stored)
-                mine[nkey] = (key, move)
+                mine[nkey] = code
                 stored += 1
                 if nkey in theirs:
                     back = [(k, -d) for k, d in path_to_root(seen[1], nkey)]
@@ -591,7 +616,7 @@ def orbit_enumerate(fact: Factorization, budget: int = 1_000_000) -> OrbitResult
     frontier = deque([start])
     while frontier:
         cur = frontier.popleft()
-        for _move, nxt in table.neighbors(cur):
+        for _code, nxt in table.neighbors(cur):
             if nxt in seen:
                 continue
             if len(seen) >= budget:

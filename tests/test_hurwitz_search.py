@@ -2,6 +2,7 @@
 factorization-record search it replaced: identical verdicts, certificates,
 `explored` counts and orbit key sets."""
 
+import random
 from collections import deque
 
 import pytest
@@ -11,6 +12,7 @@ from braidmono import (
     BlockFactor,
     BraidWord,
     Factorization,
+    LineArrangement,
     Verdict,
     apply_moves,
     braid_monodromy,
@@ -22,7 +24,12 @@ from braidmono import (
 )
 from braidmono.braid import compose, invert
 from braidmono.garside import nf_from_raw, raw_inverse, raw_of_word
-from conftest import random_generic_arrangement, random_word, standard_b3_factorization
+from conftest import (
+    random_generic_arrangement,
+    random_word,
+    reduced_word,
+    standard_b3_factorization,
+)
 
 # --- reference engine: every state a Factorization, every move spelled ----
 
@@ -81,6 +88,8 @@ def ref_hurwitz_equivalent(f1, f2, budget=1_000_000):
                 nkey = canonical_key(nxt)
                 if nkey in sides[side]["seen"]:
                     continue
+                if stored >= budget:
+                    return fz.EquivalenceResult(Verdict.INCONCLUSIVE, explored=stored)
                 sides[side]["seen"][nkey] = (key, move)
                 stored += 1
                 if nkey in sides[other]["seen"]:
@@ -88,8 +97,6 @@ def ref_hurwitz_equivalent(f1, f2, budget=1_000_000):
                         Verdict.EQUIVALENT, moves=certificate(nkey), explored=stored
                     )
                 frontier.append((nkey, nxt))
-                if stored >= budget:
-                    return fz.EquivalenceResult(Verdict.INCONCLUSIVE, explored=stored)
     return fz.EquivalenceResult(
         Verdict.NOT_EQUIVALENT,
         witness="orbit enumerated without reaching the other factorization",
@@ -137,14 +144,56 @@ def assert_same_search(f1, f2, budget=1_000_000):
     return new
 
 
-@pytest.mark.parametrize("budget", [1, 2, 7, 50, 500])
-def test_b3_orbit_matches_reference(budget):
-    fact = standard_b3_factorization()
+def assert_same_orbit(fact, budget):
     new = orbit_enumerate(fact, budget=budget)
     ref = ref_orbit_enumerate(fact, budget=budget)
     assert (new.exhausted, new.explored) == (ref.exhausted, ref.explored)
-    assert nf_keys(3, new.keys) == nf_keys(3, ref.keys)
+    assert nf_keys(fact.strands, new.keys) == nf_keys(fact.strands, ref.keys)
     assert canonical_key(fact) in new.keys
+
+
+@pytest.mark.parametrize("budget", [1, 2, 7, 50, 500])
+def test_b3_orbit_matches_reference(budget):
+    assert_same_orbit(standard_b3_factorization(), budget)
+
+
+# 5-line arrangements with a triple point at the origin, swept with the
+# block expanded into half-twist squares.  Their orbits meet adjacent
+# elements that commute, where both new pairs of a move are the one pair
+# (f, g) = (b, a), already in the move table when the second is recorded.
+TRIPLE_POINT_LINES = (
+    ((0, 0), (1, 0), (-1, 0), (2, 1), (-2, 3)),
+    ((0, 0), (1, 0), (-1, 0), (1, 2), (-1, 2)),
+)
+
+
+def triple_point_sweep(lines):
+    return braid_monodromy(LineArrangement.from_pairs(lines), expand_blocks=True)
+
+
+@pytest.mark.parametrize("budget", [2, 3, 30])
+@pytest.mark.parametrize("lines", TRIPLE_POINT_LINES)
+def test_triple_point_sweeps_match_reference(rng, lines, budget):
+    f1 = triple_point_sweep(lines)
+    assert_same_orbit(f1, budget)
+    for _ in range(3):
+        assert_same_search(f1, scramble(rng, f1, 6), budget=budget)
+
+
+@pytest.mark.parametrize("lines", TRIPLE_POINT_LINES)
+def test_triple_point_orbits_meet_commuting_pairs(lines):
+    fact = triple_point_sweep(lines)
+    table = fz._MoveTable(fact.strands)
+    states = [tuple(map(table._intern, key)) for key in orbit_enumerate(fact, budget=30).keys]
+    assert any(table.move(a, b, 1) == b for st in states for a, b in zip(st, st[1:]))
+
+
+@pytest.mark.parametrize("budget", [2, 3, 30])
+def test_b5_scrambles_match_reference(rng, budget):
+    for _ in range(3):
+        f1 = braid_monodromy(random_generic_arrangement(rng, 5))
+        assert_same_orbit(f1, budget)
+        assert_same_search(f1, scramble(rng, f1, 6), budget=budget)
 
 
 def test_sweep_scrambles_match_reference(rng):
@@ -214,3 +263,61 @@ def test_move_table_against_words(rng, m):
             both_new += 1
             assert (forward, inverse) == (fresh, fresh + 1)
     assert both_new >= 10
+
+
+def count_products(monkeypatch):
+    """A one-element list counting calls of `factorization.raw_multiply`."""
+    calls = [0]
+    product = fz.raw_multiply
+
+    def counted(*args):
+        calls[0] += 1
+        return product(*args)
+
+    monkeypatch.setattr(fz, "raw_multiply", counted)
+    return calls
+
+
+@pytest.mark.parametrize("m", [3, 4, 5, 6])
+def test_move_table_keeps_pair_products(monkeypatch, rng, m):
+    """Once (a, b) is moved, f = a b a^-1 and g = b^-1 a b: the move back
+    from (f, a) to b and from (b, g) to a takes no product, and the forward
+    move of (f, a), f a f^-1, takes one, since the product a b is kept."""
+    calls = count_products(monkeypatch)
+    apart = 0
+    for trial in range(20):
+        table = fz._MoveTable(m)
+        wa, wb = (BraidWord(m, reduced_word(rng, m, rng.randint(4, 20))) for _ in "ab")
+        a, b = (table._intern(raw_of_word(m, w.letters)) for w in (wa, wb))
+        table.move(a, b, 1 if trial % 2 else -1)
+        f, g = table.move(a, b, 1), table.move(a, b, -1)
+        before = calls[0]
+        assert (table.move(f, a, -1), table.move(b, g, 1)) == (b, a)
+        assert calls[0] == before
+        if f == b:
+            continue  # a and b commute: (f, a) = (b, g) knows both moves
+        apart += 1
+        wf = compose(wa, wb, invert(wa))
+        assert table._raws[table.move(f, a, 1)] == raw_of_word(
+            m, compose(wf, wa, invert(wf)).letters)
+        assert calls[0] == before + 1
+    assert apart >= 15
+
+
+def test_searches_reuse_pair_products(monkeypatch):
+    """Work guard: a pair first met as the new pair of a move costs at most
+    one product, not three.  Counted through `factorization.raw_multiply`
+    with the element forms filled first.  With three products a pair, the
+    orbit takes 657 and the search, which stores 2,163 states, 1,289."""
+    b3 = standard_b3_factorization()
+    rng = random.Random(2)
+    f1 = braid_monodromy(random_generic_arrangement(rng, 4))
+    f2 = scramble(rng, f1, 10)
+    for fact in (b3, f1, f2):
+        canonical_key(fact)
+    calls = count_products(monkeypatch)
+    assert orbit_enumerate(b3, budget=2000).explored == 2000
+    assert calls[0] <= 351 + 10
+    calls[0] = 0
+    assert hurwitz_equivalent(f1, f2).explored == 2163
+    assert calls[0] <= 945 + 25
