@@ -442,7 +442,8 @@ def apply_moves(fact: Factorization, moves: Iterable[tuple[int, int]]) -> Factor
 
 class _MoveTable:
     """The group elements met by one search, interned as small integer ids
-    in first-seen order, with their inverses and the memoized pair moves.
+    in first-seen order, with their inverses, each taken when first read,
+    and the memoized pair moves.
 
     `move(a, b, +1)` is the id of a b a^-1 and `move(a, b, -1)` the id of
     b^-1 a b, the new factor of a forward and of an inverse Hurwitz move.
@@ -452,7 +453,8 @@ class _MoveTable:
     the pair is complete: both results known, and both new pairs holding
     x and their move back.  So a pair never met costs three products (x,
     then x a^-1 and b^-1 x, interned in that order), one met as a new
-    pair at most one, and an element not seen before one `raw_inverse`.
+    pair at most one, and an element one `raw_inverse` the first time a
+    pair it heads or ends needs a new result.
     The table belongs to one call and grows with the states it stores.
     """
 
@@ -462,7 +464,7 @@ class _MoveTable:
         self.m = m
         self._ids: dict[_Raw, int] = {}
         self._raws: list[_Raw] = []
-        self._inverses: list[_Raw] = []
+        self._inverses: list[_Raw | None] = []
         self._moves: dict[tuple[int, int], tuple] = {}
 
     def _intern(self, raw: _Raw) -> int:
@@ -470,8 +472,14 @@ class _MoveTable:
         if i is None:
             i = self._ids[raw] = len(self._raws)
             self._raws.append(raw)
-            self._inverses.append(raw_inverse(self.m, raw))
+            self._inverses.append(None)
         return i
+
+    def _inverse(self, i: int) -> _Raw:
+        inv = self._inverses[i]
+        if inv is None:
+            inv = self._inverses[i] = raw_inverse(self.m, self._raws[i])
+        return inv
 
     def state(self, fact: Factorization) -> tuple[int, ...]:
         _conjugator_raws(self.m, fact.factors)
@@ -479,10 +487,10 @@ class _MoveTable:
 
     def _complete(self, a: int, b: int) -> tuple:
         """The entry of (a, b) with both results known and its new pairs recorded."""
-        m, raws, invs, moves = self.m, self._raws, self._inverses, self._moves
+        m, raws, moves = self.m, self._raws, self._moves
         x, f, g = moves.get((a, b)) or (raw_multiply(m, raws[a], raws[b]), None, None)
-        f = self._intern(raw_multiply(m, x, invs[a])) if f is None else f
-        g = self._intern(raw_multiply(m, invs[b], x)) if g is None else g
+        f = self._intern(raw_multiply(m, x, self._inverse(a))) if f is None else f
+        g = self._intern(raw_multiply(m, self._inverse(b), x)) if g is None else g
         for pair, side, back in (((f, a), 2, b), ((b, g), 1, a)):
             old = moves.get(pair, (x, None, None))
             if old[0] is not None:

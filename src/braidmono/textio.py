@@ -27,12 +27,22 @@ nonzero denominator.  A generator token is a letter and an ASCII index
 k >= 1: `s<k>` / `S<k>` are sigma_k and its inverse, `x<k>` / `X<k>` the
 free generator x_k and its inverse.  A malformed token is reported with
 its line.
+
+The cost of the generator tokens: each reader and writer keeps a memo
+of one text's distinct tokens and their letters, and maps every token or
+letter through it at C speed.  The per-token reader `_letters` runs once
+per distinct token of a text, in order of first use, so an error names
+the same token and line as a token-by-token read; a writer spells each
+distinct letter once.  The memo is bounded by the input's distinct
+tokens, never sized by a strand or generator count, and lives for one
+call.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable
+from itertools import filterfalse
+from typing import Iterable, Sequence
 
 from .braid import BraidWord, HalfTwist
 from .factorization import BlockFactor, Factor, Factorization, StructuredFactor
@@ -81,8 +91,29 @@ def _letters(tokens: Iterable[str], names: str, no: int | None) -> tuple[int, ..
     return tuple(letters)
 
 
-def _spell(letters: Iterable[int], names: str) -> str:
-    return " ".join(f"{names[0]}{l}" if l > 0 else f"{names[1]}{-l}" for l in letters)
+def _read(memo: dict[str, int], tokens: list[str], names: str, no: int | None) -> tuple[int, ...]:
+    """`_letters(tokens, names, no)` through `memo`, one text's tokens and
+    their letters: only tokens new to it are read, in order of first use,
+    so an error is the one a token-by-token read raises."""
+    try:
+        return tuple(map(memo.__getitem__, tokens))
+    except KeyError:  # a token new to the text
+        pass
+    new = list(filterfalse(memo.__contains__, dict.fromkeys(tokens)))
+    memo.update(zip(new, _letters(new, names, no)))
+    return tuple(map(memo.__getitem__, tokens))
+
+
+def _spell(letters: Sequence[int], names: str, memo: dict[int, str] | None = None) -> str:
+    """The tokens of `letters`; `memo` keeps one text's spelled letters."""
+    memo = {} if memo is None else memo
+    try:
+        return " ".join(map(memo.__getitem__, letters))
+    except KeyError:  # a letter new to the text
+        pass
+    for l in set(letters).difference(memo):
+        memo[l] = f"{names[0]}{l}" if l > 0 else f"{names[1]}{-l}"
+    return " ".join(map(memo.__getitem__, letters))
 
 
 def _content_lines(text: str) -> list[tuple[int, str]]:
@@ -120,9 +151,9 @@ def parse_braid_word(text: str) -> BraidWord:
     lines = _content_lines(text)
     m = _header(lines, 0, "strands")
     _on_line(lines[0][0], BraidWord, m)  # the strand count, on the header line
-    letters = []
+    letters, memo = [], {}
     for no, line in lines[1:]:  # a letter out of range, on its line
-        letters += _on_line(no, BraidWord, m, _letters(line.split(), "sS", no)).letters
+        letters += _on_line(no, BraidWord, m, _read(memo, line.split(), "sS", no)).letters
     return BraidWord(m, tuple(letters))
 
 
@@ -134,7 +165,7 @@ def format_braid_word(w: BraidWord) -> str:
 # --- factorizations --------------------------------------------------------
 
 
-def _parse_factor(m: int, no: int, line: str) -> Factor:
+def _parse_factor(m: int, no: int, line: str, memo: dict[str, int]) -> Factor:
     fields = [f.strip() for f in line.split(";")]
     conj_tokens: list[str] | None = None
     base: tuple[int, int] | None = None
@@ -169,7 +200,7 @@ def _parse_factor(m: int, no: int, line: str) -> Factor:
         raise ParseError(
             "factor needs conj=, exp= and exactly one of base=/block=", no
         )
-    conj = _on_line(no, BraidWord, m, _letters(conj_tokens, "sS", no))
+    conj = _on_line(no, BraidWord, m, _read(memo, conj_tokens, "sS", no))
     if base is not None:
         return _on_line(no, StructuredFactor, conj, _on_line(no, HalfTwist, m, *base), exp)
     return _on_line(no, BlockFactor, conj, *block, exp)
@@ -186,15 +217,17 @@ def parse_factorization(text: str) -> Factorization:
             f"declared {n} factors but found {len(body)} factor lines"
         )
     # every factor was built on m >= 1 strands, so the factorization is valid
-    return Factorization(m, tuple(_parse_factor(m, no, line) for no, line in body))
+    memo: dict[str, int] = {}
+    return Factorization(m, tuple(_parse_factor(m, no, line, memo) for no, line in body))
 
 
 def format_factorization(fact: Factorization, header_comments: Iterable[str] = ()) -> str:
     out = [f"# {line}" for line in header_comments]
     out.append(f"strands {fact.strands}")
     out.append(f"factors {len(fact.factors)}")
+    memo: dict[int, str] = {}
     for f in fact.factors:
-        conj = _spell(f.conjugator.letters, "sS")
+        conj = _spell(f.conjugator.letters, "sS", memo)
         conj_field = f"conj= {conj}" if conj else "conj="
         if isinstance(f, StructuredFactor):
             out.append(
@@ -250,16 +283,16 @@ def parse_presentation(text: str) -> Presentation:
     lines = _content_lines(text)
     m = _header(lines, 0, "gens")
     _on_line(lines[0][0], Presentation, m, ())  # the count, on the header line
-    relators = []
+    relators, memo = [], {}
     for no, line in lines[1:]:  # a letter out of range, on its line
-        relator = FreeWord.reduce(_letters(line.split(), "xX", no))
+        relator = FreeWord.reduce(_read(memo, line.split(), "xX", no))
         relators += _on_line(no, Presentation, m, (relator,)).relators
     return Presentation(m, tuple(relators))
 
 
 def format_presentation(pres: Presentation) -> str:
-    out = [f"gens {pres.generator_count}"]
-    out.extend(_spell(rel.letters, "xX") for rel in pres.relators)
+    out, memo = [f"gens {pres.generator_count}"], {}
+    out.extend(_spell(rel.letters, "xX", memo) for rel in pres.relators)
     return "\n".join(out) + "\n"
 
 

@@ -258,23 +258,23 @@ def test_move_table_against_words(rng, m):
         assert table._raws[forward] == raw_of_word(m, compose(wa, wb, invert(wa)).letters)
         assert table._raws[inverse] == raw_of_word(m, compose(invert(wb), wa, wb).letters)
         for i in (forward, inverse):
-            assert table._inverses[i] == raw_inverse(m, table._raws[i])
+            assert table._inverse(i) == raw_inverse(m, table._raws[i])
         if min(forward, inverse) >= fresh and forward != inverse:
             both_new += 1
             assert (forward, inverse) == (fresh, fresh + 1)
     assert both_new >= 10
 
 
-def count_products(monkeypatch):
-    """A one-element list counting calls of `factorization.raw_multiply`."""
+def count_calls(monkeypatch, name="raw_multiply"):
+    """A one-element list counting calls of `factorization.<name>`."""
     calls = [0]
-    product = fz.raw_multiply
+    fn = getattr(fz, name)
 
     def counted(*args):
         calls[0] += 1
-        return product(*args)
+        return fn(*args)
 
-    monkeypatch.setattr(fz, "raw_multiply", counted)
+    monkeypatch.setattr(fz, name, counted)
     return calls
 
 
@@ -283,7 +283,7 @@ def test_move_table_keeps_pair_products(monkeypatch, rng, m):
     """Once (a, b) is moved, f = a b a^-1 and g = b^-1 a b: the move back
     from (f, a) to b and from (b, g) to a takes no product, and the forward
     move of (f, a), f a f^-1, takes one, since the product a b is kept."""
-    calls = count_products(monkeypatch)
+    calls = count_calls(monkeypatch)
     apart = 0
     for trial in range(20):
         table = fz._MoveTable(m)
@@ -315,9 +315,24 @@ def test_searches_reuse_pair_products(monkeypatch):
     f2 = scramble(rng, f1, 10)
     for fact in (b3, f1, f2):
         canonical_key(fact)
-    calls = count_products(monkeypatch)
+    calls = count_calls(monkeypatch)
     assert orbit_enumerate(b3, budget=2000).explored == 2000
     assert calls[0] <= 351 + 10
     calls[0] = 0
     assert hurwitz_equivalent(f1, f2).explored == 2163
     assert calls[0] <= 945 + 25
+
+
+def test_searches_invert_only_what_they_read(monkeypatch):
+    """Work guard: the move table takes an element's inverse the first time
+    a completed pair reads it, not when the element is interned.  Counted
+    through `factorization.raw_inverse` with the element forms filled
+    first; inverting every interned element, the search takes 433."""
+    rng = random.Random(2)
+    f1 = braid_monodromy(random_generic_arrangement(rng, 4))
+    f2 = scramble(rng, f1, 10)
+    for fact in (f1, f2):
+        canonical_key(fact)
+    calls = count_calls(monkeypatch, "raw_inverse")
+    assert hurwitz_equivalent(f1, f2).explored == 2163
+    assert calls[0] <= 133 + 15

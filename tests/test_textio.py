@@ -1,5 +1,6 @@
 import random
 import re
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -16,6 +17,7 @@ from braidmono import (
     braid_monodromy,
     canonical_key,
 )
+from braidmono import textio
 from braidmono.cli import main
 from braidmono.textio import (
     ParseError,
@@ -31,7 +33,7 @@ from braidmono.textio import (
     parse_rules,
 )
 from braidmono.vankampen import FreeWord, Presentation, presentation
-from conftest import random_generic_arrangement, standard_b3_factorization
+from conftest import random_generic_arrangement, reduced_word, standard_b3_factorization
 
 
 class TestBraidWordFormat:
@@ -405,3 +407,137 @@ class TestMutationFuzz:
         text = format_presentation(presentation(fact))
         for mutant in mutants(text, "b3.pres", 120):
             parse_or_parse_error(parse_presentation, mutant)
+
+
+# --- the per-text token memo ---------------------------------------------------
+
+
+def token_by_token(memo, tokens, names, no):
+    """The memo's reader as a plain per-token read: the oracle."""
+    return textio._letters(tokens, names, no)
+
+
+def outcome(parse, text):
+    try:
+        return parse(text)
+    except ParseError as exc:
+        return str(exc), exc.line
+
+
+def random_token(rng, names, m):
+    """Mostly tokens in range, some spelled with leading zeros, some out of
+    range and, rarely, a malformed one."""
+    roll = rng.random()
+    if roll < 0.04:
+        return rng.choice(["q2", names[0], names[1] + "0", names[0] + "1x", "s\u0663",
+                           "xs"[names == "xX"] + "1", names[0] + "1" * 5000])
+    k = rng.randint(1, m + 1 if roll < 0.1 else max(m - 1, 1))
+    token = rng.choice(names) + str(k)
+    return token if rng.random() > 0.1 else token[0] + "0" * rng.randint(1, 2) + token[1:]
+
+
+def random_text(rng, kind):
+    """A braid word, factorization or presentation text whose lines repeat
+    tokens of earlier lines, with blank and comment lines between."""
+    m = rng.randint(2, 6)
+    names = "xX" if kind == "presentation" else "sS"
+    pool = [random_token(rng, names, m) for _ in range(rng.randint(1, 12))]
+    lines = []
+    for _ in range(rng.randint(0, 8)):
+        tokens = " ".join(rng.choice(pool) for _ in range(rng.randint(0, 9)))
+        if kind == "factorization":
+            lines.append(f"conj= {tokens} ; base= 1 2 ; exp= {rng.randint(1, 4)}")
+        elif tokens or kind == "braid":
+            lines.append(tokens)
+        if rng.random() < 0.2:
+            lines.append(rng.choice(["", "# a comment s1 x1"]))
+    header = {"braid": f"strands {m}", "presentation": f"gens {m}",
+              "factorization": f"strands {m}\nfactors {sum(l.startswith('conj') for l in lines)}"}
+    return "\n".join([header[kind], *lines]) + "\n"
+
+
+PARSE = {"braid": parse_braid_word, "factorization": parse_factorization,
+         "presentation": parse_presentation}
+
+
+class TestTokenMemo:
+    """Each reader and writer maps one text's tokens through a memo of its
+    distinct tokens; the per-token reader `_letters` fills it."""
+
+    @pytest.mark.parametrize("kind", sorted(PARSE))
+    def test_same_as_token_by_token(self, monkeypatch, kind):
+        rng = random.Random(f"memo-{kind}")
+        texts = [random_text(rng, kind) for _ in range(500)]
+        got = [outcome(PARSE[kind], text) for text in texts]
+        monkeypatch.setattr(textio, "_read", token_by_token)
+        want = [outcome(PARSE[kind], text) for text in texts]
+        assert got == want
+        errors = [o for o in want if isinstance(o, tuple)]
+        assert sum(line is not None and line > 3 for _, line in errors) >= 10
+        assert any("out of range" in msg or "outside generators" in msg for msg, _ in errors)
+        assert len(errors) < len(want) - 50
+
+    def test_leading_zeros_and_later_lines(self):
+        assert parse_braid_word("strands 9\ns01 S007 s1\nS7 s01\n").letters == (1, -7, 1, -7, 1)
+        with pytest.raises(ParseError, match=r"bad generator token 'q2' \(line 4\)"):
+            parse_braid_word("strands 3\ns1 S2\ns1 S2\nS2 q2 s1 x1 s s0\n")
+        with pytest.raises(ParseError, match=r"letter 3 out of range for 3 strands \(line 3\)"):
+            parse_braid_word("strands 3\ns1 s2\ns2 s3\n")
+        text = "strands 4\nfactors 2\nconj= s1 S03 ; base= 1 2 ; exp= 1\nconj= S3 s4 ; base= 1 2 ; exp= 1\n"
+        with pytest.raises(ParseError, match=r"letter 4 out of range for 4 strands \(line 4\)"):
+            parse_factorization(text)
+
+    @pytest.mark.parametrize("kind", ["sweep16.fac", "regen6.fac", "word", "presentation"])
+    def test_one_read_per_distinct_token(self, monkeypatch, kind):
+        """Work guard: `_letters` reads each distinct token of a text once."""
+        if kind == "word":
+            spelled = textio._spell(reduced_word(random.Random(6), 6, 400), "sS").split()
+            body = "\n".join(" ".join(spelled[i : i + 7]) for i in range(0, 400, 7))
+            text, parse = f"strands 6\n{body}\n", parse_braid_word
+        elif kind == "presentation":
+            fact = parse_factorization((GOLDEN / "sweep5.fac").read_text(encoding="utf-8"))
+            text, parse = format_presentation(presentation(fact)), parse_presentation
+        else:
+            text, parse = (GOLDEN / kind).read_text(encoding="utf-8"), parse_factorization
+        lines = text.splitlines()[1:]
+        if kind.endswith(".fac"):
+            lines = [line.partition("conj=")[2].partition(";")[0] for line in lines]
+        tokens = " ".join(lines).split()
+        read = []
+        letters = textio._letters
+        monkeypatch.setattr(textio, "_letters",
+                            lambda tokens, *args: letters(read.extend(tokens) or tokens, *args))
+        parse(text)
+        assert sorted(read) == sorted(set(tokens))
+        assert len(tokens) > 4 * len(read)
+
+    @pytest.mark.parametrize("text, parse, fmt", [
+        ("strands 999999999\nfactors 1\nconj= s999999998 S1 ; base= 1 999999999 ; exp= 2\n",
+         parse_factorization, format_factorization),
+        ("strands 999999999\ns999999998 S1 s999999998\n", parse_braid_word, format_braid_word),
+        ("gens 999999999\nx999999999 X1\n", parse_presentation, format_presentation),
+    ])
+    def test_memo_bounded_by_the_input(self, text, parse, fmt):
+        """A huge strand or generator count builds nothing of its size."""
+        start = time.process_time()
+        assert fmt(parse(text)) == text
+        assert time.process_time() - start < 0.5
+
+    def test_writers_spell_as_f_strings(self):
+        rng = random.Random("spell")
+        for names in ("sS", "xX"):
+            for _ in range(50):
+                letters = tuple(rng.choice((1, -1)) * rng.choice((1, 2, 9, 10, 99, 123456))
+                                for _ in range(rng.randint(0, 30)))
+                want = " ".join(f"{names[0]}{l}" if l > 0 else f"{names[1]}{-l}" for l in letters)
+                assert textio._spell(letters, names) == want
+        letters = (1, -123456, 123455, -1, 1)
+        assert format_braid_word(BraidWord(123457, letters)) == (
+            "strands 123457\ns1 S123456 s123455 S1 s1\n")
+        pres = Presentation(123456, (FreeWord((123456, -2)), FreeWord((-123456, 2, 3))))
+        assert format_presentation(pres) == "gens 123456\nx123456 X2\nX123456 x2 x3\n"
+        fact = Factorization(123457, (
+            StructuredFactor(BraidWord(123457, (123456, -1)), HalfTwist(123457, 1, 2), 2),
+            StructuredFactor(BraidWord(123457, (-1, 123456)), HalfTwist(123457, 1, 2), 1)))
+        assert format_factorization(fact).splitlines()[2:] == [
+            "conj= s123456 S1 ; base= 1 2 ; exp= 2", "conj= S1 s123456 ; base= 1 2 ; exp= 1"]
