@@ -146,18 +146,13 @@ def singular_points(arr: LineArrangement) -> list[SingularPoint]:
     by_xy = cmp_to_key(lambda p, q: p[0] * q[1] - q[0] * p[1] or p[2] * q[3] - q[2] * p[3])
     for key in sorted(points, key=by_xy):
         incident = points[key]
-        x = Fraction(key[0], key[1])
-        positions = sorted(order.index(i) + 1 for i in incident)
-        low, high = positions[0], positions[-1]
-        if positions != list(range(low, high + 1)):
-            raise ArrangementError(
-                f"lines {sorted(incident)} do not occupy consecutive fiber "
-                f"positions at x={x}; two same-x points overlap. "
-                "Perturb one intercept by a small rational to separate them."
-            )
+        # A point's lines are adjacent in the fiber just left of it, so
+        # their extreme positions bound its block.
+        positions = [order.index(i) + 1 for i in incident]
+        low, high = min(positions), max(positions)
         result.append(
             SingularPoint(
-                x=x,
+                x=Fraction(key[0], key[1]),
                 y=Fraction(key[2], key[3]),
                 line_indices=tuple(sorted(incident)),
                 block=(low, high),

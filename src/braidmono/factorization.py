@@ -20,11 +20,13 @@ the computable obstructions in `hm_invariants`.  Deciding Hurwitz
 equivalence in general is open, so `hurwitz_equivalent` is an explicitly
 budgeted bidirectional search whose INCONCLUSIVE verdict is first-class.
 
-The searches (`hurwitz_equivalent`, `orbit_enumerate`) run the classical
-Hurwitz action on tuples of group elements, not on factor records: each
-call interns the factors' canonical forms as small integer ids and
-memoizes the pair move (a, b) -> a b a^-1 or b^-1 a b in a table that
-lives for that call only.  A move keeps its pair's product, which the
+The searches (`hurwitz_equivalent`, `orbit_enumerate`) run one
+breadth-first loop, `_MoveTable._search`, which stores its roots and then
+a new state only while fewer than `budget` are stored.  It runs the
+classical Hurwitz action on tuples of group elements, not on factor
+records: each call interns the factors' canonical forms as small integer
+ids and memoizes the pair move (a, b) -> a b a^-1 or b^-1 a b in a table
+that lives for that call only.  A move keeps its pair's product, which the
 table records for both new pairs with their move back, so a pair first
 met as a new pair costs at most one product, not three.  A search state
 is a tuple of ids, an orbit a set of such tuples, a state's parent the
@@ -443,7 +445,7 @@ def apply_moves(fact: Factorization, moves: Iterable[tuple[int, int]]) -> Factor
 class _MoveTable:
     """The group elements met by one search, interned as small integer ids
     in first-seen order, with their inverses, each taken when first read,
-    and the memoized pair moves.
+    the memoized pair moves, and the search loop both searches share.
 
     `move(a, b, +1)` is the id of a b a^-1 and `move(a, b, -1)` the id of
     b^-1 a b, the new factor of a forward and of an inverse Hurwitz move.
@@ -455,10 +457,14 @@ class _MoveTable:
     then x a^-1 and b^-1 x, interned in that order), one met as a new
     pair at most one, and an element one `raw_inverse` the first time a
     pair it heads or ends needs a new result.
+
+    `_search` is the one breadth-first loop both searches run, from one
+    root (an orbit) or two (an equivalence search); it stores the roots,
+    then a new state only while fewer than `budget` states are stored.
     The table belongs to one call and grows with the states it stores.
     """
 
-    __slots__ = ("m", "_ids", "_raws", "_inverses", "_moves")
+    __slots__ = ("m", "_ids", "_raws", "_inverses", "_moves", "_parents")
 
     def __init__(self, m: int) -> None:
         self.m = m
@@ -482,8 +488,7 @@ class _MoveTable:
         return inv
 
     def state(self, fact: Factorization) -> tuple[int, ...]:
-        _conjugator_raws(self.m, fact.factors)
-        return tuple(self._intern(_element_raw(f)) for f in fact.factors)
+        return tuple(map(self._intern, canonical_key(fact)))
 
     def _complete(self, a: int, b: int) -> tuple:
         """The entry of (a, b) with both results known and its new pairs recorded."""
@@ -516,10 +521,50 @@ class _MoveTable:
             yield k, head + (entry[1], a) + tail
             yield -k, head + (b, entry[2]) + tail
 
-    def keys(self, states: Iterable[tuple[int, ...]]) -> frozenset:
-        """The states as `canonical_key` tuples."""
+    def _search(self, roots: tuple, budget: int) -> tuple[int, bool, tuple | None]:
+        """(states stored, whether a side's orbit closed, the state where
+        the distinct roots' sides met or None).  Each pass expands a whole
+        level of the side with the smaller frontier and maps each new state
+        to its move code in that side's own orientation: +k forward, -k
+        inverse, 0 at the root.  The other side, `parents[side - 1]`, is
+        the side itself for one root, so a meeting is tested before storing."""
+        parents = self._parents = [{root: 0} for root in roots]
+        frontiers = [deque([root]) for root in roots]
+        stored = len(roots)
+        while all(frontiers):
+            side = 0 if len(frontiers[0]) <= len(frontiers[-1]) else 1
+            mine, theirs, frontier = parents[side], parents[side - 1], frontiers[side]
+            for _ in range(len(frontier)):
+                for code, state in self.neighbors(frontier.popleft()):
+                    if state in mine:
+                        continue
+                    if stored >= budget:
+                        return stored, False, None
+                    met = state in theirs
+                    mine[state] = code
+                    stored += 1
+                    if met:
+                        return stored, False, state
+                    frontier.append(state)
+        return stored, True, None
+
+    def path_to_root(self, side: int, state: tuple[int, ...]) -> list[tuple[int, int]]:
+        """The moves (k, +1/-1) from `state` back to the root of `side`.
+        (f, a) came from (a, move(f, a, -1)) and (b, g) from
+        (move(b, g, +1), b), each a known result: no product is taken."""
+        parents, moves = self._parents[side], []
+        while code := parents[state]:
+            k = abs(code)
+            p, q = state[k - 1], state[k]
+            back = (q, self.move(p, q, -1)) if code > 0 else (self.move(p, q, 1), p)
+            state = state[: k - 1] + back + state[k + 1 :]
+            moves.append((k, 1 if code > 0 else -1))
+        return moves
+
+    def keys(self) -> frozenset:
+        """The states of the last search as `canonical_key` tuples."""
         raws = self._raws
-        return frozenset(tuple(raws[i] for i in st) for st in states)
+        return frozenset(tuple(raws[i] for i in st) for seen in self._parents for st in seen)
 
 
 def hurwitz_equivalent(
@@ -558,46 +603,13 @@ def hurwitz_equivalent(
     k1, k2 = table.state(f1), table.state(f2)
     if k1 == k2:
         return EquivalenceResult(Verdict.EQUIVALENT, moves=(), explored=0)
-
-    # parent maps: state -> the move that reached it, as a signed position
-    # in that side's own forward orientation (+k forward, -k inverse), 0 at
-    # the root; path_to_root rebuilds each parent from its child, no product.
-    seen = ({k1: 0}, {k2: 0})
-    frontiers = (deque([k1]), deque([k2]))
-    stored = 2
-
-    def path_to_root(parents: dict, key: tuple) -> list[tuple[int, int]]:
-        moves = []
-        while code := parents[key]:
-            # (f, a) came from (a, b) = (a, move(f, a, -1)), and (b, g) from
-            # (move(b, g, +1), b), each a known result: no product is taken.
-            k = abs(code)
-            p, q = key[k - 1], key[k]
-            back = (q, table.move(p, q, -1)) if code > 0 else (table.move(p, q, 1), p)
-            key = key[: k - 1] + back + key[k + 1 :]
-            moves.append((k, 1 if code > 0 else -1))
-        return moves
-
-    while frontiers[0] and frontiers[1]:
-        side = 0 if len(frontiers[0]) <= len(frontiers[1]) else 1
-        mine, theirs, frontier = seen[side], seen[1 - side], frontiers[side]
-        for _ in range(len(frontier)):
-            key = frontier.popleft()
-            for code, nkey in table.neighbors(key):
-                if nkey in mine:
-                    continue
-                if stored >= budget:
-                    return EquivalenceResult(Verdict.INCONCLUSIVE, explored=stored)
-                mine[nkey] = code
-                stored += 1
-                if nkey in theirs:
-                    back = [(k, -d) for k, d in path_to_root(seen[1], nkey)]
-                    return EquivalenceResult(
-                        Verdict.EQUIVALENT,
-                        moves=tuple(path_to_root(seen[0], nkey)[::-1] + back),
-                        explored=stored,
-                    )
-                frontier.append(nkey)
+    stored, closed, met = table._search((k1, k2), budget)
+    if met is not None:
+        back = [(k, -d) for k, d in table.path_to_root(1, met)]
+        moves = tuple(table.path_to_root(0, met)[::-1] + back)
+        return EquivalenceResult(Verdict.EQUIVALENT, moves=moves, explored=stored)
+    if not closed:
+        return EquivalenceResult(Verdict.INCONCLUSIVE, explored=stored)
     # One side's orbit closed without meeting the other: disjoint orbits.
     return EquivalenceResult(
         Verdict.NOT_EQUIVALENT,
@@ -619,16 +631,5 @@ def orbit_enumerate(fact: Factorization, budget: int = 1_000_000) -> OrbitResult
     """All canonical keys reachable by Hurwitz moves within the budget;
     `exhausted` is True when the orbit is closed under both move directions."""
     table = _MoveTable(fact.strands)
-    start = table.state(fact)
-    seen = {start}
-    frontier = deque([start])
-    while frontier:
-        cur = frontier.popleft()
-        for _code, nxt in table.neighbors(cur):
-            if nxt in seen:
-                continue
-            if len(seen) >= budget:
-                return OrbitResult(table.keys(seen), False, len(seen))
-            seen.add(nxt)
-            frontier.append(nxt)
-    return OrbitResult(table.keys(seen), True, len(seen))
+    stored, exhausted, _ = table._search((table.state(fact),), budget)
+    return OrbitResult(table.keys(), exhausted, stored)

@@ -121,26 +121,6 @@ class TestIntegerGeometry:
             assert pts == fraction_singular_points(arr, am._initial_order(arr))
             assert all(type(p.x) is Fraction and type(p.y) is Fraction for p in pts)
 
-    def test_overlap_error_text_is_unchanged(self, monkeypatch):
-        """A wrong initial order makes incident lines non-adjacent, the one
-        way to reach the overlap error; its text names the same x."""
-        rng = random.Random(4)
-        initial_order, seen = am._initial_order, 0
-        for arr in geometry_inputs():
-            order = initial_order(arr)
-            rng.shuffle(order)
-            monkeypatch.setattr(am, "_initial_order", lambda arr: list(order))
-            try:
-                want = fraction_singular_points(arr, list(order))
-            except ArrangementError as exc:
-                with pytest.raises(ArrangementError) as got:
-                    singular_points(arr)
-                assert str(got.value) == str(exc)
-                seen += "/" in str(exc)
-            else:
-                assert singular_points(arr) == want
-        assert seen
-
 
 class TestWiringDiagram:
     def test_two_lines(self):

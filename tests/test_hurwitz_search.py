@@ -12,7 +12,9 @@ from braidmono import (
     BlockFactor,
     BraidWord,
     Factorization,
+    HalfTwist,
     LineArrangement,
+    StructuredFactor,
     Verdict,
     apply_moves,
     braid_monodromy,
@@ -150,6 +152,7 @@ def assert_same_orbit(fact, budget):
     assert (new.exhausted, new.explored) == (ref.exhausted, ref.explored)
     assert nf_keys(fact.strands, new.keys) == nf_keys(fact.strands, ref.keys)
     assert canonical_key(fact) in new.keys
+    return new
 
 
 @pytest.mark.parametrize("budget", [1, 2, 7, 50, 500])
@@ -223,6 +226,32 @@ def test_exhaustion_matches_reference():
     res = assert_same_search(f1, f2)
     assert res.verdict is Verdict.NOT_EQUIVALENT
     assert "orbit enumerated" in res.witness and res.explored == 2
+
+
+def b2_powers(*exponents):
+    """(s1^e for e in exponents) in B_2, which is abelian: a move only
+    swaps two factors, so distinct exponents give every ordering."""
+    e, s1 = BraidWord.identity(2), HalfTwist(2, 1, 2)
+    return Factorization(2, tuple(StructuredFactor(e, s1, x) for x in exponents))
+
+
+@pytest.mark.parametrize("budget", [5, 6, 7])
+def test_orbit_closing_at_the_budget(budget):
+    """The 6-state orbit closes with exactly `budget` states at budget 6:
+    the budget is checked only before a new state is stored."""
+    res = assert_same_orbit(b2_powers(1, 2, 3), budget)
+    assert (res.exhausted, res.explored) == (budget >= 6, min(budget, 6))
+
+
+@pytest.mark.parametrize("budget", [2, 3, 4, 5, 6, 7])
+def test_search_meeting_past_the_budget(budget):
+    """Both sides grow in the one 6-state orbit; they meet on the 7th
+    stored state, so every smaller budget is spent to the last state."""
+    res = assert_same_search(b2_powers(1, 2, 3), b2_powers(3, 2, 1), budget)
+    if budget < 7:
+        assert res.verdict is Verdict.INCONCLUSIVE and res.explored == budget
+    else:
+        assert res.verdict is Verdict.EQUIVALENT and res.explored == 7
 
 
 def test_search_spells_no_words(monkeypatch, rng):
