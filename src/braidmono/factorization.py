@@ -37,7 +37,12 @@ records, but a moved record carries only its conjugator's raw form: it
 spells the word, as the canonical word of that form, on the first read of
 `conjugator` (directly or through eq, hash, repr, `dataclasses.replace`
 or the text format), so a walk that reads only the final records spells
-each word once.
+each word once.  A move takes no long product on an equal pair, (a, a)
+to (a, a), when the replaced record carries its element (its conjugator
+times its own core is one short product), nor when it undoes the move
+that built the replaced record: each moved record keeps its move back,
+the mover's element, the direction and the replaced record's forms, and
+the opposite move by a mover with an equal element returns those forms.
 
 Raw forms `(delta_power, factor_ids)` live on the factor records and die
 with them: the conjugator's form, from the record's producer or else, for
@@ -45,12 +50,12 @@ a spelled record, from one `braid.prefix_walk` per factorization, and the
 element's form, whose inverse a move takes in closed form.  Their factor
 ids are numbered per process, so a pickled (or deep-copied) record
 carries its conjugator's form by permutation images and drops the
-element's form.  Every record stores its strand count.  Each producer (a
-Hurwitz move, the sweep, `expand_block_factor`, regeneration) builds its
-records with `_record`, and may hand over a `(function, argument)` pair
-of its own that spells the word on first read.  The searches use their
-per-call `_MoveTable`; the one module-level table is `_CORE_RAWS`, never
-evicted, like the kernel's.
+element's form and its move back.  Every record stores its strand count.
+Each producer (a Hurwitz move, the sweep, `expand_block_factor`,
+regeneration) builds its records with `_record`, and may hand over a
+`(function, argument)` pair of its own that spells the word on first read.
+The searches use their per-call `_MoveTable`; the one module-level table
+is `_CORE_RAWS`, never evicted, like the kernel's.
 """
 
 from __future__ import annotations
@@ -106,12 +111,14 @@ class _CarriedRaws:
     Pickle and `copy.deepcopy` keep the strand count, the carried form as
     an id-free `NormalForm`, re-interned on load, and the spelling source
     as it is, so an unspelled record stays unspelled.  They drop the
-    element's form, which is refilled on first use.
+    element's form, which is refilled on first use, and the move back
+    of a moved record (see `_move`), which holds raw forms, never records.
     """
 
     _conj_raw: _Raw | None = None
     _element_raw: _Raw | None = None
     _spelling: tuple[Callable, object] | None = None
+    _move_back: tuple | None = None
 
     def __getattr__(self, name: str):
         m = self.__dict__.get("strands")
@@ -129,6 +136,7 @@ class _CarriedRaws:
     def __getstate__(self) -> dict:
         state = self.__dict__.copy()
         state.pop("_element_raw", None)
+        state.pop("_move_back", None)
         if self._conj_raw is not None:
             state["_conj_raw"] = nf_from_raw(self.strands, self._conj_raw)
         return state
@@ -373,20 +381,31 @@ def canonical_key(fact: Factorization) -> tuple:
 def _move(fact: Factorization, k: int, forward: bool) -> Factorization:
     """The Hurwitz move at 1-based position k.  The moved factor's record
     carries its new conjugator's form and spells the word, as the canonical
-    word of that form, only when it is first read."""
+    word of that form, only when it is first read, and its move back."""
     if not (1 <= k < len(fact.factors)):
         raise BraidError(f"move position {k} out of range 1..{len(fact.factors) - 1}")
     m = fact.strands
     a, b = fact.factors[k - 1], fact.factors[k]
-    # a b a^-1 conjugates b's conjugator by a; b^-1 a b conjugates a's by b^-1.
-    by, old = (_element_raw(a), b) if forward else (raw_inverse(m, _element_raw(b)), a)
-    conj = raw_multiply(m, by, _conjugator_raw(old))
+    mover, old = (a, b) if forward else (b, a)
+    e, c, back = _element_raw(mover), _conjugator_raw(old), old._move_back
+    if back is not None and back[1] != forward and back[0] == e:
+        # The opposite move by an equal mover undoes the move that built `old`.
+        conj, element = back[2], back[3]
+    elif old._element_raw == e:
+        # (a, a) moves to (a, a): e c = c z and e^-1 c = c z^-1 for e = c z c^-1.
+        z = _core_raw(old)
+        conj, element = raw_multiply(m, c, z if forward else raw_inverse(m, z)), e
+    else:
+        # a b a^-1 conjugates b's conjugator by a; b^-1 a b conjugates a's by b^-1.
+        conj, element = raw_multiply(m, e if forward else raw_inverse(m, e), c), None
     # The core fields were validated when `old` was built, so they are
-    # copied unchecked; the old conjugator's word, forms and spelling source
-    # are dropped, so the moved record spells its own canonical word.
+    # copied unchecked; the old conjugator's word and spelling source are
+    # dropped, so the moved record spells its own canonical word.  Its
+    # move back holds raw forms only, so no chain of records stays alive.
     core = old.__dict__.copy()
-    for name in ("conjugator", "_element_raw", "_spelling"):
-        core.pop(name, None)
+    core.pop("conjugator", None)
+    core.pop("_spelling", None)
+    core.update(_element_raw=element, _move_back=(e, forward, c, old._element_raw))
     moved = _record(type(old), m, conj, None, core)
     pair = (moved, a) if forward else (b, moved)
     out = object.__new__(Factorization)  # all factors have m strands: no check
@@ -455,8 +474,9 @@ class _MoveTable:
     the pair is complete: both results known, and both new pairs holding
     x and their move back.  So a pair never met costs three products (x,
     then x a^-1 and b^-1 x, interned in that order), one met as a new
-    pair at most one, and an element one `raw_inverse` the first time a
-    pair it heads or ends needs a new result.
+    pair at most one, an equal pair (a, a), which moves to itself, none,
+    and an element one `raw_inverse` the first time a pair it heads or
+    ends needs a new result.
 
     `_search` is the one breadth-first loop both searches run, from one
     root (an orbit) or two (an equivalence search); it stores the roots,
@@ -493,6 +513,9 @@ class _MoveTable:
     def _complete(self, a: int, b: int) -> tuple:
         """The entry of (a, b) with both results known and its new pairs recorded."""
         m, raws, moves = self.m, self._raws, self._moves
+        if a == b:  # (a, a) moves to (a, a) both ways
+            entry = moves[a, a] = (None, a, a)
+            return entry
         x, f, g = moves.get((a, b)) or (raw_multiply(m, raws[a], raws[b]), None, None)
         f = self._intern(raw_multiply(m, x, self._inverse(a))) if f is None else f
         g = self._intern(raw_multiply(m, self._inverse(b), x)) if g is None else g

@@ -2,10 +2,11 @@
 
 * The kernel's private names (permutation-id interning, per-id tables) stay
   inside `garside.py`: no other module imports a `_`-name from it.
-* The raw forms a factor record carries, and the source its conjugator
-  is spelled from, are read and set only in `factorization.py`, and only
-  its one constructor `_record` builds a record that carries them: no
-  other module calls `object.__new__` or uses `.__dict__`.  Other modules
+* The raw forms a factor record carries, the source its conjugator is
+  spelled from and its move back are read and set only in
+  `factorization.py`, and only its one constructor `_record` builds a
+  record that carries them: no other module calls `object.__new__` or
+  uses `.__dict__`.  Other modules
   hand a record its form and spelling source through `_record`.
 * Only the command line talks to the user: no module but `cli.py` and
   `__main__.py` imports `sys` or `warnings` or calls `print`.  The library
@@ -29,7 +30,7 @@ import pytest
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "braidmono"
 MODULES = sorted(SRC.glob("*.py"))
-RECORD_ATTRIBUTES = {"_conj_raw", "_element_raw", "_spelling"}
+RECORD_ATTRIBUTES = {"_conj_raw", "_element_raw", "_spelling", "_move_back"}
 CONSOLE_NAMES = {"sys", "warnings", "print"}
 DIGIT_TESTS = {"isdigit", "isascii"}
 PREFIX_HELPER = re.compile(r"common_?prefix|prefix_walk|(?:^|_)trie(?:_|$)", re.IGNORECASE)

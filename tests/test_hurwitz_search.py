@@ -1,9 +1,11 @@
 """The element-id search engine against a reference copy of the
 factorization-record search it replaced: identical verdicts, certificates,
-`explored` counts and orbit key sets."""
+`explored` counts and orbit key sets.  The record moves' shortcuts (equal
+pairs and undone moves) against word arithmetic, and work guards."""
 
 import random
 from collections import deque
+from pathlib import Path
 
 import pytest
 
@@ -19,19 +21,23 @@ from braidmono import (
     apply_moves,
     braid_monodromy,
     canonical_key,
+    expand,
     hurwitz_equivalent,
     hurwitz_move,
     hurwitz_move_inverse,
     orbit_enumerate,
 )
-from braidmono.braid import compose, invert
-from braidmono.garside import nf_from_raw, raw_inverse, raw_of_word
+from braidmono.braid import compose, free_reduce, invert
+from braidmono.garside import nf_from_raw, raw_inverse, raw_of_word, raw_to_letters
+from braidmono.textio import parse_factorization
 from conftest import (
     random_generic_arrangement,
     random_word,
     reduced_word,
     standard_b3_factorization,
 )
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
 
 # --- reference engine: every state a Factorization, every move spelled ----
 
@@ -352,6 +358,44 @@ def test_searches_reuse_pair_products(monkeypatch):
     assert calls[0] <= 945 + 25
 
 
+@pytest.mark.parametrize("m", [2, 3, 5])
+def test_move_table_equal_pairs_take_no_product(monkeypatch, rng, m):
+    """(a, a) moves to (a, a) both ways: no product, no inverse, no new id."""
+    table = fz._MoveTable(m)
+    ids = [table._intern(raw_of_word(m, random_word(rng, m, 20).letters)) for _ in range(10)]
+    products, inverses = count_calls(monkeypatch), count_calls(monkeypatch, "raw_inverse")
+    for trial, i in enumerate(ids):
+        first = 1 if trial % 2 else -1
+        assert (table.move(i, i, first), table.move(i, i, -first)) == (i, i)
+    assert (products[0], inverses[0], len(table._raws)) == (0, 0, len(set(ids)))
+
+
+def test_orbit_moves_equal_pairs_without_products(monkeypatch):
+    """Work guard: 24 of the 219 pairs the B_3 orbit completes at budget
+    2,000 are equal pairs, which take no product.  Counted with the element
+    forms filled first; multiplying them, the orbit takes 351."""
+    b3 = standard_b3_factorization()
+    canonical_key(b3)
+    calls = count_calls(monkeypatch)
+    assert orbit_enumerate(b3, budget=2000).explored == 2000
+    assert calls[0] <= 279 + 10
+
+
+def test_walks_reuse_equal_pairs_and_move_backs(monkeypatch):
+    """Work guard: a move on two equal elements takes one short product
+    (the conjugator times its own core), and the opposite move of the move
+    that built a record, by a mover with an equal element, takes none.
+    Counted on the seeded 1,000-move B_3 walk with the element forms filled
+    first; multiplying on every move, the walk takes 2,040."""
+    b3 = standard_b3_factorization()
+    rng = random.Random(1)
+    moves = [(rng.randint(1, 5), rng.choice((1, -1))) for _ in range(1000)]
+    canonical_key(b3)
+    calls = count_calls(monkeypatch)
+    apply_moves(b3, moves)
+    assert calls[0] <= 1354 + 30
+
+
 def test_searches_invert_only_what_they_read(monkeypatch):
     """Work guard: the move table takes an element's inverse the first time
     a completed pair reads it, not when the element is interned.  Counted
@@ -365,3 +409,81 @@ def test_searches_invert_only_what_they_read(monkeypatch):
     calls = count_calls(monkeypatch, "raw_inverse")
     assert hurwitz_equivalent(f1, f2).explored == 2163
     assert calls[0] <= 133 + 15
+
+
+# --- moves on equal factors and undone moves, against word arithmetic -----
+
+
+def word_move(factors, k, direction):
+    """(a, b) -> (a b a^-1, a) for +1 and (b, b^-1 a b) for -1, on
+    (record, moved) pairs: the moved factor keeps its core and gets the
+    mover's word prepended to its conjugator, freely reduced."""
+    (a, _), (b, moved) = factors[k - 1], factors[k]
+    mover, old = (a, b) if direction > 0 else (b, a)
+    by = expand(mover) if direction > 0 else invert(expand(mover))
+    letters = free_reduce(by.letters + old.conjugator.letters)
+    new = (old.with_conjugator(BraidWord(old.strands, letters)), True)
+    pair = (new, factors[k - 1]) if direction > 0 else (factors[k], new)
+    return factors[: k - 1] + pair + factors[k + 1 :]
+
+
+def assert_same_records(fact, factors):
+    """The same elements and conjugator forms as the word-built records;
+    a moved record spells the canonical word of its form, an unmoved one
+    its own word."""
+    m = fact.strands
+    ref = Factorization(m, tuple(f for f, _ in factors))
+    assert canonical_key(fact) == canonical_key(ref)
+    for f, (g, moved) in zip(fact.factors, factors, strict=True):
+        raw = raw_of_word(m, g.conjugator.letters)
+        assert fz._conjugator_raw(f) == raw
+        want = raw_to_letters(m, raw) if moved else g.conjugator.letters
+        assert f.conjugator.letters == want
+
+
+def b2_sigma1_run():
+    s1 = StructuredFactor(BraidWord.identity(2), HalfTwist(2, 1, 2), 1)
+    return Factorization(2, (s1,) * 5)
+
+
+def b4_repeated_nodes():
+    """A node repeated, a block twist repeated and a run of half-twists."""
+    e = BraidWord.identity(4)
+    node = StructuredFactor(e, HalfTwist(4, 2, 3), 2)
+    block = BlockFactor(BraidWord(4, (1, -3)), 1, 3, 2)
+    s3 = StructuredFactor(e, HalfTwist(4, 3, 4), 1)
+    return Factorization(4, (node, node, node, block, block, s3, s3, s3))
+
+
+SHORTCUT_WALKS = [
+    pytest.param(standard_b3_factorization, 200, id="b3"),
+    pytest.param(lambda: parse_factorization((GOLDEN / "sweep4.fac").read_text()), 30,
+                 id="sweep4"),
+    pytest.param(lambda: parse_factorization((GOLDEN / "sweep5.fac").read_text()), 30,
+                 id="sweep5"),
+    pytest.param(b2_sigma1_run, 100, id="b2-sigma1-run"),
+    pytest.param(b4_repeated_nodes, 100, id="b4-repeated-nodes"),
+]
+
+
+@pytest.mark.parametrize("start, length", SHORTCUT_WALKS)
+@pytest.mark.parametrize("seed", [1, 2])
+def test_move_shortcuts_against_words(start, length, seed):
+    """Every step of a walk agrees with word arithmetic: explicit undo and
+    redo runs, an undo after another position moved, an undo after its
+    mover moved, then random moves of which about half undo the last one.
+    A second walk with the same moves, read only at its end, agrees too."""
+    fact = start()
+    n = len(fact.factors) - 1
+    moves = [(1, 1), (1, -1), (1, 1), (1, -1), (1, -1), (1, 1),
+             (1, 1), (3, 1), (1, -1), (2, 1), (3, 1), (2, -1), (n, 1), (n, -1)]
+    rng = random.Random(seed)
+    while len(moves) < length:
+        k, d = moves[-1]
+        moves.append((k, -d) if rng.random() < 0.5 else (rng.randint(1, n), rng.choice((1, -1))))
+    factors = tuple((f, False) for f in fact.factors)
+    for k, d in moves:
+        fact = hurwitz_move(fact, k) if d > 0 else hurwitz_move_inverse(fact, k)
+        factors = word_move(factors, k, d)
+        assert_same_records(fact, factors)
+    assert_same_records(apply_moves(start(), moves), factors)

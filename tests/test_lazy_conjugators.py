@@ -273,6 +273,20 @@ def test_block_nodes_share_one_spelled_word(monkeypatch):
     assert sorted(spelled) == list(range(5))
 
 
+# The position of the last move of the `undoable` pickle case.
+UNDO = 2
+
+
+def from_words(fact):
+    """The factorization rebuilt from its records' words, carrying no form."""
+    return Factorization(fact.strands, tuple(f.with_conjugator(f.conjugator)
+                                             for f in fact.factors))
+
+
+def undone_key(fact):
+    return canonical_key(hurwitz_move_inverse(fact, UNDO))
+
+
 def pickle_cases():
     def sweep():
         return braid_monodromy(pencil_and_line())
@@ -286,22 +300,31 @@ def pickle_cases():
     def regenerated():
         return regenerate(braid_monodromy(sweep_arrangements()[2], expand_blocks=True))
 
+    def undoable():
+        """A walk whose last move, at UNDO, left a move back on its record."""
+        return hurwitz_move(walk(standard_b3_factorization(), 32, 40), UNDO)
+
     return [pytest.param(case, id=case.__name__)
-            for case in (sweep, expanded, moved, regenerated)]
+            for case in (sweep, expanded, moved, regenerated, undoable)]
 
 
 @pytest.mark.parametrize("make", pickle_cases())
 def test_records_survive_pickle(make):
     """A pickle round trip gives equal records; an unspelled record, sweep
-    or node or moved, is still unspelled after the load."""
+    or node or moved, is still unspelled after the load.  A moved record's
+    move back, which holds the dumping process's ids, is dropped."""
     fact = make()
     fact.factors[0].conjugator  # one spelled record among the others
     lazy = [is_lazy(f) for f in fact.factors]
     assert any(lazy) or make.__name__ == "regenerated"  # rule rows are spelled
+    if make.__name__ == "undoable":
+        assert fact.factors[UNDO - 1]._move_back is not None
     loaded = pickle.loads(pickle.dumps(fact))
     assert [is_lazy(f) for f in loaded.factors] == lazy
+    assert all(f._move_back is None for f in loaded.factors)
     assert loaded == fact
     assert canonical_key(loaded) == canonical_key(fact)
+    assert undone_key(loaded) == undone_key(from_words(loaded))
 
 
 # Run in a fresh interpreter: it sweeps seven tangent lines first, so its
@@ -310,13 +333,14 @@ def test_records_survive_pickle(make):
 LOADER = """
 import pickle, sys
 from braidmono import LineArrangement, braid_monodromy, canonical_key, is_delta2_factorization
-from test_lazy_conjugators import is_lazy, pickle_cases
+from test_lazy_conjugators import from_words, is_lazy, pickle_cases, undone_key
 braid_monodromy(LineArrangement.from_pairs([(i, i * i) for i in range(1, 8)]))
 out = []
 for param, loaded in zip(pickle_cases(), pickle.load(sys.stdin.buffer)):
     lazy = [is_lazy(f) for f in loaded.factors]
     same = canonical_key(loaded) == canonical_key(param.values[0]())
-    out.append((lazy, is_delta2_factorization(loaded), same))
+    undone = undone_key(loaded) == undone_key(from_words(loaded))
+    out.append((lazy, is_delta2_factorization(loaded), same and undone))
 pickle.dump(out, sys.stdout.buffer)
 """
 
@@ -324,7 +348,8 @@ pickle.dump(out, sys.stdout.buffer)
 def test_records_survive_pickle_across_processes():
     """A record pickles by its conjugator's permutation images, not by the
     kernel ids of the process that dumped it: loaded where other ids were
-    interned first, it keeps its answers and its unspelled conjugators."""
+    interned first, it keeps its answers and its unspelled conjugators, and
+    undoes its last move as the same records rebuilt from words do."""
     facts = [param.values[0]() for param in pickle_cases()]
     for fact in facts:
         fact.factors[0].conjugator
