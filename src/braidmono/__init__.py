@@ -13,7 +13,6 @@ from .braid import (
     HalfTwist,
     Permutation,
     compose,
-    conjugate,
     delta_word,
     exponent_sum,
     free_reduce,

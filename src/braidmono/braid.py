@@ -184,12 +184,6 @@ def invert(w: BraidWord) -> BraidWord:
     return BraidWord(w.strands, tuple(-l for l in reversed(w.letters)))
 
 
-def conjugate(w: BraidWord, c: BraidWord) -> BraidWord:
-    """c * w * c^-1, freely reduced."""
-    _check_same_strands(w, c)
-    return compose(c, w, invert(c))
-
-
 def power(w: BraidWord, k: int) -> BraidWord:
     if k < 0:
         return power(invert(w), -k)
@@ -229,9 +223,6 @@ class HalfTwist:
                 f"half-twist endpoints ({self.low}, {self.high}) invalid "
                 f"for {self.strands} strands"
             )
-
-    def word(self) -> BraidWord:
-        return half_twist_word(self)
 
 
 def half_twist_word(h: HalfTwist) -> BraidWord:

@@ -52,8 +52,11 @@ ids are numbered per process, so a pickled (or deep-copied) record
 carries its conjugator's form by permutation images and drops the
 element's form and its move back.  Every record stores its strand count.
 Each producer (a Hurwitz move, the sweep, `expand_block_factor`,
-regeneration) builds its records with `_record`, and may hand over a
-`(function, argument)` pair of its own that spells the word on first read.
+regeneration) builds its records with `_record`, with no word: a moved
+record spells the canonical word of its form on first read, the others
+by a `(function, argument)` pair from their producer.  A move that makes
+a form of more than `MAX_CANONICAL_LENGTH` canonical factors raises a
+BraidError.
 The searches use their per-call `_MoveTable`; the one module-level table
 is `_CORE_RAWS`, never evicted, like the kernel's.
 """
@@ -92,6 +95,19 @@ from .garside import (
 
 _Raw = tuple[int, tuple[int, ...]]
 
+# The most canonical factors a Hurwitz move may make in one form, on records
+# or in a search's move table.  Forms grow exponentially along walks in B_4:
+# a random walk on a 4-line sweep passes this in about a hundred moves, and
+# passed a million factors, over 100 MB, fifty moves later.
+MAX_CANONICAL_LENGTH = 100_000
+
+
+def _capped(raw: _Raw) -> _Raw:
+    if len(raw[1]) > MAX_CANONICAL_LENGTH:
+        raise BraidError(f"a form of {len(raw[1])} canonical factors passed the cap of "
+                         f"{MAX_CANONICAL_LENGTH} for Hurwitz moves")
+    return raw
+
 
 class _CarriedRaws:
     """The base of both factor records.  It holds a record's raw forms: its
@@ -102,7 +118,7 @@ class _CarriedRaws:
 
     Every record stores its strand count, `strands`: `_record` from its
     producer, `__post_init__` from the validated conjugator.  A record
-    built by `_record` may hold no `conjugator` until that is first read
+    built by `_record` holds no `conjugator` until that is first read
     (by eq, hash, repr, `replace` or any caller); `__getattr__` then spells
     it once, as `function(argument)` for the `_spelling` source its
     producer handed over, or with no source as the canonical word of the
@@ -227,8 +243,9 @@ def expand(factor: Factor) -> BraidWord:
 
 def _record(kind: type, m: int, raw: _Raw, spelling, fields: dict) -> Factor:
     """A `kind` record in B_m with the fields `fields`, unvalidated, carrying
-    the conjugator form `raw`.  With no `conjugator` field it spells the word
-    on first read by the `(function, argument)` pair `spelling`, else by `raw`."""
+    the conjugator form `raw` and no `conjugator`: it spells the word on
+    first read by the `(function, argument)` pair `spelling`, or with none
+    as the canonical word of `raw`."""
     record = object.__new__(kind)
     record.__dict__.update(fields, strands=m, _conj_raw=raw)
     if spelling is not None:
@@ -406,7 +423,7 @@ def _move(fact: Factorization, k: int, forward: bool) -> Factorization:
     core.pop("conjugator", None)
     core.pop("_spelling", None)
     core.update(_element_raw=element, _move_back=(e, forward, c, old._element_raw))
-    moved = _record(type(old), m, conj, None, core)
+    moved = _record(type(old), m, _capped(conj), None, core)
     pair = (moved, a) if forward else (b, moved)
     out = object.__new__(Factorization)  # all factors have m strands: no check
     out.__dict__.update(strands=m, factors=fact.factors[: k - 1] + pair + fact.factors[k + 1 :])
@@ -496,7 +513,7 @@ class _MoveTable:
     def _intern(self, raw: _Raw) -> int:
         i = self._ids.get(raw)
         if i is None:
-            i = self._ids[raw] = len(self._raws)
+            i = self._ids[_capped(raw)] = len(self._raws)
             self._raws.append(raw)
             self._inverses.append(None)
         return i

@@ -467,11 +467,6 @@ class NormalForm:
             tuple(p.images for p in self.canonical_factors),
         )
 
-    def to_word(self) -> BraidWord:
-        """Rebuild a braid word: Delta^delta_power then the factor words."""
-        letters = raw_to_letters(self.strands, nf_to_raw(self))
-        return BraidWord(self.strands, free_reduce(letters))
-
 
 def nf_from_raw(m: int, raw: tuple[int, tuple[int, ...]]) -> NormalForm:
     p, fids = raw

@@ -21,6 +21,8 @@ not: two conventions can give different products, and Hurwitz moves keep
 the product, so their outputs need not be Hurwitz-equivalent.
 Conjugators are transported by the 2-cabling homomorphism that sends
 sigma_k to the positive crossing of the pairs (2k-1, 2k) and (2k+1, 2k+2).
+A row carries the 2-cable of its factor's conjugator form and spells its
+word only when read, so `regenerate` builds no braid word.
 
 The three rules and the pass-through are one table, `_RULES`: a row per
 output factor gives its endpoint convention, its exponent and the power of
@@ -39,9 +41,10 @@ from __future__ import annotations
 
 import dataclasses
 import enum
+from operator import attrgetter
 from typing import Mapping
 
-from .braid import BraidWord, HalfTwist, free_reduce
+from .braid import BraidWord, HalfTwist, compose, free_reduce, half_twist_word
 from .factorization import (
     BlockFactor,
     Factor,
@@ -112,16 +115,16 @@ def double_halftwist(
 ) -> HalfTwist:
     """A half-twist between chosen doubled endpoints: (i, j) maps to one of
     Z_{ij}, Z_{i'j}, Z_{ij'}, Z_{i'j'} where i' = 2i and i = 2i-1."""
-    doubling = IndexDoubling(h.strands)
     lo = 2 * h.low if low_prime else 2 * h.low - 1
     hi = 2 * h.high if high_prime else 2 * h.high - 1
-    return HalfTwist(doubling.strands, lo, hi)
+    return HalfTwist(2 * h.strands, lo, hi)
 
 
 # The rules as one table: Rule -> (the exponent it applies to, its rows).
 # A row is (low primed, high primed, output exponent, power -1, 0 or 1 of
 # the short twist Z_{jj'} appended to the cabled conjugator), one output
-# factor per row, in order.  Rule.PASS keeps the factor's own exponent.
+# factor per row, in order; a first row has no twist, since the other rows
+# read its word.  Rule.PASS keeps the factor's own exponent.
 _RULES = {
     Rule.BRANCH: (1, ((False, True, 1, 0), (True, False, 1, 0))),
     Rule.NODE: (2, (
@@ -150,28 +153,37 @@ def _unblocked(factor: Factor) -> StructuredFactor:
     return factor
 
 
+def _cable(factor: StructuredFactor) -> BraidWord:
+    return IndexDoubling(factor.strands).word(factor.conjugator)
+
+
+def _twisted(source: tuple[StructuredFactor, int]) -> BraidWord:
+    first, letter = source
+    return compose(first.conjugator, BraidWord(first.strands, (letter,)))
+
+
 def _apply(rule: Rule, factor: Factor) -> tuple[StructuredFactor, ...]:
-    """The rule's rows applied to one factor; the conjugator is cabled once."""
+    """The rule's rows applied to one factor.  A row carries its conjugator's
+    form: the cable of the factor's, times Z_{jj'}^{+-1} in a twist row.  On
+    first read the first row spells the cable of the factor's word, a plain
+    row reads that word object, and a twist row appends its letter to it."""
     exponent, rows = _RULES[rule]
     if exponent is not None and factor.exponent != exponent:
         raise RegenerationError(
             f"rule {rule.value} applies to exponent {exponent}, got {factor.exponent}"
         )
-    conj = IndexDoubling(_unblocked(factor).strands).word(factor.conjugator)
-    m = conj.strands
-    short = 2 * factor.base.high - 1  # Z_{jj'} is the generator joining j and j'
-    # Each row gets its conjugator's form: the cable's, times Z_{jj'}^{+-1} in a twist row.
-    raw = raw_cable(factor.strands, _conjugator_raw(factor))
-    out = []
+    n = _unblocked(factor).strands
+    m, short = 2 * n, 2 * factor.base.high - 1  # Z_{jj'} is the generator joining j and j'
+    raw = raw_cable(n, _conjugator_raw(factor))
+    out: list[StructuredFactor] = []
     for low_prime, high_prime, out_exponent, twist in rows:
-        base = double_halftwist(factor.base, low_prime, high_prime)
-        word, form = conj, raw
+        form, spelling = raw, (attrgetter("conjugator"), out[0]) if out else (_cable, factor)
         if twist:
-            letter = (twist * short,)
-            word = BraidWord(m, free_reduce(conj.letters + letter))
-            form = raw_multiply(m, raw, raw_of_word(m, letter))
-        out.append(_record(StructuredFactor, m, form, None, {
-            "conjugator": word, "base": base, "exponent": out_exponent or factor.exponent}))
+            form = raw_multiply(m, raw, raw_of_word(m, (twist * short,)))
+            spelling = (_twisted, (out[0], twist * short))
+        out.append(_record(StructuredFactor, m, form, spelling, {
+            "base": double_halftwist(factor.base, low_prime, high_prime),
+            "exponent": out_exponent or factor.exponent}))
     return tuple(out)
 
 
@@ -289,7 +301,7 @@ def complete_deficit(fact: Factorization, budget: int = 10_000) -> CompletionRes
         HalfTwist(m, a, b) for a in range(1, m) for b in range(a + 1, m + 1)
     ]
     cand_inv = {
-        h: raw_inverse(m, raw_of_word(m, h.word().letters)) for h in candidates
+        h: raw_inverse(m, raw_of_word(m, half_twist_word(h).letters)) for h in candidates
     }
 
     def transpositions_needed(raw) -> int:

@@ -220,7 +220,7 @@ class TestRegenerationHandOver:
     def test_every_row_carries_its_form(self):
         """Every row of every rule, the pass-through and the Rule III twist
         rows included, carries the form of its spelled conjugator; the rows
-        on the cabled word share one form."""
+        on the cabled word share one form and one word object."""
         rules_seen = set()
         for fact in regeneration_inputs():
             m = 2 * fact.strands
@@ -236,6 +236,7 @@ class TestRegenerationHandOver:
                         assert row._conj_raw == raw_of_word(m, spelled)
                     plain = [row for row in rows if row.conjugator == cabled]
                     assert len({id(row._conj_raw) for row in plain}) == 1
+                    assert len({id(row.conjugator) for row in plain}) == 1
                     if rule is rg.Rule.TANGENCY:
                         assert len(plain) == 1  # the other two are twist rows
         assert rules_seen == set(rg.Rule)

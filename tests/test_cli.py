@@ -14,6 +14,7 @@ import pytest
 from braidmono import (BraidWord, Factorization, LineArrangement, braid_monodromy, degree_check,
                        hurwitz_move, hurwitz_move_inverse)
 from braidmono import cli
+from braidmono import factorization as fz
 from braidmono.cli import main
 from braidmono.textio import format_braid_word, format_factorization
 from braidmono.vankampen import MAX_IMAGE_LETTERS
@@ -342,6 +343,17 @@ class TestErrors:
         assert captured.err == (
             f"error: an image under a conjugator's inverse passed the cap "
             f"of {MAX_IMAGE_LETTERS} letters of van Kampen's walk\n"
+        )
+
+    def test_move_cap_exit_3(self, capsys, monkeypatch):
+        # with the cap at 20, the orbit of a 4-line sweep meets an element
+        # of 21 canonical factors within 0.03 s
+        monkeypatch.setattr(fz, "MAX_CANONICAL_LENGTH", 20)
+        code = main(["orbit", str(GOLDEN / "sweep4.fac")])
+        captured = capsys.readouterr()
+        assert code == 3 and captured.out == ""
+        assert captured.err == (
+            "error: a form of 21 canonical factors passed the cap of 20 for Hurwitz moves\n"
         )
 
 

@@ -22,14 +22,15 @@ from braidmono import (
     canonical_key,
     complete_deficit,
     compose,
-    conjugate,
     expand,
     exponent_sum,
     full_twist,
+    half_twist_word,
     hm_invariants,
     hurwitz_equivalent,
     hurwitz_move,
     hurwitz_move_inverse,
+    invert,
     is_delta2_factorization,
     orbit_enumerate,
     product,
@@ -87,7 +88,8 @@ class TestExpand:
             m = rng.randint(2, 5)
             c = random_word(rng, m, 10)
             f = StructuredFactor(c, HalfTwist(m, 1, m), 2)
-            want = conjugate(compose(HalfTwist(m, 1, m).word(), HalfTwist(m, 1, m).word()), c)
+            core = half_twist_word(HalfTwist(m, 1, m))
+            want = compose(c, core, core, invert(c))
             assert words_equal(expand(f), want)
 
 

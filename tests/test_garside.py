@@ -77,14 +77,6 @@ class TestKnownForms:
 
 
 class TestRoundTrips:
-    def test_to_word(self, rng):
-        for _ in range(300):
-            m = rng.randint(2, 6)
-            w = random_word(rng, m)
-            nf = normal_form(w)
-            assert_valid(nf)
-            assert words_equal(nf.to_word(), w)
-
     def test_inverse_cancels(self, rng):
         for _ in range(300):
             w = random_word(rng, rng.randint(2, 6))
@@ -191,8 +183,6 @@ class TestNormalFormAlgebra:
             assert garside.raw_multiply(m, inv, n) == garside.RAW_IDENTITY
 
     def test_power_and_conjugate(self, rng):
-        from braidmono import conjugate
-
         for _ in range(150):
             m = rng.randint(2, 5)
             w, c = random_word(rng, m, 20), random_word(rng, m, 20)
@@ -205,7 +195,7 @@ class TestNormalFormAlgebra:
             rc = raw_of(c)
             got = garside.raw_multiply(m, garside.raw_multiply(m, rc, raw_of(w)),
                                        garside.raw_inverse(m, rc))
-            assert got == raw_of(conjugate(w, c))
+            assert got == raw_of(compose(c, w, invert(c)))
 
 
 class TestMirrorNote:

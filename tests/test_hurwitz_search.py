@@ -4,6 +4,7 @@ factorization-record search it replaced: identical verdicts, certificates,
 pairs and undone moves) against word arithmetic, and work guards."""
 
 import random
+import time
 from collections import deque
 from pathlib import Path
 
@@ -12,6 +13,7 @@ import pytest
 import braidmono.factorization as fz
 from braidmono import (
     BlockFactor,
+    BraidError,
     BraidWord,
     Factorization,
     HalfTwist,
@@ -409,6 +411,32 @@ def test_searches_invert_only_what_they_read(monkeypatch):
     calls = count_calls(monkeypatch, "raw_inverse")
     assert hurwitz_equivalent(f1, f2).explored == 2163
     assert calls[0] <= 133 + 15
+
+
+# --- the cap on the length of a move's forms --------------------------------
+
+
+def test_record_walk_stops_at_the_cap():
+    """A random walk on a 4-line sweep grows its conjugator forms
+    exponentially: 39,621 canonical factors after 100 moves, past a million
+    after 150 without the cap.  The walk stops with a BraidError, in under a
+    second of CPU time."""
+    fact = parse_factorization((GOLDEN / "sweep4.fac").read_text())
+    rng = random.Random(1)
+    moves = [(rng.randint(1, 5), rng.choice((1, -1))) for _ in range(150)]
+    start = time.process_time()
+    apply_moves(fact, moves[:100])
+    with pytest.raises(BraidError, match=f"cap of {fz.MAX_CANONICAL_LENGTH} for Hurwitz moves"):
+        apply_moves(fact, moves)
+    assert time.process_time() - start < 1
+
+
+def test_move_table_stops_at_the_cap(monkeypatch):
+    """A search interns no element past the cap."""
+    monkeypatch.setattr(fz, "MAX_CANONICAL_LENGTH", 20)
+    fact = parse_factorization((GOLDEN / "sweep4.fac").read_text())
+    with pytest.raises(BraidError, match="of 21 canonical factors passed the cap of 20 "):
+        orbit_enumerate(fact, budget=100_000)
 
 
 # --- moves on equal factors and undone moves, against word arithmetic -----

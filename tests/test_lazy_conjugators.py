@@ -1,13 +1,17 @@
-"""Records built by Hurwitz moves or by the sweep spell their conjugator
-words only when read.  A moved record carries its conjugator's raw forms;
-its first read of `conjugator`, directly or through eq, hash, repr,
-`dataclasses.replace` or the text format, spells the word once from the
-carried form, and the result is the record a move that spelled the word at
-once would have built.  A sweep record spells, on its first read, the
-concatenation of block half-twists that the sweep used to spell at once;
-the nodes of an expanded block share their block's word.  Records pickle,
-also into another process, whose kernel numbers its ids in another order,
-and an unspelled record stays unspelled through a pickle round trip."""
+"""Records built by Hurwitz moves, by the sweep or by regeneration spell
+their conjugator words only when read.  A moved record carries its
+conjugator's raw forms; its first read of `conjugator`, directly or through
+eq, hash, repr, `dataclasses.replace` or the text format, spells the word
+once from the carried form, and the result is the record a move that
+spelled the word at once would have built.  A sweep record spells, on its
+first read, the concatenation of block half-twists that the sweep used to
+spell at once; the nodes of an expanded block share their block's word.  A
+regenerated factor's rows spell, on their first read, the 2-cable of the
+factor's word that regeneration used to spell at once, one object for its
+plain rows, and that word with the twist letter appended in a Rule III
+twist row.  Records pickle, also into another process, whose kernel
+numbers its ids in another order, and an unspelled record stays unspelled
+through a pickle round trip."""
 
 import dataclasses
 import os
@@ -22,17 +26,21 @@ import pytest
 
 import braidmono.arrangements as arrangements
 import braidmono.factorization as fz
+import braidmono.regeneration as rg
 from braidmono import (
     BlockFactor,
     BraidError,
     BraidWord,
     Factorization,
+    HalfTwist,
     LineArrangement,
     StructuredFactor,
     apply_moves,
     braid_monodromy,
     canonical_key,
+    complete_deficit,
     delta_word,
+    free_reduce,
     hurwitz_move,
     hurwitz_move_inverse,
     is_delta2_factorization,
@@ -273,6 +281,73 @@ def test_block_nodes_share_one_spelled_word(monkeypatch):
     assert sorted(spelled) == list(range(5))
 
 
+def tangency_and_branch_point():
+    """Rules I and III, with conjugated cores: Rule III has twist rows."""
+    conj = BraidWord(3, (2, -1, 2))
+    return Factorization(3, (StructuredFactor(conj, HalfTwist(3, 1, 3), 1),
+                             StructuredFactor(conj, HalfTwist(3, 2, 3), 4)))
+
+
+def count_calls(monkeypatch, owner, name):
+    """A one-element list counting calls of `owner.<name>`."""
+    calls = [0]
+    fn = getattr(owner, name)
+
+    def counted(*args):
+        calls[0] += 1
+        return fn(*args)
+
+    monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
+def test_regeneration_pipeline_spells_nothing(monkeypatch):
+    """Work guard: past the sweep, the library pipeline `regenerate`, the
+    `Delta^2` check, `canonical_key` and `complete_deficit` builds no braid
+    word, and every record, sweep or row, stays unspelled.  The sweep
+    itself spells no conjugator; it builds the word of each point's block
+    half-twist for its letters.  The core forms are filled by a first run."""
+    tangent = sweep_arrangements()[3]
+
+    def pipeline(fact):
+        regenerated = regenerate(fact)
+        assert not is_delta2_factorization(regenerated) and canonical_key(regenerated)
+        assert complete_deficit(regenerated).ruled_out
+        return regenerated
+
+    pipeline(braid_monodromy(tangent, expand_blocks=True))
+    fact = braid_monodromy(tangent, expand_blocks=True)
+    words = count_calls(monkeypatch, BraidWord, "__post_init__")
+    cables = count_calls(monkeypatch, rg.IndexDoubling, "word")
+    regenerated = pipeline(fact)
+    assert (words[0], cables[0]) == (0, 0)
+    assert all(is_lazy(f) for f in fact.factors + regenerated.factors)
+
+
+@pytest.mark.parametrize("make", [lambda: braid_monodromy(sweep_arrangements()[3]),
+                                  tangency_and_branch_point], ids=["tangent", "rule-III"])
+def test_rows_spell_the_cabled_words(monkeypatch, make):
+    """On read, each input factor is cabled once, its plain rows share the
+    cable, one word object, and a twist row spells the cable with its
+    letter appended, freely reduced, as regeneration spelled them at once."""
+    fact, cable = make(), rg.IndexDoubling.word
+    regenerated = regenerate(fact)
+    cables = count_calls(monkeypatch, rg.IndexDoubling, "word")
+    rows = iter(regenerated.factors)
+    for factor in fact.factors:
+        doubled = cable(rg.IndexDoubling(fact.strands), factor.conjugator)
+        plain = []
+        for *_, twist in rg._RULES[rg._RULE_BY_EXPONENT[factor.exponent]][1]:
+            row = next(rows)
+            letter = (twist * (2 * factor.base.high - 1),) if twist else ()
+            assert row.conjugator == BraidWord(doubled.strands,
+                                               free_reduce(doubled.letters + letter))
+            plain += [] if twist else [row.conjugator]
+        assert len(set(map(id, plain))) == 1
+    assert next(rows, None) is None
+    assert cables[0] == len(fact.factors)
+
+
 # The position of the last move of the `undoable` pickle case.
 UNDO = 2
 
@@ -311,12 +386,12 @@ def pickle_cases():
 @pytest.mark.parametrize("make", pickle_cases())
 def test_records_survive_pickle(make):
     """A pickle round trip gives equal records; an unspelled record, sweep
-    or node or moved, is still unspelled after the load.  A moved record's
+    or node or moved or regenerated, is still unspelled after the load.  A moved record's
     move back, which holds the dumping process's ids, is dropped."""
     fact = make()
     fact.factors[0].conjugator  # one spelled record among the others
     lazy = [is_lazy(f) for f in fact.factors]
-    assert any(lazy) or make.__name__ == "regenerated"  # rule rows are spelled
+    assert any(lazy)
     if make.__name__ == "undoable":
         assert fact.factors[UNDO - 1]._move_back is not None
     loaded = pickle.loads(pickle.dumps(fact))

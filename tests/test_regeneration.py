@@ -17,6 +17,7 @@ from braidmono import (
     double_halftwist,
     expand,
     free_reduce,
+    half_twist_word,
     is_delta2_factorization,
     normal_form,
     permutation_of,
@@ -303,7 +304,7 @@ def ref_rule_III(factor):
     _, conj, base = ref_doubled_input(factor)
     cusp_base = double_halftwist(base, high_prime=True)
     strands = cusp_base.strands
-    short = HalfTwist(strands, 2 * base.high - 1, 2 * base.high).word()
+    short = half_twist_word(HalfTwist(strands, 2 * base.high - 1, 2 * base.high))
     inner_pos = BraidWord(strands, free_reduce(conj.letters + short.letters))
     inner_neg = BraidWord(
         strands, free_reduce(conj.letters + tuple(-l for l in reversed(short.letters)))
