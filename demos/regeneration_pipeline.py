@@ -13,26 +13,26 @@ from braidmono import (
     Factorization,
     HalfTwist,
     LineArrangement,
+    Rule,
     StructuredFactor,
+    apply_rule,
     complete_deficit,
     braid_monodromy,
     degree_audit,
     is_delta2_factorization,
     regenerate,
-    rule_I_branch,
-    rule_II_node,
-    rule_III_tangency,
 )
 from braidmono.textio import format_factorization
 
 # The local rules on single factors: counts and degrees are forced.
 e = BraidWord.identity(2)
-branch = StructuredFactor(e, HalfTwist(2, 1, 2), 1)
-node = StructuredFactor(e, HalfTwist(2, 1, 2), 2)
-tangency = StructuredFactor(e, HalfTwist(2, 1, 2), 4)
-print("rule I : branch ->", [(f.base.low, f.base.high, f.exponent) for f in rule_I_branch(branch)])
-print("rule II: node   ->", [(f.base.low, f.base.high, f.exponent) for f in rule_II_node(node)])
-print("rule III: tang. ->", [(f.base.low, f.base.high, f.exponent) for f in rule_III_tangency(tangency)])
+for label, rule, exponent in (
+    ("rule I : branch", Rule.BRANCH, 1),
+    ("rule II: node  ", Rule.NODE, 2),
+    ("rule III: tang.", Rule.TANGENCY, 4),
+):
+    factor = StructuredFactor(e, HalfTwist(2, 1, 2), exponent)
+    print(label, "->", [(f.base.low, f.base.high, f.exponent) for f in apply_rule(rule, factor)])
 print()
 
 # Full pipeline on n generic lines: every crossing is a node, so rule II

@@ -63,16 +63,14 @@ from .arrangements import (
 from .regeneration import (
     AuditReport,
     CompletionResult,
-    IndexDoubling,
     RegenerationError,
     Rule,
+    apply_rule,
+    cable_word,
     complete_deficit,
     degree_audit,
     double_halftwist,
     regenerate,
-    rule_I_branch,
-    rule_II_node,
-    rule_III_tangency,
 )
 from .vankampen import (
     FreeWord,

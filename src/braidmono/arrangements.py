@@ -36,7 +36,7 @@ from math import gcd, lcm
 from operator import attrgetter
 from typing import Iterable
 
-from .braid import BraidError, BraidWord, HalfTwist, delta_word
+from .braid import BraidError, BraidWord, HalfTwist, _delta_letters
 from .factorization import BlockFactor, Factor, Factorization, StructuredFactor
 from .factorization import _conjugator_raw, _record
 from .garside import raw_of_permutation
@@ -211,8 +211,6 @@ def braid_monodromy(arr: LineArrangement, expand_blocks: bool = False) -> Factor
     k(k-1)/2 node factors.
     """
     m = arr.m
-    if m < 2:
-        raise ArrangementError("need at least 2 lines")
     # One pass from the base fiber leftwards, by conj(i) = conj(i+1) H_{i+1}:
     # each conjugator extends the one of the point to its right by that
     # point's block half-twist.  Two lines cross at most once, so every
@@ -234,7 +232,7 @@ def braid_monodromy(arr: LineArrangement, expand_blocks: bool = False) -> Factor
             block = _record(BlockFactor, m, raw, spelling,
                             {"low": low, "high": high, "exponent": 2})
             records.extend(reversed(expand_block_factor(block)) if expand_blocks else [block])
-        deltas.append(delta_word(m, low, high).letters)
+        deltas.append(_delta_letters(m, low, high))
         images[low - 1 : high] = reversed(images[low - 1 : high])
     return Factorization(m, tuple(reversed(records)))
 

@@ -231,6 +231,15 @@ def half_twist_word(h: HalfTwist) -> BraidWord:
     return BraidWord(h.strands, letters)
 
 
+def _delta_letters(m: int, low: int, high: int) -> tuple[int, ...]:
+    if not (1 <= low <= high <= m):
+        raise BraidError(f"block [{low}, {high}] invalid for {m} strands")
+    letters: list[int] = []
+    for j in range(low, high):
+        letters.extend(range(j, low - 1, -1))
+    return tuple(letters)
+
+
 def delta_word(m: int, low: int = 1, high: int | None = None) -> BraidWord:
     """The half-twist Delta on the strand block [low, high] inside B_m.
 
@@ -238,22 +247,13 @@ def delta_word(m: int, low: int = 1, high: int | None = None) -> BraidWord:
     its permutation image reverses the block and its exponent sum is
     k(k-1)/2 for a block of k strands.
     """
-    if high is None:
-        high = m
-    if not (1 <= low <= high <= m):
-        raise BraidError(f"block [{low}, {high}] invalid for {m} strands")
-    letters: list[int] = []
-    for j in range(low, high):
-        letters.extend(range(j, low - 1, -1))
-    return BraidWord(m, tuple(letters))
+    return BraidWord(m, _delta_letters(m, low, m if high is None else high))
 
 
-def full_twist(m: int, low: int = 1, high: int | None = None) -> BraidWord:
-    """Delta^2 on the block [low, high]; for the full block the generator of
-    Center(B_m), with exponent sum m(m-1) and trivial permutation image."""
-    if high is None:
-        high = m
-    if high - low + 1 < 2:
-        raise BraidError("full twist needs a block of at least 2 strands")
-    d = delta_word(m, low, high)
-    return BraidWord(m, d.letters + d.letters)
+def full_twist(m: int) -> BraidWord:
+    """Delta^2, the generator of Center(B_m), with exponent sum m(m-1) and
+    trivial permutation image."""
+    if m < 2:
+        raise BraidError("full twist needs at least 2 strands")
+    letters = _delta_letters(m, 1, m)
+    return BraidWord(m, letters + letters)

@@ -389,8 +389,8 @@ def canonical_key(fact: Factorization) -> tuple:
     """Hashable key equal exactly when the factor tuples agree as sequences
     of group elements (conjugator spelling is irrelevant).  It holds raw
     forms, whose factor ids are numbered per process, so keys compare only
-    within one process; `nf_from_raw(m, raw).key()` of each entry is the
-    portable spelling."""
+    within one process; `nf_from_raw(m, raw)` of each entry, a `NormalForm`,
+    is the portable spelling."""
     _conjugator_raws(fact.strands, fact.factors)
     return tuple(map(_element_raw, fact.factors))
 

@@ -458,15 +458,6 @@ class NormalForm:
     def canonical_length(self) -> int:
         return len(self.canonical_factors)
 
-    def key(self) -> tuple:
-        """Flat hashable encoding of the form, independent of the
-        process's permutation-id numbering."""
-        return (
-            self.strands,
-            self.delta_power,
-            tuple(p.images for p in self.canonical_factors),
-        )
-
 
 def nf_from_raw(m: int, raw: tuple[int, tuple[int, ...]]) -> NormalForm:
     p, fids = raw

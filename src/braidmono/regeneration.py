@@ -5,7 +5,8 @@ A curve that degenerates to n lines has a branch curve of twice the degree:
 each fiber point j of the degenerate picture splits into the pair
 (2j-1, 2j) of fiber points upstairs.  Factors of the degenerate
 factorization in B_n are rewritten into factors in B_{2n} by three local
-rules keyed on the singularity class (= factor exponent):
+rules keyed on the singularity class (= factor exponent); `apply_rule`
+applies one rule to one factor, `regenerate` one rule per factor:
 
 * Rule I   (branch point, exponent 1): one branch point becomes two;
   degree 1 -> 2.
@@ -19,8 +20,9 @@ Which of the doubled endpoints (j versus j') each output uses is a
 convention; the counts and degrees above are forced, but the product is
 not: two conventions can give different products, and Hurwitz moves keep
 the product, so their outputs need not be Hurwitz-equivalent.
-Conjugators are transported by the 2-cabling homomorphism that sends
-sigma_k to the positive crossing of the pairs (2k-1, 2k) and (2k+1, 2k+2).
+Conjugators are transported by the 2-cabling homomorphism, `cable_word`,
+that sends sigma_k to the positive crossing of the pairs (2k-1, 2k) and
+(2k+1, 2k+2).
 A row carries the 2-cable of its factor's conjugator form and spells its
 word only when read, so `regenerate` builds no braid word.
 
@@ -78,36 +80,21 @@ class Rule(enum.Enum):
     PASS = "pass"
 
 
-@dataclasses.dataclass(frozen=True)
-class IndexDoubling:
-    """Strand doubling j -> (2j-1, 2j) from B_n into B_{2n}."""
-
-    n: int
-
-    def __post_init__(self) -> None:
-        if self.n < 2:
-            raise RegenerationError("doubling needs at least 2 strands")
-
-    @property
-    def strands(self) -> int:
-        return 2 * self.n
-
-    def word(self, w: BraidWord) -> BraidWord:
-        """2-cabling: sigma_k maps to the positive pair crossing
-        sigma_{2k} sigma_{2k+1} sigma_{2k-1} sigma_{2k}."""
-        if w.strands != self.n:
-            raise RegenerationError(
-                f"word lives in B_{w.strands}, doubling expects B_{self.n}"
-            )
-        letters: list[int] = []
-        for letter in w.letters:
-            k = abs(letter)
-            image = (2 * k, 2 * k + 1, 2 * k - 1, 2 * k)
-            if letter > 0:
-                letters.extend(image)
-            else:
-                letters.extend(-i for i in reversed(image))
-        return BraidWord(self.strands, free_reduce(letters))
+def cable_word(w: BraidWord) -> BraidWord:
+    """The 2-cable of a word in B_n, a word in B_{2n} under the index
+    doubling j -> (2j-1, 2j): sigma_k maps to the positive pair crossing
+    sigma_{2k} sigma_{2k+1} sigma_{2k-1} sigma_{2k}."""
+    if w.strands < 2:
+        raise RegenerationError("doubling needs at least 2 strands")
+    letters: list[int] = []
+    for letter in w.letters:
+        k = abs(letter)
+        image = (2 * k, 2 * k + 1, 2 * k - 1, 2 * k)
+        if letter > 0:
+            letters.extend(image)
+        else:
+            letters.extend(-i for i in reversed(image))
+    return BraidWord(2 * w.strands, free_reduce(letters))
 
 
 def double_halftwist(
@@ -154,7 +141,7 @@ def _unblocked(factor: Factor) -> StructuredFactor:
 
 
 def _cable(factor: StructuredFactor) -> BraidWord:
-    return IndexDoubling(factor.strands).word(factor.conjugator)
+    return cable_word(factor.conjugator)
 
 
 def _twisted(source: tuple[StructuredFactor, int]) -> BraidWord:
@@ -162,11 +149,21 @@ def _twisted(source: tuple[StructuredFactor, int]) -> BraidWord:
     return compose(first.conjugator, BraidWord(first.strands, (letter,)))
 
 
-def _apply(rule: Rule, factor: Factor) -> tuple[StructuredFactor, ...]:
-    """The rule's rows applied to one factor.  A row carries its conjugator's
-    form: the cable of the factor's, times Z_{jj'}^{+-1} in a twist row.  On
-    first read the first row spells the cable of the factor's word, a plain
-    row reads that word object, and a twist row appends its letter to it."""
+def apply_rule(rule: Rule, factor: Factor) -> tuple[StructuredFactor, ...]:
+    """The rule's rows applied to one factor of base Z_{ij}:
+
+    * Rule.BRANCH (exponent 1): one branch point becomes two,
+      [Z_{ij'}, Z_{i'j}]; degree 1 -> 2.
+    * Rule.NODE (exponent 2): one node becomes four,
+      [Z^2_{i'j'}, Z^2_{ij'}, Z^2_{i'j}, Z^2_{ij}]; degree 2 -> 8.
+    * Rule.TANGENCY (exponent 4): one tangency becomes three cusps, Z^3_{ij'}
+      and its conjugates by Z_{jj'}^{+1} and Z_{jj'}^{-1}; degree 4 -> 9.
+    * Rule.PASS (any exponent): the factor on the unprimed endpoints, Z^e_{ij}.
+
+    A row carries its conjugator's form: the cable of the factor's, times
+    Z_{jj'}^{+-1} in a twist row.  On first read the first row spells the
+    cable of the factor's word, a plain row reads that word object, and a
+    twist row appends its letter to it."""
     exponent, rows = _RULES[rule]
     if exponent is not None and factor.exponent != exponent:
         raise RegenerationError(
@@ -185,23 +182,6 @@ def _apply(rule: Rule, factor: Factor) -> tuple[StructuredFactor, ...]:
             "base": double_halftwist(factor.base, low_prime, high_prime),
             "exponent": out_exponent or factor.exponent}))
     return tuple(out)
-
-
-def rule_I_branch(factor: StructuredFactor) -> tuple[StructuredFactor, ...]:
-    """One branch point becomes two: [Z_{ij'}, Z_{i'j}]; degree 1 -> 2."""
-    return _apply(Rule.BRANCH, factor)
-
-
-def rule_II_node(factor: StructuredFactor) -> tuple[StructuredFactor, ...]:
-    """One node becomes four: [Z^2_{i'j'}, Z^2_{ij'}, Z^2_{i'j}, Z^2_{ij}];
-    degree 2 -> 8."""
-    return _apply(Rule.NODE, factor)
-
-
-def rule_III_tangency(factor: StructuredFactor) -> tuple[StructuredFactor, ...]:
-    """One tangency becomes three cusps: Z^3_{ij'} and its conjugates by
-    Z_{jj'}^{+1} and Z_{jj'}^{-1}; degree 4 -> 9."""
-    return _apply(Rule.TANGENCY, factor)
 
 
 def regenerate(
@@ -236,7 +216,7 @@ def regenerate(
                 f"factor {idx} has no applicable rule (exponent {exp}); "
                 "assign Rule.PASS explicitly"
             )
-        out.extend(_apply(rule, factor))
+        out.extend(apply_rule(rule, factor))
     return Factorization(2 * n, tuple(out))
 
 

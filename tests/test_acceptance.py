@@ -13,6 +13,8 @@ from braidmono import (
     BraidWord,
     FreeWord,
     LineArrangement,
+    Rule,
+    apply_rule,
     artin_action,
     abelianization_rank,
     braid_monodromy,
@@ -29,9 +31,6 @@ from braidmono import (
     presentation,
     product,
     regenerate,
-    rule_I_branch,
-    rule_II_node,
-    rule_III_tangency,
     StructuredFactor,
     HalfTwist,
     Verdict,
@@ -147,12 +146,12 @@ def test_06_rule_budgets():
                 f1 = StructuredFactor(e, HalfTwist(m, a, b), 1)
                 f2 = StructuredFactor(e, HalfTwist(m, a, b), 2)
                 f4 = StructuredFactor(e, HalfTwist(m, a, b), 4)
-                ok = ok and sum(f.degree() for f in rule_I_branch(f1)) == 2
-                ok = ok and sum(f.degree() for f in rule_II_node(f2)) == 8
-                ok = ok and sum(f.degree() for f in rule_III_tangency(f4)) == 9
-                ok = ok and len(rule_I_branch(f1)) == 2
-                ok = ok and len(rule_II_node(f2)) == 4
-                ok = ok and len(rule_III_tangency(f4)) == 3
+                ok = ok and sum(f.degree() for f in apply_rule(Rule.BRANCH, f1)) == 2
+                ok = ok and sum(f.degree() for f in apply_rule(Rule.NODE, f2)) == 8
+                ok = ok and sum(f.degree() for f in apply_rule(Rule.TANGENCY, f4)) == 9
+                ok = ok and len(apply_rule(Rule.BRANCH, f1)) == 2
+                ok = ok and len(apply_rule(Rule.NODE, f2)) == 4
+                ok = ok and len(apply_rule(Rule.TANGENCY, f4)) == 3
     report(6, "rule degree budgets 1->2, 2->8, 4->9", ok)
 
 

@@ -225,10 +225,10 @@ class TestRegenerationHandOver:
         for fact in regeneration_inputs():
             m = 2 * fact.strands
             for factor in fact.factors:
-                cabled = rg.IndexDoubling(fact.strands).word(factor.conjugator)
+                cabled = rg.cable_word(factor.conjugator)
                 for rule in (rg._RULE_BY_EXPONENT[factor.exponent], rg.Rule.PASS):
                     rules_seen.add(rule)
-                    rows = rg._apply(rule, factor)
+                    rows = rg.apply_rule(rule, factor)
                     assert len(rows) == len(rg._RULES[rule][1])
                     for row in rows:
                         assert row._conj_raw is not None

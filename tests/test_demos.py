@@ -1,6 +1,12 @@
-"""Every demo script runs to completion against the source tree."""
+"""Every demo script runs to completion against the source tree and prints
+the text committed in `tests/demo_output/<demo>.txt`.
+
+The one wall-clock reading, `hurwitz_walks.py`'s "N random moves in X.Xs",
+is masked before the comparison.
+"""
 
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -9,6 +15,8 @@ import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
+EXPECTED = Path(__file__).resolve().parent / "demo_output"
+CLOCK = re.compile(r"^(\d+ random moves in )\d+\.\ds$", re.MULTILINE)
 
 
 def test_demos_found():
@@ -29,3 +37,5 @@ def test_demo_runs(demo):
     )
     assert proc.returncode == 0, proc.stderr
     assert "Traceback" not in proc.stdout + proc.stderr
+    expected = (EXPECTED / f"{demo.stem}.txt").read_text()
+    assert CLOCK.sub(r"\1X.Xs", proc.stdout) == expected

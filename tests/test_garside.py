@@ -6,7 +6,7 @@ import pytest
 from braidmono import (
     BraidError,
     BraidWord,
-    IndexDoubling,
+    cable_word,
     compose,
     free_reduce,
     full_twist,
@@ -366,7 +366,7 @@ class TestCable:
         words += [twist(rng.randint(-3, 3)) + random_word(rng, n, 20).letters for _ in range(40)]
         for w in words:
             got = garside.raw_cable(n, garside.raw_of_word(n, w))
-            cabled = IndexDoubling(n).word(BraidWord(n, w)).letters
+            cabled = cable_word(BraidWord(n, w)).letters
             assert got == garside.raw_of_word(2 * n, cabled)
 
     @pytest.mark.parametrize("n", range(2, 9))

@@ -135,9 +135,9 @@ def ref_orbit_enumerate(fact, budget=1_000_000):
 
 
 def nf_keys(m, keys):
-    """Orbit keys with every raw form spelled as a NormalForm key, so the
+    """Orbit keys with every raw form spelled as a NormalForm, so the
     comparison does not rest on the process's permutation-id numbering."""
-    return {tuple(nf_from_raw(m, raw).key() for raw in key) for key in keys}
+    return {tuple(nf_from_raw(m, raw) for raw in key) for key in keys}
 
 
 def scramble(rng, fact, length):

@@ -302,11 +302,10 @@ def count_calls(monkeypatch, owner, name):
 
 
 def test_regeneration_pipeline_spells_nothing(monkeypatch):
-    """Work guard: past the sweep, the library pipeline `regenerate`, the
-    `Delta^2` check, `canonical_key` and `complete_deficit` builds no braid
-    word, and every record, sweep or row, stays unspelled.  The sweep
-    itself spells no conjugator; it builds the word of each point's block
-    half-twist for its letters.  The core forms are filled by a first run."""
+    """Work guard: the whole library pipeline, the sweep, `regenerate`, the
+    `Delta^2` check, `canonical_key` and `complete_deficit`, builds no braid
+    word and cables none, and every record, sweep or row, stays unspelled.
+    The core forms are filled by a first run."""
     tangent = sweep_arrangements()[3]
 
     def pipeline(fact):
@@ -316,9 +315,9 @@ def test_regeneration_pipeline_spells_nothing(monkeypatch):
         return regenerated
 
     pipeline(braid_monodromy(tangent, expand_blocks=True))
-    fact = braid_monodromy(tangent, expand_blocks=True)
     words = count_calls(monkeypatch, BraidWord, "__post_init__")
-    cables = count_calls(monkeypatch, rg.IndexDoubling, "word")
+    cables = count_calls(monkeypatch, rg, "cable_word")
+    fact = braid_monodromy(tangent, expand_blocks=True)
     regenerated = pipeline(fact)
     assert (words[0], cables[0]) == (0, 0)
     assert all(is_lazy(f) for f in fact.factors + regenerated.factors)
@@ -330,12 +329,12 @@ def test_rows_spell_the_cabled_words(monkeypatch, make):
     """On read, each input factor is cabled once, its plain rows share the
     cable, one word object, and a twist row spells the cable with its
     letter appended, freely reduced, as regeneration spelled them at once."""
-    fact, cable = make(), rg.IndexDoubling.word
+    fact, cable = make(), rg.cable_word
     regenerated = regenerate(fact)
-    cables = count_calls(monkeypatch, rg.IndexDoubling, "word")
+    cables = count_calls(monkeypatch, rg, "cable_word")
     rows = iter(regenerated.factors)
     for factor in fact.factors:
-        doubled = cable(rg.IndexDoubling(fact.strands), factor.conjugator)
+        doubled = cable(factor.conjugator)
         plain = []
         for *_, twist in rg._RULES[rg._RULE_BY_EXPONENT[factor.exponent]][1]:
             row = next(rows)

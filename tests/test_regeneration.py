@@ -6,12 +6,13 @@ from braidmono import (
     BraidWord,
     Factorization,
     HalfTwist,
-    IndexDoubling,
     LineArrangement,
     RegenerationError,
     Rule,
     StructuredFactor,
+    apply_rule,
     braid_monodromy,
+    cable_word,
     complete_deficit,
     degree_audit,
     double_halftwist,
@@ -22,9 +23,6 @@ from braidmono import (
     normal_form,
     permutation_of,
     regenerate,
-    rule_I_branch,
-    rule_II_node,
-    rule_III_tangency,
     words_equal,
 )
 from braidmono.cli import main
@@ -36,21 +34,21 @@ def sf(m, a, b, exp, conj=()):
 
 
 class TestIndexDoubling:
+    """`cable_word`, the 2-cable under the index doubling j -> (2j-1, 2j)."""
+
     def test_cabling_is_a_homomorphism(self):
-        d = IndexDoubling(3)
-        assert words_equal(d.word(BraidWord(3, (1, 2, 1))), d.word(BraidWord(3, (2, 1, 2))))
-        d4 = IndexDoubling(4)
-        assert words_equal(d4.word(BraidWord(4, (1, 3))), d4.word(BraidWord(4, (3, 1))))
-        assert normal_form(d.word(BraidWord(3, (2, -2)))).is_identity()
+        assert words_equal(cable_word(BraidWord(3, (1, 2, 1))),
+                           cable_word(BraidWord(3, (2, 1, 2))))
+        assert words_equal(cable_word(BraidWord(4, (1, 3))), cable_word(BraidWord(4, (3, 1))))
+        assert normal_form(cable_word(BraidWord(3, (2, -2)))).is_identity()
 
     def test_cabled_generator_permutation(self):
-        d = IndexDoubling(2)
-        p = permutation_of(d.word(BraidWord(2, (1,))))
+        p = permutation_of(cable_word(BraidWord(2, (1,))))
         assert (p(1), p(2), p(3), p(4)) == (3, 4, 1, 2)
 
-    def test_strand_mismatch(self):
-        with pytest.raises(RegenerationError):
-            IndexDoubling(3).word(BraidWord(4, (1,)))
+    def test_needs_two_strands(self):
+        with pytest.raises(RegenerationError, match="at least 2 strands"):
+            cable_word(BraidWord.identity(1))
 
 
 class TestDoubleHalfTwist:
@@ -81,41 +79,41 @@ class TestDoubleHalfTwist:
 
 class TestRules:
     def test_rule_I_budget(self):
-        out = rule_I_branch(sf(3, 1, 2, 1))
+        out = apply_rule(Rule.BRANCH, sf(3, 1, 2, 1))
         assert len(out) == 2
         assert sum(f.degree() for f in out) == 2
         assert all(f.exponent == 1 for f in out)
 
     def test_rule_I_endpoints(self):
-        out = rule_I_branch(sf(2, 1, 2, 1))
+        out = apply_rule(Rule.BRANCH, sf(2, 1, 2, 1))
         assert out[0].base == HalfTwist(4, 1, 4)  # Z_{i j'}
         assert out[1].base == HalfTwist(4, 2, 3)  # Z_{i' j}
 
     def test_rule_I_permutations(self):
-        out = rule_I_branch(sf(2, 1, 2, 1))
+        out = apply_rule(Rule.BRANCH, sf(2, 1, 2, 1))
         prod_perm = permutation_of(expand(out[0])) * permutation_of(expand(out[1]))
         # (1 4)(2 3): the two transpositions have disjoint doubled endpoints
         assert prod_perm.cycle_type() == (2, 2)
 
     def test_rule_II_budget_and_order(self):
-        out = rule_II_node(sf(3, 1, 3, 2))
+        out = apply_rule(Rule.NODE, sf(3, 1, 3, 2))
         assert len(out) == 4
         assert sum(f.degree() for f in out) == 8
         lows = [(f.base.low, f.base.high) for f in out]
         assert lows == [(2, 6), (1, 6), (2, 5), (1, 5)]  # i'j', ij', i'j, ij
 
     def test_rule_II_pure(self):
-        for f in rule_II_node(sf(3, 1, 2, 2)):
+        for f in apply_rule(Rule.NODE, sf(3, 1, 2, 2)):
             assert permutation_of(expand(f)).is_identity()
 
     def test_rule_III_budget(self):
-        out = rule_III_tangency(sf(3, 2, 3, 4))
+        out = apply_rule(Rule.TANGENCY, sf(3, 2, 3, 4))
         assert len(out) == 3
         assert sum(f.degree() for f in out) == 9
         assert all(f.exponent == 3 for f in out)
 
     def test_rule_III_conjugate_outputs(self):
-        out = rule_III_tangency(sf(2, 1, 2, 4))
+        out = apply_rule(Rule.TANGENCY, sf(2, 1, 2, 4))
         assert len({f.base for f in out}) == 1
         # permutation of each output: transposition of the doubled endpoints
         for f in out:
@@ -123,17 +121,16 @@ class TestRules:
 
     def test_wrong_exponent_rejected(self):
         with pytest.raises(RegenerationError):
-            rule_I_branch(sf(3, 1, 2, 2))
+            apply_rule(Rule.BRANCH, sf(3, 1, 2, 2))
         with pytest.raises(RegenerationError):
-            rule_II_node(sf(3, 1, 2, 1))
+            apply_rule(Rule.NODE, sf(3, 1, 2, 1))
         with pytest.raises(RegenerationError):
-            rule_III_tangency(sf(3, 1, 2, 2))
+            apply_rule(Rule.TANGENCY, sf(3, 1, 2, 2))
 
     def test_conjugator_inherited(self):
         f = sf(3, 1, 2, 2, conj=(2,))
-        d = IndexDoubling(3)
-        want = d.word(BraidWord(3, (2,)))
-        for out in rule_II_node(f):
+        want = cable_word(BraidWord(3, (2,)))
+        for out in apply_rule(Rule.NODE, f):
             assert out.conjugator == want
 
 
@@ -274,14 +271,13 @@ def ref_doubled_input(factor):
             "block factors must be expanded into node factors before "
             "regeneration (expand_blocks)"
         )
-    doubling = IndexDoubling(factor.strands)
-    return doubling, doubling.word(factor.conjugator), factor.base
+    return cable_word(factor.conjugator), factor.base
 
 
 def ref_rule_I(factor):
     if factor.exponent != 1:
         raise RegenerationError(f"rule I applies to exponent 1, got {factor.exponent}")
-    _, conj, base = ref_doubled_input(factor)
+    conj, base = ref_doubled_input(factor)
     return (
         StructuredFactor(conj, double_halftwist(base, high_prime=True), 1),
         StructuredFactor(conj, double_halftwist(base, low_prime=True), 1),
@@ -291,7 +287,7 @@ def ref_rule_I(factor):
 def ref_rule_II(factor):
     if factor.exponent != 2:
         raise RegenerationError(f"rule II applies to exponent 2, got {factor.exponent}")
-    _, conj, base = ref_doubled_input(factor)
+    conj, base = ref_doubled_input(factor)
     variants = [(True, True), (False, True), (True, False), (False, False)]
     return tuple(
         StructuredFactor(conj, double_halftwist(base, lp, hp), 2) for lp, hp in variants
@@ -301,7 +297,7 @@ def ref_rule_II(factor):
 def ref_rule_III(factor):
     if factor.exponent != 4:
         raise RegenerationError(f"rule III applies to exponent 4, got {factor.exponent}")
-    _, conj, base = ref_doubled_input(factor)
+    conj, base = ref_doubled_input(factor)
     cusp_base = double_halftwist(base, high_prime=True)
     strands = cusp_base.strands
     short = half_twist_word(HalfTwist(strands, 2 * base.high - 1, 2 * base.high))
@@ -317,7 +313,7 @@ def ref_rule_III(factor):
 
 
 def ref_pass(factor):
-    _, conj, base = ref_doubled_input(factor)
+    conj, base = ref_doubled_input(factor)
     return (StructuredFactor(conj, double_halftwist(base), factor.exponent),)
 
 
@@ -349,22 +345,17 @@ def random_factor(rng, m):
 class TestRuleTable:
     @pytest.mark.parametrize("m", range(2, 8))
     def test_table_matches_reference_rules(self, rng, m):
-        wrappers = {Rule.BRANCH: rule_I_branch, Rule.NODE: rule_II_node,
-                    Rule.TANGENCY: rule_III_tangency}
         for _ in range(60):
             factor = random_factor(rng, m)
             for rule, ref in REFERENCE.items():
-                want = outcome(ref, factor)
-                assert outcome(lambda f: rg._apply(rule, f), factor) == want
-                if rule in wrappers:
-                    assert outcome(wrappers[rule], factor) == want
+                assert outcome(lambda f: apply_rule(rule, f), factor) == outcome(ref, factor)
 
     def test_wrong_exponent_reported_before_block(self):
         block = BlockFactor(BraidWord.identity(3), 1, 3, 2)
         with pytest.raises(RegenerationError, match="rule I applies to exponent 1, got 2"):
-            rule_I_branch(block)
+            apply_rule(Rule.BRANCH, block)
         with pytest.raises(RegenerationError, match="block factors"):
-            rule_II_node(block)
+            apply_rule(Rule.NODE, block)
 
     @pytest.mark.parametrize("m", range(2, 8))
     def test_regenerate_matches_reference(self, rng, m):
