@@ -347,20 +347,35 @@ def _product_raw(fact: Factorization) -> _Raw:
     # where the grouping ((P c_i) z_i) c_i^-1 would push every factor of c_i
     # and of c_i^-1, several for a cabled one.  Factors under one conjugator,
     # as a regenerated node's rows, form a run: c z_1 c^-1 c z_2 c^-1 =
-    # c (z_1 z_2) c^-1, so the run enters with one step.  In a sweep the step
-    # c_{i-1}^-1 c_i is H_i^-1, H_i the point's block half-twist: a short braid
-    # whose normal form is Delta^-1 times a factor with nearly every crossing.
-    # Pushed alone it twists the running product and slides that near-Delta
-    # factor across it; the step times the core H_i^2 is H_i, one short
-    # positive factor, so the step meets its run's cores first.
+    # c (z_1 z_2) c^-1, so the run enters with one step, prev^-1 x for
+    # x = c z_1 z_2 and prev the previous run's conjugator.
+    # A run whose cores are all positive (Delta power >= 0) forms x first.
+    # If prev is Delta^p A_1..A_j and x is Delta^p A_1..A_j A_{j+1}..A_k, the
+    # step is A_{j+1}..A_k, exactly: a suffix of a left-weighted sequence is
+    # left-weighted.  In a sweep c_{i-1} = c_i H_i, H_i the point's block
+    # half-twist, and z_i = H_i^2, so x = c_{i-1} H_i and every step is the
+    # slice H_i: no inverse, and no near-Delta factor (the normal form of
+    # H_i^-1 is Delta^-1 times a factor with nearly every crossing) slides
+    # across the running product.  A run with a negative core, as the band
+    # twists of regenerated rows, takes (prev^-1 c) z_1 z_2: consecutive
+    # conjugators there differ by a short braid, while a negative core
+    # pushed onto the long c twists it and slides across it.
     m = fact.strands
     _conjugator_raws(m, fact.factors)
-    out = carried = RAW_IDENTITY
+    out = prev = RAW_IDENTITY
+    mul = partial(raw_multiply, m)
     for conj, run in groupby(fact.factors, _conjugator_raw):
-        step = raw_multiply(m, carried, conj)
-        out = raw_multiply(m, out, reduce(partial(raw_multiply, m), map(_core_raw, run), step))
-        carried = raw_inverse(m, conj)
-    return raw_multiply(m, out, carried)
+        cores = list(map(_core_raw, run))
+        if all(z[0] >= 0 for z in cores):
+            x, k = reduce(mul, cores, conj), len(prev[1])
+            if x[0] == prev[0] and x[1][:k] == prev[1]:
+                step = (0, x[1][k:])
+            else:
+                step = mul(raw_inverse(m, prev), x)
+        else:
+            step = reduce(mul, cores, mul(raw_inverse(m, prev), conj))
+        out, prev = mul(out, step), conj
+    return mul(out, raw_inverse(m, prev))
 
 
 def product_nf(fact: Factorization) -> NormalForm:

@@ -22,6 +22,7 @@ from braidmono import (
     canonical_key,
     complete_deficit,
     compose,
+    delta_word,
     expand,
     exponent_sum,
     full_twist,
@@ -427,9 +428,28 @@ def small_integer_arrangement(rng, m):
         return arr
 
 
+def count_inverses(monkeypatch, fact):
+    """The product of `fact`, and the `raw_inverse` calls it took."""
+    calls = 0
+
+    def counting(m, raw):
+        nonlocal calls
+        calls += 1
+        return inverse(m, raw)
+
+    inverse = fz.raw_inverse
+    monkeypatch.setattr(fz, "raw_inverse", counting)
+    got = fz._product_raw(fact)
+    monkeypatch.setattr(fz, "raw_inverse", inverse)
+    return got, calls
+
+
 class TestTelescopedProduct:
     """`_product_raw` multiplies c_1 z_1 (c_1^-1 c_2) z_2 ... z_n c_n^-1; it
-    must give the fold over the whole elements c_i z_i c_i^-1."""
+    must give the fold over the whole elements c_i z_i c_i^-1.  A run whose
+    cores are positive enters as x = c z; when the previous conjugator's
+    form is a prefix of x's at the same Delta power, the step is the rest
+    of x's factors, with no inverse."""
 
     def test_sweeps(self, rng):
         arrangements = [random_generic_arrangement(rng, m) for m in (2, 3, 5, 8, 11)]
@@ -575,9 +595,9 @@ class TestTelescopedProduct:
 
     def test_tangent_family_check_slides_few_per_factor(self, monkeypatch):
         """The check of the 24-line tangent family slides at most 3 times per
-        factor, plus 24 for the cores normalized on first use.  Each step H^-1
-        is Delta^-1 times a near-Delta factor; pushed alone, each slides that
-        factor across the running product, 1,394 slides for the 276 factors."""
+        factor, plus 24 for the cores normalized on first use: no step pushes
+        the near-Delta factor of an inverse half-twist across the running
+        product."""
         slides = 0
 
         def counting(fa, fb):
@@ -592,3 +612,112 @@ class TestTelescopedProduct:
         assert is_delta2_factorization(fact)
         assert len(fact.factors) == 276
         assert slides <= 3 * len(fact.factors) + 24
+
+    @pytest.mark.parametrize("expand_blocks", [False, True])
+    def test_sweeps_take_two_inverses(self, rng, monkeypatch, expand_blocks):
+        """Both are inverses of the identity: the first run's x holds a Delta,
+        and the last conjugator is empty.  One per run would be 66 at m = 12
+        and 276 at m = 24.  An expanded multiple point's run holds node cores
+        Z_{s,t}^2 with t > s + 1, whose forms have Delta power -1, so it
+        takes one inverse more."""
+        arrangements = [tangent_family(12), tangent_family(24),
+                        random_generic_arrangement(rng, 9), pencil_arrangement(5)]
+        for arr in arrangements:
+            blocks = sum(isinstance(f, BlockFactor) for f in braid_monodromy(arr).factors)
+            fact = braid_monodromy(arr, expand_blocks=expand_blocks)
+            got, calls = count_inverses(monkeypatch, fact)
+            assert got == (2, ())
+            assert calls <= 2 + (blocks if expand_blocks else 0)
+        assert blocks == 1
+
+    @pytest.mark.parametrize("name", ["sweep6.fac", "tangent12.fac"])
+    def test_regenerations_take_one_inverse_per_run(self, monkeypatch, name):
+        """Every run of a regenerated sweep holds a band twist whose form is
+        negative, so every step is (prev^-1 conj) times the run's cores: one
+        inverse per run, and the slides of that fold."""
+        fact = regenerate(parse_factorization((GOLDEN / name).read_text()))
+        got, calls = count_inverses(monkeypatch, fact)
+        assert got == element_fold(fact)
+        assert calls == len([*groupby(fact.factors, fz._conjugator_raw)]) + 1
+
+        def steps_fold(fact):
+            m = fact.strands
+            out = prev = garside.RAW_IDENTITY
+            for conj, run in groupby(fact.factors, fz._conjugator_raw):
+                step = garside.raw_multiply(m, garside.raw_inverse(m, prev), conj)
+                for f in run:
+                    step = garside.raw_multiply(m, step, fz._core_raw(f))
+                out, prev = garside.raw_multiply(m, out, step), conj
+            return garside.raw_multiply(m, out, garside.raw_inverse(m, prev))
+
+        slides = []
+
+        def counting(fa, fb):
+            slides[-1] += 1
+            return slide(fa, fb)
+
+        slide = garside._slide_ids
+        monkeypatch.setattr(garside, "_slide_ids", counting)
+        for product_raw in (fz._product_raw, steps_fold):
+            slides.append(0)
+            assert product_raw(fact) == got
+        assert slides[0] == slides[1] > 0
+
+    @pytest.mark.parametrize("m", [3, 6])
+    def test_slice_at_a_negative_power(self, rng, monkeypatch, m):
+        """Delta^-1 c_i z_i c_i^-1 Delta multiply to tau(Delta^2) = Delta^2,
+        and each step is sliced at Delta power -1."""
+        sweep = braid_monodromy(random_generic_arrangement(rng, m))
+        fact = Factorization(m, tuple(
+            f.with_conjugator(compose(invert(delta_word(m)), f.conjugator)) for f in sweep.factors))
+        assert {fz._conjugator_raw(f)[0] for f in fact.factors} == {-1}
+        got, calls = count_inverses(monkeypatch, fact)
+        assert got == element_fold(fact) == (2, ())
+        assert calls <= 2
+
+    @pytest.mark.parametrize("k", [-1, 1, 2])
+    def test_prefix_at_another_power_is_not_sliced(self, rng, k):
+        """Run 2's x = Delta^k c z has c's factor ids in front, but not its
+        Delta power, so it is not a slice of c's form."""
+        m = 4
+        power = delta_word(m).letters * k if k > 0 else invert(delta_word(m)).letters
+        seen = 0
+        for _ in range(20):
+            conj = random_word(rng, m, 8).letters
+            a = rng.randint(1, m - 1)
+            fact = Factorization(m, (sf(m, a, a + 1, 1, conj),
+                                     sf(m, a, a + 1, rng.randint(1, 3), power + conj)))
+            prev, (second,) = fz._conjugator_raw(fact.factors[0]), fact.factors[1:]
+            x = garside.raw_multiply(m, fz._conjugator_raw(second), fz._core_raw(second))
+            seen += x[1][: len(prev[1])] == prev[1] and x[0] != prev[0]
+            assert fz._product_raw(fact) == element_fold(fact)
+        assert seen
+
+    @pytest.mark.parametrize("m", [5, 8])
+    def test_scrambled_sweeps(self, rng, m):
+        """Positive cores whose runs do not telescope."""
+        for _ in range(5):
+            factors = list(braid_monodromy(random_generic_arrangement(rng, m)).factors)
+            rng.shuffle(factors)
+            fact = Factorization(m, tuple(factors))
+            assert fz._product_raw(fact) == element_fold(fact)
+
+    @pytest.mark.parametrize("m", [4, 7])
+    def test_runs_alternate_positive_and_negative_cores(self, rng, monkeypatch, m):
+        """A sweep in which every other factor shares its conjugator with a
+        band twist Z_{1,3}, whose form is negative: those runs take the
+        previous conjugator's inverse, and the run after each one is still a
+        slice of the conjugator it hands on."""
+        sweep = braid_monodromy(random_generic_arrangement(rng, m))
+        factors = []
+        for i, f in enumerate(sweep.factors):
+            factors.append(f)
+            if i % 2 == 0:
+                factors.append(sf(m, 1, 3, rng.randint(1, 2), f.conjugator.letters))
+        fact = Factorization(m, tuple(factors))
+        signs = [min(fz._core_raw(f)[0] for f in run) >= 0
+                 for _, run in groupby(fact.factors, fz._conjugator_raw)]
+        assert signs == [i % 2 == 1 for i in range(len(sweep.factors))]
+        got, calls = count_inverses(monkeypatch, fact)
+        assert got == element_fold(fact)
+        assert calls <= signs.count(False) + 2
